@@ -24,13 +24,6 @@ from .data import load_dataset, load_hierarchy, save_dataset, save_hierarchy, sp
 from .errors import ClnceError, ParameterError
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("CLNCE_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def _load_run_config(path: str):
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -42,11 +35,7 @@ def _load_run_config(path: str):
         raise ParameterError("config must contain 'data' and 'train'")
     d = load_dataset(raw["data"])
     if raw.get("hierarchy"):
-        hierarchy = load_hierarchy(raw["hierarchy"])
-        d = pl.Dataset(
-            features=d.features, ids=d.ids, attributes=d.attributes,
-            labels=d.labels, hierarchy=hierarchy,
-        )
+        d = dataclasses.replace(d, hierarchy=load_hierarchy(raw["hierarchy"]))
     cfg = pl.TrainConfig.from_dict(raw["train"])
     return d, cfg, float(raw.get("train_fraction", 0.7))
 
@@ -56,15 +45,9 @@ def _cmd_train(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    train, eval_data = split_dataset(d, train_fraction, cfg.seed)
+    train_data, eval_data = split_dataset(d, train_fraction, cfg.seed)
     ckpt = os.path.join(args.out, "checkpoint.bin")
-    if cfg.cluster_source.get("source") == "kmeans":
-        report = pl.train_kmeans_loop(train, cfg, eval_data=eval_data, checkpoint_path=ckpt)
-    else:
-        clusters = pl.build_clusters(train, cfg.cluster_source)
-        report = pl.train_predetermined(
-            train, clusters, cfg, eval_data=eval_data, checkpoint_path=ckpt
-        )
+    _, report = pl.train(train_data, cfg, eval_data=eval_data, checkpoint_path=ckpt)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     with open(os.path.join(args.out, "loss.csv"), "w", encoding="utf-8") as fh:
@@ -84,11 +67,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, _ = enc.load_checkpoint(args.checkpoint)
-    train = load_dataset(args.train_data)
+    train_data = load_dataset(args.train_data)
     eval_data = load_dataset(args.eval_data)
-    acc = pl.linear_evaluate(
-        model, train, eval_data, epochs=args.epochs, lr=args.lr, seed=args.seed
-    )
+    acc = pl.linear_evaluate(model, train_data, eval_data, epochs=args.epochs, lr=args.lr)
     print(f"linear accuracy {acc:.4f}")
     return 0
 
@@ -135,10 +116,7 @@ def _cmd_verify_bounds(args) -> int:
 def _cmd_make_clusters(args) -> int:
     d = load_dataset(args.data)
     if args.hierarchy:
-        d = pl.Dataset(
-            features=d.features, ids=d.ids, attributes=d.attributes,
-            labels=d.labels, hierarchy=load_hierarchy(args.hierarchy),
-        )
+        d = dataclasses.replace(d, hierarchy=load_hierarchy(args.hierarchy))
     spec = {"source": args.source}
     if args.source == "attributes":
         spec["k"] = args.k
@@ -188,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-data", required=True)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("infoplane", help="sweep synthetic cluster configs")
@@ -224,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,4 +1,4 @@
-"""Tabular datasets: loading, validation, splitting, and two-view augmentation.
+"""Tabular datasets: loading, validation, splitting, and augmentation.
 
 CSV layout: header row with columns ``id``, ``f0..f{D-1}``, optional
 ``a0..a{A-1}`` (binary attributes), optional ``label``. Hierarchy files hold
@@ -51,21 +51,9 @@ class HierarchyGraph:
                 )
             seen_labels[lab] = leaf
 
-    def parents_of(self, node: str) -> list[str]:
-        return sorted(p for p, c in self.edges if c == node)
-
-    def children_of(self, node: str) -> list[str]:
-        return sorted(c for p, c in self.edges if p == node)
-
     def roots(self) -> list[str]:
         has_parent = {c for _, c in self.edges}
         return sorted(n for n in self.nodes if n not in has_parent)
-
-    def leaf_for_label(self, label: int) -> str:
-        for leaf, lab in self.leaf_label_map.items():
-            if lab == label:
-                return leaf
-        raise GraphError(f"no leaf mapped to label {label}")
 
 
 @dataclass(frozen=True)
@@ -150,10 +138,8 @@ class AugmentConfig:
             raise ParameterError("mask_prob must lie in [0, 1]")
 
 
-def load_dataset(path: str, schema: str = "csv") -> Dataset:
-    """Load and validate a dataset file. Only the ``csv`` schema is defined."""
-    if schema != "csv":
-        raise SchemaError(f"unknown schema {schema!r}")
+def load_dataset(path: str) -> Dataset:
+    """Load and validate a dataset CSV."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -280,10 +266,3 @@ def augment_rows(features: np.ndarray, cfg: AugmentConfig, rng: np.random.Genera
     if cfg.mask_prob > 0:
         out[rng.random(out.shape) < cfg.mask_prob] = 0.0
     return out
-
-
-def augment_two_views(
-    features: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two independently drawn stochastic views of each row."""
-    return augment_rows(features, cfg, rng), augment_rows(features, cfg, rng)

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError, StateError
 
-_NORM_EPS = 0.0  # exact zero rows are the only degenerate case
-
 
 @dataclass
 class EncoderModel:

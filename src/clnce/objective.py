@@ -8,7 +8,6 @@ includes j == i.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,32 +109,3 @@ def critic_backward(
     g = np.asarray(grad_scores, dtype=np.float64)
     return g @ projections_y / cfg.temperature, g.T @ projections_x / cfg.temperature
 
-
-def infonce_loss_reference(projections_x, projections_y, cfg: CriticConfig) -> float:
-    """Independently coded standard InfoNCE on two-view batches.
-
-    Positives are the aligned rows (two views of the same instance); the
-    denominator averages over all views y_j, matching the estimator used by
-    the cluster-conditional loss at the singleton-cluster endpoint.
-    """
-    px = np.asarray(projections_x, dtype=np.float64)
-    py = np.asarray(projections_y, dtype=np.float64)
-    n = px.shape[0]
-    total = 0.0
-    for i in range(n):
-        pos = float(px[i] @ py[i]) / cfg.temperature
-        ratios = [float(px[i] @ py[j]) / cfg.temperature for j in range(n)]
-        m = max(ratios)
-        denom = m + np.log(sum(np.exp(r - m) for r in ratios) / n)
-        total += pos - denom
-    return -total / n
-
-
-def dump_batch_trace(scores: np.ndarray, path: str) -> None:
-    """Debug CSV of (i, j, score)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "score"])
-        for i in range(scores.shape[0]):
-            for j in range(scores.shape[1]):
-                writer.writerow([i, j, repr(float(scores[i, j]))])

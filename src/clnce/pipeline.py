@@ -1,5 +1,5 @@
-"""Training orchestration: the two clustering+contrastive loops, the linear
-evaluation protocol, and the synthetic info-plane sweep.
+"""Training orchestration: the clustering+contrastive training loop, the
+linear evaluation protocol, and the synthetic info-plane sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class TrainConfig:
     warmup_steps: int | None = None
     noise_sigma: float = 0.1
     mask_prob: float = 0.0
-    recluster_every_epoch: bool = True
     encoder_widths: tuple = (128, 128)
     projection_widths: tuple = (64, 32)
     eval_epochs: int = 200
@@ -92,8 +91,22 @@ class RunReport:
         )
 
 
+def _run_kmeans(points: np.ndarray, spec: dict, seed: int) -> cl.KMeansResult:
+    """k-means for a ``kmeans`` spec: the one place its defaults are set."""
+    return cl.kmeans(
+        points,
+        int(spec["K"]),
+        max_iters=int(spec.get("max_iters", 50)),
+        tol=float(spec.get("tol", 1e-8)),
+        seed=int(spec.get("seed", seed)),
+    )
+
+
 def build_clusters(d: Dataset, spec: dict, embeddings: np.ndarray | None = None):
-    """Construct a ClusterAssignment from a cluster-source spec dict."""
+    """Construct a ClusterAssignment from a cluster-source spec dict.
+
+    A ``kmeans`` source clusters ``embeddings`` (the raw features if None).
+    """
     source = spec.get("source")
     if source == "labels":
         if d.labels is None:
@@ -112,14 +125,7 @@ def build_clusters(d: Dataset, spec: dict, embeddings: np.ndarray | None = None)
         return cl.clusters_from_hierarchy(tree, int(spec["level"]), d)
     if source == "kmeans":
         points = embeddings if embeddings is not None else d.features
-        result = cl.kmeans(
-            points,
-            int(spec["K"]),
-            max_iters=int(spec.get("max_iters", 100)),
-            tol=float(spec.get("tol", 1e-8)),
-            seed=int(spec.get("seed", 0)),
-        )
-        return result.assignment
+        return _run_kmeans(points, spec, 0).assignment
     if source == "synthetic":
         if d.labels is None:
             raise DataError("synthetic cluster source needs labels")
@@ -171,120 +177,75 @@ def _train_one_epoch(d, clusters, cfg, model, state, rng, steps_per_epoch) -> fl
     return float(np.mean(losses))
 
 
-def train_predetermined(
-    d: Dataset,
-    clusters: cl.ClusterAssignment,
-    cfg: TrainConfig,
-    eval_data: Dataset | None = None,
-    checkpoint_path: str | None = None,
-) -> RunReport:
-    """Fixed clusters + contrastive training (the pre-determined-cluster loop)."""
-    if clusters.num_samples != d.num_samples:
-        raise DataError("cluster assignment does not cover the dataset")
-    model, state, steps_per_epoch = _init_run(d, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    loss_curve = []
-    info_curve = []
-    point = None
-    if d.labels is not None:
-        point = im.info_plane_point(
-            clusters.assignment, d.labels, config_label=clusters.provenance
-        )
-    for _ in range(cfg.epochs):
-        loss_curve.append(_train_one_epoch(d, clusters, cfg, model, state, rng, steps_per_epoch))
-        if point is not None:
-            info_curve.append(point)
-    accuracy = None
-    if eval_data is not None and d.labels is not None and eval_data.labels is not None:
-        accuracy = linear_evaluate(
-            model, d, eval_data, epochs=cfg.eval_epochs, lr=cfg.eval_lr, seed=cfg.seed
-        )
-    if checkpoint_path:
-        enc.save_checkpoint(model, state, checkpoint_path)
-    report = RunReport(loss_curve, info_curve, accuracy, checkpoint_path)
-    report.model = model  # convenience for in-process callers
-    return report
-
-
-def train_kmeans_loop(
+def train(
     d: Dataset,
     cfg: TrainConfig,
     eval_data: Dataset | None = None,
     checkpoint_path: str | None = None,
-) -> RunReport:
-    """Alternate k-means on current embeddings with contrastive updates.
+) -> tuple[enc.EncoderModel, RunReport]:
+    """Contrastive training against the clusters of ``cfg.cluster_source``.
 
-    Clusters are recomputed before epoch 1 and after every epoch, so epoch e
-    always trains against clusters from the encoder state after epoch e-1.
+    Fixed sources are built once and give one info-plane point. A ``kmeans``
+    source is rebuilt on the current embeddings before epoch 1 and after
+    every epoch, so epoch e always trains against clusters from the encoder
+    state after epoch e-1; the recluster after the last epoch only completes
+    the trace.
     """
     spec = cfg.cluster_source
-    if spec.get("source") != "kmeans":
-        raise ParameterError("train_kmeans_loop requires a kmeans cluster source")
-    K = int(spec["K"])
-    if K > d.num_samples:
-        raise ParameterError("K exceeds the number of training samples")
+    refresh = spec.get("source") == "kmeans"
     model, state, steps_per_epoch = _init_run(d, cfg)
     rng = np.random.default_rng(cfg.seed)
+    trace = []
+    info_curve = []
 
     def recluster():
         embeddings, _, _ = enc.forward(model, d.features)
-        result = cl.kmeans(
-            embeddings,
-            K,
-            max_iters=int(spec.get("max_iters", 50)),
-            tol=float(spec.get("tol", 1e-8)),
-            seed=cfg.seed,
-        )
-        return result
+        result = _run_kmeans(embeddings, spec, cfg.seed)
+        trace.append({"epoch": len(trace), "encoder_step_count": state.step_count,
+                      "inertia_history": list(result.inertia_history)})
+        return result.assignment
 
-    result = recluster()
-    clusters = result.assignment
-    trace = [{"epoch": 0, "encoder_step_count": state.step_count,
-              "inertia_history": list(result.inertia_history)}]
+    if refresh:
+        clusters = recluster()
+    else:
+        clusters = build_clusters(d, spec)
+        if d.labels is not None:
+            info_curve.append(im.info_plane_point(
+                clusters.assignment, d.labels, config_label=clusters.provenance
+            ))
     loss_curve = []
-    info_curve = []
     for epoch in range(1, cfg.epochs + 1):
         loss_curve.append(_train_one_epoch(d, clusters, cfg, model, state, rng, steps_per_epoch))
-        if d.labels is not None:
-            info_curve.append(
-                im.info_plane_point(
+        if refresh:
+            if d.labels is not None:
+                info_curve.append(im.info_plane_point(
                     clusters.assignment, d.labels,
                     config_label=f"{clusters.provenance}@epoch{epoch}",
-                )
-            )
-        if cfg.recluster_every_epoch or epoch == cfg.epochs:
-            result = recluster()
-            clusters = result.assignment
-            trace.append({"epoch": epoch, "encoder_step_count": state.step_count,
-                          "inertia_history": list(result.inertia_history)})
+                ))
+            clusters = recluster()
     accuracy = None
     if eval_data is not None and d.labels is not None and eval_data.labels is not None:
-        accuracy = linear_evaluate(
-            model, d, eval_data, epochs=cfg.eval_epochs, lr=cfg.eval_lr, seed=cfg.seed
-        )
+        accuracy = linear_evaluate(model, d, eval_data, epochs=cfg.eval_epochs, lr=cfg.eval_lr)
     if checkpoint_path:
         enc.save_checkpoint(model, state, checkpoint_path)
-    report = RunReport(loss_curve, info_curve, accuracy, checkpoint_path, kmeans_trace=trace)
-    report.model = model
-    return report
+    return model, RunReport(loss_curve, info_curve, accuracy, checkpoint_path, kmeans_trace=trace)
 
 
 def linear_evaluate(
     model: enc.EncoderModel,
-    train: Dataset,
+    train_data: Dataset,
     eval_data: Dataset,
     epochs: int = 200,
     lr: float = 0.5,
-    seed: int = 0,
 ) -> float:
     """Top-1 accuracy of a multinomial-logistic probe on frozen encoder output.
 
     The projection head plays no part here; only the encoder embedding is
     read. Full-batch gradient descent from a zero init is deterministic.
     """
-    if train.labels is None or eval_data.labels is None:
+    if train_data.labels is None or eval_data.labels is None:
         raise DataError("linear evaluation needs labeled train and eval sets")
-    x_train, _, _ = enc.forward(model, train.features)
+    x_train, _, _ = enc.forward(model, train_data.features)
     x_eval, _, _ = enc.forward(model, eval_data.features)
     # standardize with train statistics for a well-conditioned probe
     mu = x_train.mean(axis=0)
@@ -293,10 +254,10 @@ def linear_evaluate(
     x_train = (x_train - mu) / sd
     x_eval = (x_eval - mu) / sd
     n, dim = x_train.shape
-    num_classes = max(train.num_classes, eval_data.num_classes)
+    num_classes = max(train_data.num_classes, eval_data.num_classes)
     w = np.zeros((dim, num_classes))
     b = np.zeros(num_classes)
-    y = train.labels
+    y = train_data.labels
     onehot = np.eye(num_classes)[y]
     for _ in range(epochs):
         logits = x_train @ w + b
@@ -322,18 +283,14 @@ def run_info_plane_experiment(
         raise DataError("info-plane experiment needs a labeled dataset")
     if len(configs) < 2:
         raise ParameterError("need at least 2 cluster configs")
-    train, eval_data = split_dataset(d, train_fraction, cfg.seed)
+    train_data, eval_data = split_dataset(d, train_fraction, cfg.seed)
     points = []
     for spec in configs:
-        clusters = build_clusters(train, spec)
-        report = train_predetermined(train, clusters, cfg, eval_data=eval_data)
+        run_cfg = dataclasses.replace(cfg, cluster_source=spec)
+        _, report = train(train_data, run_cfg, eval_data=eval_data)
         points.append(
-            im.InfoPlanePoint(
-                mi_zt=report.info_plane_curve[-1].mi_zt,
-                h_z_given_t=report.info_plane_curve[-1].h_z_given_t,
-                h_z=report.info_plane_curve[-1].h_z,
-                downstream_accuracy=report.final_linear_accuracy,
-                config_label=clusters.provenance,
+            dataclasses.replace(
+                report.info_plane_curve[-1], downstream_accuracy=report.final_linear_accuracy
             )
         )
     if csv_path:

@@ -30,17 +30,11 @@ from clnce.objective import (
     cl_infonce_loss,
     critic_backward,
     critic_matrix,
-    infonce_loss_reference,
     sample_pair_batch,
 )
-from clnce.pipeline import (
-    TrainConfig,
-    build_clusters,
-    linear_evaluate,
-    run_info_plane_experiment,
-    train_kmeans_loop,
-    train_predetermined,
-)
+from clnce.pipeline import TrainConfig, linear_evaluate, run_info_plane_experiment, train
+
+from oracles import infonce_loss_reference
 
 
 def report(num, name, ok, detail):
@@ -236,25 +230,25 @@ def test_criterion_7_kmeans_loop_end_to_end():
         d = make_blob_dataset(
             num_samples=800, class_sep=3.0, noise_std=2.5, noise_dims=24, seed=seed
         )
-        train, eval_data = split_dataset(d, 0.7, seed=seed)
+        train_data, eval_data = split_dataset(d, 0.7, seed=seed)
         cfg = TrainConfig(
             epochs=30, batch_size=64, seed=seed,
             encoder_widths=(64, 32), projection_widths=(32, 16),
             noise_sigma=0.2, peak_lr=0.1,
             cluster_source={"source": "kmeans", "K": 8},
         )
-        run = train_kmeans_loop(train, cfg, eval_data=eval_data)
+        _, run = train(train_data, cfg, eval_data=eval_data)
         for t in run.kmeans_trace:
             hist = t["inertia_history"]
             monotone = monotone and all(
                 a >= b - 1e-9 for a, b in zip(hist, hist[1:])
             )
         baseline = init_model(
-            [train.feature_dim, *cfg.encoder_widths],
+            [train_data.feature_dim, *cfg.encoder_widths],
             [cfg.encoder_widths[-1], *cfg.projection_widths],
             seed=seed,
         )
-        base_acc = linear_evaluate(baseline, train, eval_data)
+        base_acc = linear_evaluate(baseline, train_data, eval_data)
         gaps.append(100 * (run.final_linear_accuracy - base_acc))
     mean_gap = float(np.mean(gaps))
     report(7, "iterative clustering end-to-end",
@@ -275,10 +269,9 @@ def test_criterion_8_endpoint_ordering():
         accs = []
         for seed in (0, 1, 2):
             d = _sweep_dataset(seed, attr_flip_prob=0.15)
-            train, eval_data = split_dataset(d, 0.7, seed=seed)
-            clusters = build_clusters(train, spec)
-            run = train_predetermined(
-                train, clusters, _sweep_config(seed), eval_data=eval_data
+            train_data, eval_data = split_dataset(d, 0.7, seed=seed)
+            _, run = train(
+                train_data, _sweep_config(seed, cluster_source=spec), eval_data=eval_data
             )
             accs.append(run.final_linear_accuracy)
         means[name] = float(np.mean(accs))

@@ -5,7 +5,7 @@ from clnce.data import (
     AugmentConfig,
     Dataset,
     HierarchyGraph,
-    augment_two_views,
+    augment_rows,
     load_dataset,
     load_hierarchy,
     save_dataset,
@@ -124,31 +124,35 @@ class TestSplit:
 
 
 class TestAugment:
+    @staticmethod
+    def two_views(x, cfg, rng):
+        return augment_rows(x, cfg, rng), augment_rows(x, cfg, rng)
+
     def test_identity_case(self):
         x = np.random.default_rng(1).normal(size=(4, 3))
-        v1, v2 = augment_two_views(x, AugmentConfig(0.0, 0.0), np.random.default_rng(0))
+        v1, v2 = self.two_views(x, AugmentConfig(0.0, 0.0), np.random.default_rng(0))
         np.testing.assert_array_equal(v1, x)
         np.testing.assert_array_equal(v2, x)
 
     def test_full_masking(self):
         x = np.ones((3, 4))
-        v1, v2 = augment_two_views(x, AugmentConfig(0.0, 1.0), np.random.default_rng(0))
+        v1, v2 = self.two_views(x, AugmentConfig(0.0, 1.0), np.random.default_rng(0))
         assert (v1 == 0).all() and (v2 == 0).all()
 
     def test_noise_std_matches_config(self):
         # Monte-Carlo check of the configured noise scale
         x = np.zeros((100_000, 1))
-        v1, _ = augment_two_views(x, AugmentConfig(0.1, 0.0), np.random.default_rng(7))
+        v1, _ = self.two_views(x, AugmentConfig(0.1, 0.0), np.random.default_rng(7))
         assert abs(v1.std() - 0.1) < 0.002
 
     def test_views_differ_with_noise(self):
         x = np.random.default_rng(2).normal(size=(6, 5))
-        v1, v2 = augment_two_views(x, AugmentConfig(0.5, 0.0), np.random.default_rng(3))
+        v1, v2 = self.two_views(x, AugmentConfig(0.5, 0.0), np.random.default_rng(3))
         assert not np.array_equal(v1, v2)
 
     def test_shape_preserved(self):
         x = np.random.default_rng(2).normal(size=(6, 5))
-        v1, v2 = augment_two_views(x, AugmentConfig(0.5, 0.3), np.random.default_rng(3))
+        v1, v2 = self.two_views(x, AugmentConfig(0.5, 0.3), np.random.default_rng(3))
         assert v1.shape == x.shape and v2.shape == x.shape
 
     def test_bad_config(self):

@@ -15,9 +15,10 @@ from clnce.objective import (
     cl_infonce_loss,
     critic_backward,
     critic_matrix,
-    infonce_loss_reference,
     sample_pair_batch,
 )
+
+from oracles import infonce_loss_reference
 
 
 def unit_rows(n, d, seed):

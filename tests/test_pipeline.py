@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from clnce.clusters import clusters_from_labels, clusters_instance_id
+from clnce.clusters import kmeans
 from clnce.data import Dataset, split_dataset
 from clnce.datagen import make_balanced_hierarchy, make_blob_dataset, make_mixture_dataset
-from clnce.encoder import EncoderModel, init_model
+from clnce.encoder import EncoderModel, forward, init_model
 from clnce.errors import DataError, ParameterError
+from clnce.info import info_plane_point
 from clnce.pipeline import (
     RunReport,
     TrainConfig,
     build_clusters,
     linear_evaluate,
     run_info_plane_experiment,
-    train_kmeans_loop,
-    train_predetermined,
+    train,
 )
 
 
@@ -77,6 +77,8 @@ class TestBuildClusters:
     def test_kmeans(self):
         c = build_clusters(self.d, {"source": "kmeans", "K": 5, "seed": 1})
         assert c.num_clusters == 5
+        oracle = kmeans(self.d.features, 5, max_iters=50, tol=1e-8, seed=1)
+        np.testing.assert_array_equal(c.assignment, oracle.assignment.assignment)
 
     def test_synthetic_coarsen(self):
         c = build_clusters(
@@ -102,59 +104,43 @@ class TestTrainPredetermined:
     def test_zero_lr_leaves_params_untouched(self):
         d = small_dataset()
         cfg = small_config(peak_lr=0.0)
-        clusters = clusters_from_labels(d.labels)
         before = flatten_params(init_model(
             [d.feature_dim, *cfg.encoder_widths],
             [cfg.encoder_widths[-1], *cfg.projection_widths],
             seed=cfg.seed,
         ))
-        report = train_predetermined(d, clusters, cfg)
-        np.testing.assert_array_equal(flatten_params(report.model), before)
+        model, _ = train(d, cfg)
+        np.testing.assert_array_equal(flatten_params(model), before)
 
     def test_deterministic_repeat(self):
         d = small_dataset()
         cfg = small_config()
-        clusters = clusters_from_labels(d.labels)
-        r1 = train_predetermined(d, clusters, cfg)
-        r2 = train_predetermined(d, clusters, cfg)
+        m1, r1 = train(d, cfg)
+        m2, r2 = train(d, cfg)
         assert r1.loss_curve == r2.loss_curve
-        np.testing.assert_array_equal(
-            flatten_params(r1.model), flatten_params(r2.model)
-        )
+        np.testing.assert_array_equal(flatten_params(m1), flatten_params(m2))
 
     def test_loss_curve_length_and_finiteness(self):
         d = small_dataset()
-        cfg = small_config(epochs=3)
-        report = train_predetermined(d, clusters_from_labels(d.labels), cfg)
+        _, report = train(d, small_config(epochs=3))
         assert len(report.loss_curve) == 3
         assert all(np.isfinite(v) for v in report.loss_curve)
-        assert len(report.info_plane_curve) == 3
-
-    def test_mismatched_assignment(self):
-        d = small_dataset()
-        with pytest.raises(DataError):
-            train_predetermined(d, clusters_instance_id(10), small_config())
+        # fixed clusters give one info-plane point, not one per epoch
+        assert len(report.info_plane_curve) == 1
 
     def test_checkpoint_written(self, tmp_path):
         d = small_dataset()
         path = str(tmp_path / "model.bin")
-        report = train_predetermined(
-            d, clusters_from_labels(d.labels), small_config(), checkpoint_path=path
-        )
+        _, report = train(d, small_config(), checkpoint_path=path)
         assert report.checkpoint_path == path
         assert (tmp_path / "model.bin").stat().st_size > 0
 
 
 class TestKmeansLoop:
-    def test_requires_kmeans_source(self):
-        d = small_dataset()
-        with pytest.raises(ParameterError):
-            train_kmeans_loop(d, small_config(cluster_source={"source": "labels"}))
-
     def test_trace_covers_every_epoch_boundary(self):
         d = small_dataset()
         cfg = small_config(epochs=3, cluster_source={"source": "kmeans", "K": 4})
-        report = train_kmeans_loop(d, cfg)
+        _, report = train(d, cfg)
         epochs = [t["epoch"] for t in report.kmeans_trace]
         assert epochs == [0, 1, 2, 3]
         steps = [t["encoder_step_count"] for t in report.kmeans_trace]
@@ -164,20 +150,40 @@ class TestKmeansLoop:
             hist = t["inertia_history"]
             assert all(a >= b - 1e-9 for a, b in zip(hist, hist[1:]))
 
-    def test_final_recluster_when_not_every_epoch(self):
+    def test_first_clusters_match_build_clusters(self):
+        # The loop and build_clusters share one set of k-means defaults
+        # (max_iters 50, tol 1e-8; the loop seeds by the run seed): epoch 1
+        # trains on build_clusters of the initial embeddings.
         d = small_dataset()
-        cfg = small_config(
-            epochs=3, recluster_every_epoch=False,
-            cluster_source={"source": "kmeans", "K": 4},
+        spec = {"source": "kmeans", "K": 4}
+        cfg = small_config(seed=3, cluster_source=spec)
+        _, report = train(d, cfg)
+        initial = init_model(
+            [d.feature_dim, *cfg.encoder_widths],
+            [cfg.encoder_widths[-1], *cfg.projection_widths],
+            seed=cfg.seed,
         )
-        report = train_kmeans_loop(d, cfg)
-        assert [t["epoch"] for t in report.kmeans_trace] == [0, 3]
+        embeddings, _, _ = forward(initial, d.features)
+        oracle = kmeans(embeddings, 4, max_iters=50, tol=1e-8, seed=cfg.seed)
+        expected = build_clusters(d, {**spec, "seed": cfg.seed}, embeddings=embeddings)
+        np.testing.assert_array_equal(oracle.assignment.assignment, expected.assignment)
+        assert report.kmeans_trace[0]["inertia_history"] == list(oracle.inertia_history)
+        assert report.info_plane_curve[0] == info_plane_point(
+            expected.assignment, d.labels, config_label="kmeans(4)@epoch1"
+        )
+
+    def test_default_max_iters(self):
+        # tol < 0 never stops early, so every recluster runs the default cap
+        d = small_dataset()
+        cfg = small_config(epochs=1, cluster_source={"source": "kmeans", "K": 4, "tol": -1.0})
+        _, report = train(d, cfg)
+        assert [len(t["inertia_history"]) for t in report.kmeans_trace] == [50, 50]
 
     def test_deterministic(self):
         d = small_dataset()
         cfg = small_config(cluster_source={"source": "kmeans", "K": 4})
-        r1 = train_kmeans_loop(d, cfg)
-        r2 = train_kmeans_loop(d, cfg)
+        _, r1 = train(d, cfg)
+        _, r2 = train(d, cfg)
         assert r1.loss_curve == r2.loss_curve
         assert r1.kmeans_trace == r2.kmeans_trace
 
@@ -206,12 +212,12 @@ class TestLinearEvaluate:
 
     def test_projection_head_is_ignored(self):
         d = small_dataset()
-        train, eval_data = split_dataset(d, 0.7, seed=0)
+        train_data, eval_data = split_dataset(d, 0.7, seed=0)
         model = init_model([d.feature_dim, 8], [8, 4], seed=3)
-        a1 = linear_evaluate(model, train, eval_data, epochs=50)
+        a1 = linear_evaluate(model, train_data, eval_data, epochs=50)
         for w, b in model.projection_layers:
             w[...] = np.random.default_rng(9).normal(size=w.shape)
-        a2 = linear_evaluate(model, train, eval_data, epochs=50)
+        a2 = linear_evaluate(model, train_data, eval_data, epochs=50)
         assert a1 == a2
 
     def test_unlabeled_rejected(self):
@@ -225,7 +231,7 @@ class TestRunReport:
     def test_json_round_trip(self):
         d = small_dataset(n=80)
         cfg = small_config()
-        report = train_predetermined(d, clusters_from_labels(d.labels), cfg)
+        _, report = train(d, cfg)
         restored = RunReport.from_json(report.to_json())
         assert restored.loss_curve == report.loss_curve
         assert restored.info_plane_curve == report.info_plane_curve
@@ -241,20 +247,24 @@ class TestInfoPlaneExperiment:
 
     def test_points_carry_accuracy_and_labels(self, tmp_path):
         d = small_dataset(n=150)
+        cfg = small_config()
         csv_path = str(tmp_path / "plane.csv")
         points = run_info_plane_experiment(
             d,
-            [{"source": "labels"}, {"source": "instance_id"}],
-            small_config(),
+            [{"source": "labels"}, {"source": "instance_id"}, {"source": "kmeans", "K": 4}],
+            cfg,
             csv_path=csv_path,
         )
-        assert len(points) == 2
+        assert len(points) == 3
         for p in points:
             assert p.downstream_accuracy is not None
             assert 0.0 <= p.downstream_accuracy <= 1.0
             assert p.config_label
         # instance-id clusters retain more cluster entropy beyond the labels
         assert points[1].h_z_given_t > points[0].h_z_given_t
+        # a kmeans spec reclusters every epoch and reports the last epoch's point
+        assert points[2].config_label == f"kmeans(4)@epoch{cfg.epochs}"
+        assert points[2].h_z <= np.log(4) + 1e-12
         assert (tmp_path / "plane.csv").exists()
 
 
