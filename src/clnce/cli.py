@@ -21,12 +21,21 @@ from . import encoder as enc
 from . import info as im
 from . import pipeline as pl
 from .data import load_dataset, load_hierarchy, save_dataset, save_hierarchy, split_dataset
-from .errors import ClnceError, ParameterError
+from .errors import ClnceError, ParameterError, SchemaError
+
+
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _load_run_config(path: str):
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{path}: run config must be a JSON object")
     known = {"data", "hierarchy", "train", "train_fraction"}
     unknown = set(raw) - known
     if unknown:
@@ -76,8 +85,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_infoplane(args) -> int:
     d, cfg, train_fraction = _load_run_config(args.config)
-    with open(args.configs, encoding="utf-8") as fh:
-        cluster_specs = json.load(fh)
+    cluster_specs = _read_json(args.configs)
     os.makedirs(args.out, exist_ok=True)
     points = pl.run_info_plane_experiment(
         d, cluster_specs, cfg, train_fraction=train_fraction,

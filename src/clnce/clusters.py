@@ -224,6 +224,43 @@ def _kmeans_pp_init(points: np.ndarray, K: int, rng: np.random.Generator) -> np.
     return centroids
 
 
+# element budget of one (rows, K, D) block of the exact broadcast fallback
+_BROADCAST_BLOCK = 1 << 18
+
+
+def _nearest(
+    pts: np.ndarray, pts_sq: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid of every row and the squared distance to it.
+
+    Equal, bit for bit, to the argmin of the broadcast distances
+    ``((pts[:, None] - centroids[None]) ** 2).sum(axis=2)``, lowest index on
+    ties, and to their values at that argmin. The search runs on the GEMM
+    form ||x||^2 - 2 x.c + ||c||^2. Both forms are within
+    ``err = (D + 4) * eps * (||x|| + max ||c||)^2`` of the exact distance, so
+    a row whose GEMM gap between best and second-best exceeds ``4 * err``
+    has the same argmin under both; every other row (near and exact ties,
+    large offsets, overflow) is recomputed with the broadcast in blocks.
+    """
+    n, dim = pts.shape
+    c_sq = (centroids**2).sum(axis=1)
+    g = pts_sq[:, None] - 2.0 * (pts @ centroids.T) + c_sq
+    assign = g.argmin(axis=1)
+    rows = np.arange(n)
+    best = g[rows, assign]
+    g[rows, assign] = np.inf
+    gap = g.min(axis=1) - best
+    eps = np.finfo(np.float64).eps
+    err = (dim + 4) * eps * (np.sqrt(pts_sq) + np.sqrt(c_sq.max())) ** 2
+    redo = np.flatnonzero(~(gap > 4.0 * err))
+    step = max(1, _BROADCAST_BLOCK // max(1, centroids.size))
+    for s in range(0, redo.size, step):
+        idx = redo[s : s + step]
+        d2 = ((pts[idx, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assign[idx] = d2.argmin(axis=1)
+    return assign, ((pts - centroids[assign]) ** 2).sum(axis=1)
+
+
 def kmeans(
     points: np.ndarray,
     K: int,
@@ -236,6 +273,14 @@ def kmeans(
     Empty clusters are repaired by reseeding their centroid at the point
     farthest from its currently assigned centroid. Nearest-centroid ties go
     to the lowest centroid index.
+
+    Results are exact, not approximate: assignments, centroids and the
+    inertia history are bit-identical to Lloyd's step on the full (n, K, D)
+    broadcast of squared differences. The nearest-centroid search is one
+    ``points @ centroids.T`` GEMM whose argmin is kept only where a rounding
+    error bound certifies it; uncertified rows fall back to the broadcast.
+    Inertia is summed from the exact assigned distances, and centroid means
+    add the same rows in the same order. Memory is O(nK), not O(nKD).
     """
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
@@ -247,34 +292,32 @@ def kmeans(
         raise ParameterError("max_iters must be >= 1")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(pts, K, rng)
+    pts_sq = (pts**2).sum(axis=1)
     prev_inertia = np.inf
     history: list[float] = []
     assign = np.zeros(n, dtype=np.int64)
     it = 0
     for it in range(1, max_iters + 1):
-        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
+        assign, dist = _nearest(pts, pts_sq, centroids)
         # repair empty clusters one at a time; repairs can empty other
         # clusters, so rescan until stable (at most K passes)
         for _ in range(K):
-            empty = [j for j in range(K) if not (assign == j).any()]
-            if not empty:
+            empty = np.flatnonzero(np.bincount(assign, minlength=K) == 0)
+            if not empty.size:
                 break
-            j = empty[0]
-            point_d2 = d2[np.arange(n), assign]
-            far = int(point_d2.argmax())
-            centroids[j] = pts[far]
-            d2[:, j] = ((pts - centroids[j]) ** 2).sum(axis=1)
-            assign = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(n), assign].sum())
+            centroids[empty[0]] = pts[dist.argmax()]
+            assign, dist = _nearest(pts, pts_sq, centroids)
+        inertia = float(dist.sum())
         history.append(inertia)
         if prev_inertia - inertia < tol:
             break
         prev_inertia = inertia
-        for j in range(K):
-            members = pts[assign == j]
-            if members.size:
-                centroids[j] = members.mean(axis=0)
+        # members of each cluster as contiguous slices, in row order
+        counts = np.bincount(assign, minlength=K)
+        grouped = pts[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(counts)
+        for j in np.flatnonzero(counts):
+            centroids[j] = grouped[ends[j] - counts[j] : ends[j]].mean(axis=0)
     result = ClusterAssignment(assign, K, provenance=f"kmeans({K})")
     return KMeansResult(
         centroids=centroids,

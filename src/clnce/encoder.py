@@ -244,13 +244,26 @@ def save_checkpoint(model: EncoderModel, state: OptimizerState, path: str) -> No
 
 def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        head = fh.readline()
         blob = fh.read()
 
     def shapes(dims):
         return [((din, dout), (dout,)) for din, dout in zip(dims[:-1], dims[1:])]
 
-    layer_shapes = shapes(header["encoder_dims"]) + shapes(header["projection_dims"])
+    try:
+        header = json.loads(head.decode("utf-8"))
+        layer_shapes = shapes(header["encoder_dims"]) + shapes(header["projection_dims"])
+        n_enc = len(header["encoder_dims"]) - 1
+        hyper = OptimizerHyper(**header["hyper"])
+        step_count = int(header["step_count"])
+        # parameters, then one momentum buffer per parameter
+        expected = 2 * 8 * sum(int(np.prod(s)) for pair in layer_shapes for s in pair)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StateError(f"{path}: unreadable checkpoint header ({exc})") from exc
+    if len(blob) != expected:
+        raise StateError(
+            f"{path}: {len(blob)} bytes of parameter blocks, header implies {expected}"
+        )
     offset = 0
 
     def take(shape):
@@ -263,13 +276,8 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
         return arr
 
     layers = [(take(ws), take(bs)) for ws, bs in layer_shapes]
-    n_enc = len(header["encoder_dims"]) - 1
     model = EncoderModel(layers[:n_enc], layers[n_enc:])
     buffers = []
     for ws, bs in layer_shapes:
         buffers.extend([take(ws), take(bs)])
-    hyper = OptimizerHyper(**header["hyper"])
-    state = OptimizerState(buffers, int(header["step_count"]), hyper)
-    if offset != len(blob):
-        raise StateError(f"{path}: trailing bytes in checkpoint")
-    return model, state
+    return model, OptimizerState(buffers, step_count, hyper)

@@ -46,17 +46,17 @@ def sample_pair_batch(
     if n < 2:
         raise ParameterError("batch size must be >= 2 (need at least one negative)")
     assign = clusters.assignment
-    members = [np.flatnonzero(assign == z) for z in range(clusters.num_clusters)]
-    if any(m.size == 0 for m in members):
+    sizes = np.bincount(assign, minlength=clusters.num_clusters)
+    if (sizes == 0).any():
         raise ParameterError("every cluster must be non-empty")
+    # members of cluster c are members[starts[c] : starts[c] + sizes[c]]
+    members = np.argsort(assign, kind="stable")
+    starts = np.cumsum(sizes) - sizes
     z = assign[rng.integers(clusters.num_samples, size=n)]  # size-weighted
-    x_idx = np.empty(n, dtype=np.int64)
-    y_idx = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        m = members[z[i]]
-        x_idx[i] = m[rng.integers(m.size)]
-        y_idx[i] = m[rng.integers(m.size)]
-    return PairBatch(x_idx, y_idx, z.astype(np.int64))
+    # one bounded draw per position in the order x0, y0, x1, y1, ...
+    pos = rng.integers(0, np.repeat(sizes[z], 2))
+    picks = members[np.repeat(starts[z], 2) + pos]
+    return PairBatch(picks[0::2], picks[1::2], z.astype(np.int64))
 
 
 def critic_matrix(

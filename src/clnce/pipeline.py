@@ -18,6 +18,17 @@ from .data import AugmentConfig, Dataset, augment_rows, split_dataset
 from .errors import DataError, NumericError, ParameterError
 
 
+# JSON value types accepted for each TrainConfig annotation: ints are valid
+# floats, and the width tuples arrive as lists of ints
+_JSON_FIELD_TYPES = {
+    "int": int,
+    "int | None": (int, type(None)),
+    "float": (int, float),
+    "dict": dict,
+    "tuple": (list, tuple),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
@@ -46,10 +57,21 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ParameterError("train config must be a JSON object")
+        annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(annotations)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            accepted = _JSON_FIELD_TYPES[annotations[key]]
+            ok = isinstance(value, accepted) and not isinstance(value, bool)
+            if ok and isinstance(value, (list, tuple)):
+                ok = all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+            if not ok:
+                raise ParameterError(
+                    f"config key {key!r} must be {annotations[key]}, got {value!r}"
+                )
         return cls(**raw)
 
     def critic(self) -> obj.CriticConfig:

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from clnce.objective import CriticConfig
+from clnce.clusters import ClusterAssignment, KMeansResult, _kmeans_pp_init
+from clnce.errors import NumericError, ParameterError
+from clnce.objective import CriticConfig, PairBatch
 
 
 def infonce_loss_reference(projections_x, projections_y, cfg: CriticConfig) -> float:
@@ -23,3 +25,85 @@ def infonce_loss_reference(projections_x, projections_y, cfg: CriticConfig) -> f
         denom = m + np.log(sum(np.exp(r - m) for r in ratios) / n)
         total += pos - denom
     return -total / n
+
+
+def kmeans_reference(
+    points: np.ndarray,
+    K: int,
+    max_iters: int = 100,
+    tol: float = 1e-8,
+    seed: int = 0,
+) -> KMeansResult:
+    """Lloyd iterations with the full (n, K, D) distance broadcast.
+
+    The original ``clusters.kmeans``: the GEMM version must reproduce its
+    assignments, centroids and inertia history bit for bit.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(pts).all():
+        raise NumericError("non-finite input to kmeans")
+    n = pts.shape[0]
+    if K <= 0 or K > n:
+        raise ParameterError(f"K={K} must lie in [1, {n}]")
+    if max_iters < 1:
+        raise ParameterError("max_iters must be >= 1")
+    rng = np.random.default_rng(seed)
+    centroids = _kmeans_pp_init(pts, K, rng)
+    prev_inertia = np.inf
+    history: list[float] = []
+    assign = np.zeros(n, dtype=np.int64)
+    it = 0
+    for it in range(1, max_iters + 1):
+        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assign = d2.argmin(axis=1)
+        # repair empty clusters one at a time; repairs can empty other
+        # clusters, so rescan until stable (at most K passes)
+        for _ in range(K):
+            empty = [j for j in range(K) if not (assign == j).any()]
+            if not empty:
+                break
+            j = empty[0]
+            point_d2 = d2[np.arange(n), assign]
+            far = int(point_d2.argmax())
+            centroids[j] = pts[far]
+            d2[:, j] = ((pts - centroids[j]) ** 2).sum(axis=1)
+            assign = d2.argmin(axis=1)
+        inertia = float(d2[np.arange(n), assign].sum())
+        history.append(inertia)
+        if prev_inertia - inertia < tol:
+            break
+        prev_inertia = inertia
+        for j in range(K):
+            members = pts[assign == j]
+            if members.size:
+                centroids[j] = members.mean(axis=0)
+    result = ClusterAssignment(assign, K, provenance=f"kmeans({K})")
+    return KMeansResult(
+        centroids=centroids,
+        assignment=result,
+        inertia=history[-1],
+        iterations_run=it,
+        inertia_history=tuple(history),
+    )
+
+
+def sample_pair_batch_reference(
+    clusters: ClusterAssignment, n: int, rng: np.random.Generator
+) -> PairBatch:
+    """The scalar-loop sampler: one member list per cluster, one draw per
+    position. The vectorised ``objective.sample_pair_batch`` must consume the
+    generator identically and return the same pairs."""
+    if n < 2:
+        raise ParameterError("batch size must be >= 2 (need at least one negative)")
+    assign = clusters.assignment
+    members = [np.flatnonzero(assign == z) for z in range(clusters.num_clusters)]
+    if any(m.size == 0 for m in members):
+        raise ParameterError("every cluster must be non-empty")
+    z = assign[rng.integers(clusters.num_samples, size=n)]  # size-weighted
+    x_idx = np.empty(n, dtype=np.int64)
+    y_idx = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        m = members[z[i]]
+        x_idx[i] = m[rng.integers(m.size)]
+        y_idx[i] = m[rng.integers(m.size)]
+    return PairBatch(x_idx, y_idx, z.astype(np.int64))

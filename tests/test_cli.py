@@ -89,6 +89,55 @@ class TestTrain:
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 3
 
 
+class TestBadInput:
+    """Malformed input ends in a categorised error with exit code 2."""
+
+    def run_bad(self, argv, capsys, category):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error [{category}]" in err
+        assert "Traceback" not in err
+
+    def test_truncated_checkpoint(self, workspace, capsys):
+        tmp_path, data_path, _, cfg_path = workspace
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        ckpt = os.path.join(out, "checkpoint.bin")
+        with open(ckpt, "rb") as fh:
+            blob = fh.read()
+        with open(ckpt, "wb") as fh:
+            fh.write(blob[: len(blob) - 100])
+        capsys.readouterr()
+        self.run_bad(
+            ["eval", "--checkpoint", ckpt, "--train-data", data_path,
+             "--eval-data", data_path, "--epochs", "5"],
+            capsys, "StateError",
+        )
+
+    def test_malformed_run_config(self, workspace, capsys):
+        tmp_path, _, _, cfg_path = workspace
+        with open(cfg_path) as fh:
+            text = fh.read()
+        with open(cfg_path, "w") as fh:
+            fh.write(text[:-5])
+        self.run_bad(
+            ["train", "--config", cfg_path, "--out", str(tmp_path / "x")],
+            capsys, "SchemaError",
+        )
+
+    def test_wrong_field_type(self, workspace, capsys):
+        tmp_path, _, _, cfg_path = workspace
+        with open(cfg_path) as fh:
+            cfg = json.load(fh)
+        cfg["train"]["epochs"] = "2"
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        self.run_bad(
+            ["train", "--config", cfg_path, "--out", str(tmp_path / "x")],
+            capsys, "ParameterError",
+        )
+
+
 class TestEval:
     def test_eval_checkpoint(self, workspace, capsys):
         tmp_path, data_path, _, cfg_path = workspace

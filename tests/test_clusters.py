@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clnce.clusters import (
+    _nearest,
     attribute_entropy,
     clusters_from_attributes,
     clusters_from_hierarchy,
@@ -20,6 +23,8 @@ from clnce.clusters import (
 from clnce.data import Dataset, HierarchyGraph
 from clnce.errors import GraphError, NumericError, ParameterError, SizeError
 from clnce.info import conditional_entropy, empirical_joint
+
+from oracles import kmeans_reference
 
 
 def is_refinement(fine, coarse):
@@ -263,6 +268,64 @@ class TestKMeans:
             kmeans(np.zeros((3, 2)), 4, seed=0)
         with pytest.raises(NumericError):
             kmeans(np.array([[np.nan, 0.0]]), 1, seed=0)
+
+
+@st.composite
+def lloyd_inputs(draw):
+    """Points that stress the GEMM distance search: integer-grid ties,
+    duplicated rows, and large offsets that cancel in ||x||^2 - 2x.c + ||c||^2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        base = rng.integers(-2, 3, size=(rows, dim)).astype(float)
+    else:
+        base = rng.normal(size=(rows, dim))
+    pts = np.repeat(base, draw(st.integers(1, 3)), axis=0)
+    pts = pts * draw(st.sampled_from([1e-3, 1.0, 7.0]))
+    pts = pts + draw(st.sampled_from([0.0, 1e4, -1e8]))
+    K = draw(st.integers(1, min(pts.shape[0], 8)))
+    return pts, K, draw(st.integers(0, 1000))
+
+
+class TestKMeansProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(lloyd_inputs(), st.sampled_from([1, 3, 30]))
+    def test_bit_identical_to_broadcast_oracle(self, inputs, max_iters):
+        pts, K, seed = inputs
+        got = kmeans(pts, K, max_iters=max_iters, seed=seed)
+        want = kmeans_reference(pts, K, max_iters=max_iters, seed=seed)
+        np.testing.assert_array_equal(got.assignment.assignment, want.assignment.assignment)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.inertia_history == want.inertia_history
+        assert got.iterations_run == want.iterations_run
+
+    @settings(max_examples=150, deadline=None)
+    @given(lloyd_inputs(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_nearest_breaks_ties_to_lowest_index(self, inputs, K, seed):
+        pts = inputs[0]
+        # centroids drawn from the points repeat whenever the points do, so
+        # many rows are exactly equidistant from two or more centroids
+        rng = np.random.default_rng(seed)
+        centroids = pts[rng.integers(pts.shape[0], size=K)]
+        assign, dist = _nearest(pts, (pts**2).sum(axis=1), centroids)
+        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        lowest = [int(np.flatnonzero(row == row.min())[0]) for row in d2]
+        assert assign.tolist() == lowest
+        assert dist.tobytes() == d2[np.arange(pts.shape[0]), assign].tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(lloyd_inputs())
+    def test_inertia_never_increases(self, inputs):
+        pts, K, seed = inputs
+        hist = kmeans(pts, K, max_iters=30, tol=-1.0, seed=seed).inertia_history
+        n, dim = pts.shape
+        eps = np.finfo(np.float64).eps
+        # a step can only gain what rounding of the centroid means and of the
+        # distance sums adds
+        slack = 4 * n * dim * (eps * np.abs(pts).max()) ** 2
+        for a, b in zip(hist, hist[1:]):
+            assert b <= a + slack + 8 * (n + dim) * eps * a
 
 
 class TestLabelAndInstanceClusters:

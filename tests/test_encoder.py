@@ -270,6 +270,23 @@ class TestCheckpoint:
         for a, b in zip(model.all_params(), model2.all_params()):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("cut", ["header", "blocks", "trailing"])
+    def test_damaged_file_raises_state_error(self, tmp_path, cut):
+        model = init_model([3, 5, 4], [4, 2], seed=9)
+        state = OptimizerState.for_model(model, OptimizerHyper())
+        path = str(tmp_path / "c.bin")
+        save_checkpoint(model, state, path)
+        blob = open(path, "rb").read()
+        damaged = {
+            "header": blob[: blob.index(b"\n") // 2],
+            "blocks": blob[:-8],
+            "trailing": blob + b"\0" * 8,
+        }[cut]
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        with pytest.raises(StateError):
+            load_checkpoint(path)
+
 
 class TestDeterminism:
     def test_identical_trajectories(self):

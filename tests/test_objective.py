@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clnce.clusters import (
     ClusterAssignment,
@@ -18,7 +20,7 @@ from clnce.objective import (
     sample_pair_batch,
 )
 
-from oracles import infonce_loss_reference
+from oracles import infonce_loss_reference, sample_pair_batch_reference
 
 
 def unit_rows(n, d, seed):
@@ -61,6 +63,29 @@ class TestSampler:
     def test_batch_too_small(self):
         with pytest.raises(ParameterError):
             sample_pair_batch(clusters_instance_id(5), 1, np.random.default_rng(0))
+
+
+class TestSamplerProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=40),
+        st.integers(2, 64),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_oracle(self, sizes, n, seed):
+        assign = np.repeat(np.arange(len(sizes)), sizes)
+        np.random.default_rng(seed).shuffle(assign)
+        clusters = ClusterAssignment(assign, len(sizes), "labels")
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_pair_batch(clusters, n, rng)
+        want = sample_pair_batch_reference(clusters, n, ref_rng)
+        np.testing.assert_array_equal(got.x_indices, want.x_indices)
+        np.testing.assert_array_equal(got.y_indices, want.y_indices)
+        np.testing.assert_array_equal(got.cluster_ids, want.cluster_ids)
+        # the generator is left where the scalar loop leaves it
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        np.testing.assert_array_equal(assign[got.x_indices], got.cluster_ids)
+        np.testing.assert_array_equal(assign[got.y_indices], got.cluster_ids)
 
 
 class TestCritic:

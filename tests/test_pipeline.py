@@ -43,6 +43,19 @@ class TestTrainConfig:
         cfg = TrainConfig.from_dict({"epochs": 3, "batch_size": 8})
         assert cfg.epochs == 3 and cfg.batch_size == 8
 
+    @pytest.mark.parametrize("raw", [
+        {"epochs": "2"}, {"epochs": 2.0}, {"epochs": True}, {"temperature": "0.1"},
+        {"cluster_source": ["labels"]}, {"encoder_widths": [16, "8"]},
+        {"warmup_steps": 1.5},
+    ])
+    def test_from_dict_rejects_wrong_types(self, raw):
+        with pytest.raises(ParameterError):
+            TrainConfig.from_dict(raw)
+
+    def test_from_dict_accepts_ints_for_floats(self):
+        cfg = TrainConfig.from_dict({"temperature": 1, "warmup_steps": None})
+        assert cfg.temperature == 1 and cfg.warmup_steps is None
+
     def test_bad_batch_size(self):
         with pytest.raises(ParameterError):
             TrainConfig(batch_size=1)
