@@ -46,7 +46,9 @@ def _load_run_config(path: str):
     if raw.get("hierarchy"):
         d = dataclasses.replace(d, hierarchy=load_hierarchy(raw["hierarchy"]))
     cfg = pl.TrainConfig.from_dict(raw["train"])
-    return d, cfg, float(raw.get("train_fraction", 0.7))
+    train_fraction = raw.get("train_fraction", 0.7)
+    pl.check_json_value("train_fraction", train_fraction, "float")
+    return d, cfg, float(train_fraction)
 
 
 def _cmd_train(args) -> int:

@@ -78,18 +78,34 @@ class ForwardCache:
     token: int                      # identity of the model at forward time
 
 
-def forward(model: EncoderModel, x: np.ndarray):
-    """Returns (encoder_output, projection_output, cache).
-
-    Projection rows are unit-norm except exact-zero rows, which stay zero and
-    are flagged in the cache.
-    """
+def _as_input(model: EncoderModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.encoder_layers[0][0].shape[0]:
         raise ShapeError(
             f"input width {x.shape[-1]} != layer width "
             f"{model.encoder_layers[0][0].shape[0]}"
         )
+    return x
+
+
+def embed(model: EncoderModel, x: np.ndarray) -> np.ndarray:
+    """Encoder output only: bit-identical to ``forward(model, x)[0]``, without
+    the projection head, the L2 norms or the backward cache."""
+    h = _as_input(model, x)
+    for w, b in model.encoder_layers:
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+    return h
+
+
+def forward(model: EncoderModel, x: np.ndarray):
+    """Returns (encoder_output, projection_output, cache).
+
+    Projection rows are unit-norm except exact-zero rows, which stay zero and
+    are flagged in the cache.
+    """
+    x = _as_input(model, x)
     inputs, pre_acts = [], []
     h = x
     for w, b in model.encoder_layers:
@@ -137,7 +153,8 @@ def backward(model: EncoderModel, cache: ForwardCache, grad_wrt_projection: np.n
         if li != last:  # ReLU applied after every layer except the final one
             g = g * (cache.pre_acts[li] > 0)
         grads[li] = (cache.inputs[li].T @ g, g.sum(axis=0))
-        g = g @ w.T
+        if li:  # nothing reads the gradient with respect to the input
+            g = g @ w.T
     return grads[:n_enc], grads[n_enc:]
 
 

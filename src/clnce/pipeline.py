@@ -28,6 +28,48 @@ _JSON_FIELD_TYPES = {
     "tuple": (list, tuple),
 }
 
+# Keys a cluster spec must carry, by source; a synthetic spec also needs the
+# keys of its mode
+_SPEC_REQUIRED_KEYS = {
+    "labels": (),
+    "instance_id": (),
+    "attributes": ("k",),
+    "hierarchy": ("level",),
+    "kmeans": ("K",),
+    "synthetic": ("mode",),
+}
+_SYNTHETIC_MODE_KEYS = {
+    "refine": ("splits_per_class",),
+    "coarsen": ("merge_groups",),
+    "permute": ("splits_per_class",),
+}
+
+
+def check_json_value(key: str, value, annotation: str) -> None:
+    """Raise ParameterError unless ``value`` is a JSON value of the type
+    ``annotation`` names (a TrainConfig annotation); bools are never numbers."""
+    ok = isinstance(value, _JSON_FIELD_TYPES[annotation]) and not isinstance(value, bool)
+    if ok and isinstance(value, (list, tuple)):
+        ok = all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+    if not ok:
+        raise ParameterError(f"config key {key!r} must be {annotation}, got {value!r}")
+
+
+def check_cluster_spec(spec: dict) -> None:
+    """Raise ParameterError for an unknown source or a missing required key."""
+    if not isinstance(spec, dict):
+        raise ParameterError(f"cluster spec must be a JSON object, got {spec!r}")
+    source = spec.get("source")
+    if not isinstance(source, str) or source not in _SPEC_REQUIRED_KEYS:
+        raise ParameterError(f"unknown cluster source {source!r}")
+    required = _SPEC_REQUIRED_KEYS[source]
+    mode = spec.get("mode")
+    if source == "synthetic" and isinstance(mode, str):
+        required += _SYNTHETIC_MODE_KEYS.get(mode, ())
+    for key in required:
+        if key not in spec:
+            raise ParameterError(f"cluster source {source!r} needs key {key!r}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -52,6 +94,7 @@ class TrainConfig:
             raise ParameterError("batch_size must be >= 2")
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
+        check_cluster_spec(self.cluster_source)
         object.__setattr__(self, "encoder_widths", tuple(self.encoder_widths))
         object.__setattr__(self, "projection_widths", tuple(self.projection_widths))
 
@@ -64,14 +107,7 @@ class TrainConfig:
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
-            accepted = _JSON_FIELD_TYPES[annotations[key]]
-            ok = isinstance(value, accepted) and not isinstance(value, bool)
-            if ok and isinstance(value, (list, tuple)):
-                ok = all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-            if not ok:
-                raise ParameterError(
-                    f"config key {key!r} must be {annotations[key]}, got {value!r}"
-                )
+            check_json_value(key, value, annotations[key])
         return cls(**raw)
 
     def critic(self) -> obj.CriticConfig:
@@ -129,6 +165,7 @@ def build_clusters(d: Dataset, spec: dict, embeddings: np.ndarray | None = None)
 
     A ``kmeans`` source clusters ``embeddings`` (the raw features if None).
     """
+    check_cluster_spec(spec)
     source = spec.get("source")
     if source == "labels":
         if d.labels is None:
@@ -154,7 +191,6 @@ def build_clusters(d: Dataset, spec: dict, embeddings: np.ndarray | None = None)
         return cl.synthesize_clusters(
             d.labels, {k: v for k, v in spec.items() if k != "source"}
         )
-    raise ParameterError(f"unknown cluster source {source!r}")
 
 
 def _init_run(d: Dataset, cfg: TrainConfig):
@@ -221,8 +257,7 @@ def train(
     info_curve = []
 
     def recluster():
-        embeddings, _, _ = enc.forward(model, d.features)
-        result = _run_kmeans(embeddings, spec, cfg.seed)
+        result = _run_kmeans(enc.embed(model, d.features), spec, cfg.seed)
         trace.append({"epoch": len(trace), "encoder_step_count": state.step_count,
                       "inertia_history": list(result.inertia_history)})
         return result.assignment
@@ -267,30 +302,45 @@ def linear_evaluate(
     """
     if train_data.labels is None or eval_data.labels is None:
         raise DataError("linear evaluation needs labeled train and eval sets")
-    x_train, _, _ = enc.forward(model, train_data.features)
-    x_eval, _, _ = enc.forward(model, eval_data.features)
+    x_train = enc.embed(model, train_data.features)
+    x_eval = enc.embed(model, eval_data.features)
     # standardize with train statistics for a well-conditioned probe
     mu = x_train.mean(axis=0)
     sd = x_train.std(axis=0)
     sd[sd == 0] = 1.0
     x_train = (x_train - mu) / sd
     x_eval = (x_eval - mu) / sd
-    n, dim = x_train.shape
     num_classes = max(train_data.num_classes, eval_data.num_classes)
-    w = np.zeros((dim, num_classes))
-    b = np.zeros(num_classes)
-    y = train_data.labels
-    onehot = np.eye(num_classes)[y]
-    for _ in range(epochs):
-        logits = x_train @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        probs = e / e.sum(axis=1, keepdims=True)
-        g = (probs - onehot) / n
-        w -= lr * (x_train.T @ g)
-        b -= lr * g.sum(axis=0)
-    preds = (x_eval @ w + b).argmax(axis=1)
+    w, b = _fit_probe(x_train, train_data.labels, num_classes, epochs, lr)
+    preds = (w @ x_eval.T + b).argmax(axis=0)
     return float((preds == eval_data.labels).mean())
+
+
+def _fit_probe(x, labels, num_classes: int, epochs: int, lr: float):
+    """Softmax regression on the rows of ``x`` by full-batch gradient descent
+    from zero; returns class-major weights (C, D) and bias (C, 1).
+
+    Logits are laid out (C, n): the softmax max and sum over the classes
+    combine C rows of n entries elementwise, where an (n, C) layout reduces
+    n short rows of C entries.
+    """
+    n, dim = x.shape
+    xt = np.ascontiguousarray(x.T)
+    targets = np.arange(num_classes)[:, None] == labels
+    w = np.zeros((num_classes, dim))
+    b = np.zeros((num_classes, 1))
+    g = np.empty((num_classes, n))
+    for _ in range(epochs):
+        np.matmul(w, xt, out=g)
+        g += b
+        g -= g.max(axis=0)
+        np.exp(g, out=g)
+        g /= g.sum(axis=0)
+        g -= targets
+        g /= n
+        w -= lr * (g @ x)
+        b -= lr * g.sum(axis=1, keepdims=True)
+    return w, b
 
 
 def run_info_plane_experiment(

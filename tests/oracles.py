@@ -3,7 +3,8 @@
 import numpy as np
 
 from clnce.clusters import ClusterAssignment, KMeansResult, _kmeans_pp_init
-from clnce.errors import NumericError, ParameterError
+from clnce.encoder import forward
+from clnce.errors import DataError, NumericError, ParameterError
 from clnce.objective import CriticConfig, PairBatch
 
 
@@ -107,3 +108,36 @@ def sample_pair_batch_reference(
         x_idx[i] = m[rng.integers(m.size)]
         y_idx[i] = m[rng.integers(m.size)]
     return PairBatch(x_idx, y_idx, z.astype(np.int64))
+
+
+def linear_evaluate_reference(model, train_data, eval_data, epochs=200, lr=0.5):
+    """The row-major probe: (n, C) logits, one-hot targets, full forward
+    passes. Returns (accuracy, w, b) with w of shape (D, C); the class-major
+    ``pipeline.linear_evaluate`` must fit the same weights up to the order of
+    the class sum and give the same accuracy."""
+    if train_data.labels is None or eval_data.labels is None:
+        raise DataError("linear evaluation needs labeled train and eval sets")
+    x_train, _, _ = forward(model, train_data.features)
+    x_eval, _, _ = forward(model, eval_data.features)
+    # standardize with train statistics for a well-conditioned probe
+    mu = x_train.mean(axis=0)
+    sd = x_train.std(axis=0)
+    sd[sd == 0] = 1.0
+    x_train = (x_train - mu) / sd
+    x_eval = (x_eval - mu) / sd
+    n, dim = x_train.shape
+    num_classes = max(train_data.num_classes, eval_data.num_classes)
+    w = np.zeros((dim, num_classes))
+    b = np.zeros(num_classes)
+    y = train_data.labels
+    onehot = np.eye(num_classes)[y]
+    for _ in range(epochs):
+        logits = x_train @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        e = np.exp(logits)
+        probs = e / e.sum(axis=1, keepdims=True)
+        g = (probs - onehot) / n
+        w -= lr * (x_train.T @ g)
+        b -= lr * g.sum(axis=0)
+    preds = (x_eval @ w + b).argmax(axis=1)
+    return float((preds == eval_data.labels).mean()), w, b

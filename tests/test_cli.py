@@ -97,6 +97,7 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"error [{category}]" in err
         assert "Traceback" not in err
+        return err
 
     def test_truncated_checkpoint(self, workspace, capsys):
         tmp_path, data_path, _, cfg_path = workspace
@@ -134,6 +135,51 @@ class TestBadInput:
             json.dump(cfg, fh)
         self.run_bad(
             ["train", "--config", cfg_path, "--out", str(tmp_path / "x")],
+            capsys, "ParameterError",
+        )
+
+    @pytest.mark.parametrize("fraction", ["abc", True, None])
+    def test_wrong_train_fraction_type(self, workspace, capsys, fraction):
+        tmp_path, _, _, cfg_path = workspace
+        with open(cfg_path) as fh:
+            cfg = json.load(fh)
+        cfg["train_fraction"] = fraction
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        self.run_bad(
+            ["train", "--config", cfg_path, "--out", str(tmp_path / "x")],
+            capsys, "ParameterError",
+        )
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"source": "attributes"}, "'k'"),
+        ({"source": "hierarchy"}, "'level'"),
+        ({"source": "kmeans", "max_iters": 5}, "'K'"),
+        ({"source": "synthetic"}, "'mode'"),
+        ({"source": "synthetic", "mode": "coarsen"}, "'merge_groups'"),
+    ])
+    def test_missing_cluster_spec_key(self, workspace, capsys, spec, key):
+        tmp_path, _, _, cfg_path = workspace
+        with open(cfg_path) as fh:
+            cfg = json.load(fh)
+        cfg["train"]["cluster_source"] = spec
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        err = self.run_bad(
+            ["train", "--config", cfg_path, "--out", str(tmp_path / "x")],
+            capsys, "ParameterError",
+        )
+        assert f"needs key {key}" in err
+        assert not os.path.exists(str(tmp_path / "x"))
+
+    def test_missing_key_in_infoplane_spec(self, workspace, capsys):
+        tmp_path, _, _, cfg_path = workspace
+        specs_path = str(tmp_path / "specs.json")
+        with open(specs_path, "w") as fh:
+            json.dump([{"source": "labels"}, {"source": "attributes"}], fh)
+        self.run_bad(
+            ["infoplane", "--config", cfg_path, "--configs", specs_path,
+             "--out", str(tmp_path / "sweep")],
             capsys, "ParameterError",
         )
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clnce.encoder import (
     EncoderModel,
@@ -7,6 +9,7 @@ from clnce.encoder import (
     OptimizerState,
     add_grads,
     backward,
+    embed,
     forward,
     init_model,
     load_checkpoint,
@@ -86,6 +89,37 @@ class TestForward:
         model = init_model([4, 6], [6, 3], seed=2)
         with pytest.raises(ShapeError):
             forward(model, np.zeros((2, 5)))
+
+
+class TestEmbed:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+        rows=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_forward(self, widths, rows, seed):
+        model = init_model(widths, [widths[-1], 3], seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        for _, b in model.encoder_layers:
+            b[...] = rng.normal(size=b.shape)  # exercise dead and live units
+        x = rng.normal(scale=10.0, size=(rows, widths[0]))
+        expected, _, _ = forward(model, x)
+        got = embed(model, x)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_input_left_unchanged(self):
+        model = init_model([3, 4], [4, 2], seed=0)
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        before = x.copy()
+        embed(model, x)
+        assert (x == before).all()
+
+    def test_width_mismatch(self):
+        model = init_model([4, 6], [6, 3], seed=2)
+        with pytest.raises(ShapeError):
+            embed(model, np.zeros((2, 5)))
 
 
 class TestBackward:

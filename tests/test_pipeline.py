@@ -1,20 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clnce.clusters import kmeans
 from clnce.data import Dataset, split_dataset
 from clnce.datagen import make_balanced_hierarchy, make_blob_dataset, make_mixture_dataset
-from clnce.encoder import EncoderModel, forward, init_model
+from clnce.encoder import EncoderModel, embed, forward, init_model
 from clnce.errors import DataError, ParameterError
 from clnce.info import info_plane_point
 from clnce.pipeline import (
     RunReport,
     TrainConfig,
+    _fit_probe,
     build_clusters,
     linear_evaluate,
     run_info_plane_experiment,
     train,
 )
+from oracles import linear_evaluate_reference
 
 
 def small_dataset(seed=0, n=120):
@@ -107,6 +111,26 @@ class TestBuildClusters:
     def test_unknown_source(self):
         with pytest.raises(ParameterError):
             build_clusters(self.d, {"source": "oracle"})
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"source": "attributes"}, "k"),
+        ({"source": "hierarchy"}, "level"),
+        ({"source": "kmeans"}, "K"),
+        ({"source": "synthetic"}, "mode"),
+        ({"source": "synthetic", "mode": "refine"}, "splits_per_class"),
+        ({"source": "synthetic", "mode": "permute"}, "splits_per_class"),
+        ({"source": "synthetic", "mode": "coarsen"}, "merge_groups"),
+    ])
+    def test_missing_spec_key_named(self, spec, key):
+        with pytest.raises(ParameterError, match=f"needs key '{key}'"):
+            build_clusters(self.d, spec)
+        with pytest.raises(ParameterError, match=f"needs key '{key}'"):
+            small_config(cluster_source=spec)
+
+    @pytest.mark.parametrize("spec", [[], {"source": ["labels"]}, {}])
+    def test_malformed_spec(self, spec):
+        with pytest.raises(ParameterError):
+            build_clusters(self.d, spec)
 
 
 def flatten_params(model):
@@ -238,6 +262,78 @@ class TestLinearEvaluate:
         model = init_model([2, 3], [3, 2], seed=0)
         with pytest.raises(DataError):
             linear_evaluate(model, d, d)
+
+
+class TestLinearEvaluateProperties:
+    """The class-major probe against the row-major oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        num_classes=st.integers(2, 6),
+        feature_dim=st.integers(1, 6),
+        embed_dim=st.integers(1, 8),
+        n_train=st.integers(2, 40),
+        n_eval=st.integers(1, 20),
+        n_constant=st.integers(0, 8),
+        drop_last_class=st.booleans(),
+        epochs=st.integers(0, 200),
+        lr=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_row_major_oracle(
+        self, num_classes, feature_dim, embed_dim, n_train, n_eval, n_constant,
+        drop_last_class, epochs, lr, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        model = init_model([feature_dim, embed_dim], [embed_dim, 2], seed=seed % 1000)
+        w_enc, b_enc = model.encoder_layers[0]
+        b_enc[...] = rng.normal(size=embed_dim)
+        # zero-variance embedding columns (constant, or dead at 0): sd == 0
+        w_enc[:, :n_constant] = 0.0
+        b_enc[:n_constant] = np.maximum(b_enc[:n_constant], 0.0)
+        train_classes = num_classes - 1 if drop_last_class else num_classes
+        train_data = Dataset(
+            features=rng.normal(size=(n_train, feature_dim)),
+            labels=rng.integers(0, train_classes, size=n_train),
+        )
+        eval_labels = rng.integers(0, num_classes, size=n_eval)
+        eval_labels[0] = num_classes - 1  # a class the train set may lack
+        eval_data = Dataset(features=rng.normal(size=(n_eval, feature_dim)), labels=eval_labels)
+
+        acc = linear_evaluate(model, train_data, eval_data, epochs=epochs, lr=lr)
+        ref_acc, ref_w, ref_b = linear_evaluate_reference(
+            model, train_data, eval_data, epochs=epochs, lr=lr
+        )
+        x_train = embed(model, train_data.features)
+        x_eval = embed(model, eval_data.features)
+        mu, sd = x_train.mean(axis=0), x_train.std(axis=0)
+        sd[sd == 0] = 1.0
+        x_std = (x_train - mu) / sd
+        w, b = _fit_probe(x_std, train_data.labels, num_classes, epochs, lr)
+        assert w.shape == (num_classes, embed_dim) and b.shape == (num_classes, 1)
+        # the two layouts add the class terms of the softmax sum in a
+        # different order, so the weights agree to rounding, not bit for bit.
+        # One step moves a weight by at most lr * max|x| and a bias by at
+        # most lr; that is the scale for weights that cancel to ~0.
+        w_scale = max(np.abs(ref_w).max(), lr * np.abs(x_std).max())
+        assert np.abs(w.T - ref_w).max() <= 1e-10 * w_scale
+        assert np.abs(b[:, 0] - ref_b).max() <= 1e-10 * max(np.abs(ref_b).max(), lr)
+        # equal accuracy wherever no eval row is within rounding of a tie
+        logits = ((x_eval - mu) / sd) @ ref_w + ref_b
+        top2 = np.sort(logits, axis=1)[:, -2:]
+        if (top2[:, 1] - top2[:, 0]).min() > 1e-8 * (1.0 + np.abs(logits).max()):
+            assert acc == ref_acc
+
+    def test_bench_sized_probe_matches_oracle(self):
+        d = make_mixture_dataset(
+            num_classes=10, dim=12, num_samples=600, num_attributes=4,
+            class_sep=1.0, seed=5,
+        )
+        train_data, eval_data = split_dataset(d, 0.7, seed=0)
+        model = init_model([d.feature_dim, 32], [32, 8], seed=1)
+        acc = linear_evaluate(model, train_data, eval_data)
+        ref_acc, _, _ = linear_evaluate_reference(model, train_data, eval_data)
+        assert acc == ref_acc
 
 
 class TestRunReport:
