@@ -57,6 +57,7 @@ def _cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     train_data, eval_data = split_dataset(d, train_fraction, cfg.seed)
+    del d  # the split copies its rows; free the unsplit dataset before training
     ckpt = os.path.join(args.out, "checkpoint.bin")
     _, report = pl.train(train_data, cfg, eval_data=eval_data, checkpoint_path=ckpt)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
@@ -88,6 +89,8 @@ def _cmd_eval(args) -> int:
 def _cmd_infoplane(args) -> int:
     d, cfg, train_fraction = _load_run_config(args.config)
     cluster_specs = _read_json(args.configs)
+    if not isinstance(cluster_specs, list):
+        raise SchemaError(f"{args.configs}: must hold a JSON list of cluster specs")
     os.makedirs(args.out, exist_ok=True)
     points = pl.run_info_plane_experiment(
         d, cluster_specs, cfg, train_fraction=train_fraction,

@@ -1,7 +1,8 @@
 """Tabular datasets: loading, validation, splitting, and augmentation.
 
-CSV layout: header row with columns ``id``, ``f0..f{D-1}``, optional
-``a0..a{A-1}`` (binary attributes), optional ``label``. Hierarchy files hold
+CSV layout: a header row of exactly ``id``, ``f0..f{D-1}``, optional
+``a0..a{A-1}`` (binary attributes), optional ``label``, in that order
+(HEADER_GRAMMAR). Hierarchy files hold
 one ``parent<TAB>child`` edge per line, then a ``#labels`` sentinel followed
 by ``leaf<TAB>label`` lines.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,53 +140,102 @@ class AugmentConfig:
             raise ParameterError("mask_prob must lie in [0, 1]")
 
 
-def load_dataset(path: str) -> Dataset:
-    """Load and validate a dataset CSV."""
+HEADER_GRAMMAR = "id,f0..f{D-1}[,a0..a{A-1}][,label]"
+
+
+def _parse_header(header: list[str], path: str) -> tuple[int, int, bool]:
+    """(D, A, has_label) of a header in HEADER_GRAMMAR, with D >= 1."""
+    dim = num_attrs = 0
+    while header[1 + dim:2 + dim] == [f"f{dim}"]:
+        dim += 1
+    while header[1 + dim + num_attrs:2 + dim + num_attrs] == [f"a{num_attrs}"]:
+        num_attrs += 1
+    end = 1 + dim + num_attrs
+    has_label = header[end:end + 1] == ["label"]
+    end += has_label
+    if header[:1] == ["id"] and dim and end == len(header):
+        return dim, num_attrs, has_label
+    if header[:1] != ["id"]:
+        problem = "column 1 is not 'id'"
+    elif end < len(header):
+        problem = f"unexpected column {end + 1} {header[end]!r}"
+    else:
+        problem = "no feature column f0"
+    raise SchemaError(f"{path}:1: {problem}; the header must be {HEADER_GRAMMAR}")
+
+
+def _first_bad_row(path: str, dim: int, num_attrs: int, has_label: bool):
+    """The error for the first data record that fails the row checks, read
+    with csv and counted from 2 after the header record; None if none fails.
+
+    Only the error path of ``load_dataset`` runs this scan.
+    """
+    width = 1 + dim + num_attrs + has_label
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        feat_cols = [i for i, c in enumerate(header) if c.startswith("f")]
-        attr_cols = [i for i, c in enumerate(header) if c.startswith("a")]
-        if "id" not in header:
-            raise SchemaError(f"{path}:1: missing 'id' column")
-        id_col = header.index("id")
-        label_col = header.index("label") if "label" in header else None
-        if not feat_cols:
-            raise SchemaError(f"{path}:1: no feature columns (f0..fD)")
-        ids, feats, attrs, labels = [], [], [], []
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DimensionError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            if len(row) != width:
+                return DimensionError(
+                    f"{path}:{lineno}: expected {width} fields, got {len(row)}"
                 )
-            ids.append(row[id_col])
             try:
-                feats.append([float(row[i]) for i in feat_cols])
+                for cell in row[1:1 + dim]:
+                    float(cell)
             except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: bad float: {exc}") from None
-            if attr_cols:
-                vals = [row[i] for i in attr_cols]
-                if any(v not in ("0", "1") for v in vals):
-                    raise DomainError(
-                        f"{path}:{lineno}: attribute value not in {{0,1}}"
-                    )
-                attrs.append([int(v) for v in vals])
-            if label_col is not None:
+                return SchemaError(f"{path}:{lineno}: bad float: {exc}")
+            if any(v not in ("0", "1") for v in row[1 + dim:1 + dim + num_attrs]):
+                return DomainError(f"{path}:{lineno}: attribute value not in {{0,1}}")
+            if has_label:
                 try:
-                    lab = int(row[label_col])
+                    int(row[-1])
                 except ValueError:
-                    raise SchemaError(f"{path}:{lineno}: bad label") from None
-                labels.append(lab)
-    if not feats:
+                    return SchemaError(f"{path}:{lineno}: bad label")
+    return None
+
+
+def load_dataset(path: str) -> Dataset:
+    """Load and validate a dataset CSV whose header follows HEADER_GRAMMAR.
+
+    The data rows are parsed by one ``np.loadtxt`` call into a structured
+    array, so no row or cell becomes a Python object (the ids are one str
+    per row). When that parse or the attribute check fails, a csv scan names
+    the first bad record as ``path:line``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file")
+        dim, num_attrs, has_label = _parse_header(header, path)
+        fields = [("id", object), ("f", np.float64, (dim,))]
+        if num_attrs:
+            # two characters, so that no longer cell truncates to "0" or "1"
+            fields.append(("a", "U2", (num_attrs,)))
+        if has_label:
+            fields.append(("label", np.int64))
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns on a file without data rows; that is raised below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(
+                    fh, dtype=fields, delimiter=",", quotechar='"', comments=None, ndmin=1
+                )
+        except ValueError as exc:
+            bad = _first_bad_row(path, dim, num_attrs, has_label)
+            raise bad or SchemaError(f"{path}: {exc}") from None
+    if not rows.size:
         raise SchemaError(f"{path}: no data rows")
+    attrs = None
+    if num_attrs:
+        attrs = rows["a"] == "1"
+        if not (attrs | (rows["a"] == "0")).all():
+            bad = _first_bad_row(path, dim, num_attrs, has_label)
+            raise bad or DomainError(f"{path}: attribute value not in {{0,1}}")
     return Dataset(
-        features=np.array(feats, dtype=np.float64),
-        ids=tuple(ids),
-        attributes=np.array(attrs, dtype=np.int64) if attrs else None,
-        labels=np.array(labels, dtype=np.int64) if labels else None,
+        features=np.ascontiguousarray(rows["f"]),
+        ids=tuple(rows["id"]),
+        attributes=attrs,
+        labels=np.ascontiguousarray(rows["label"]) if has_label else None,
     )
 
 

@@ -294,6 +294,10 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
 
     layers = [(take(ws), take(bs)) for ws, bs in layer_shapes]
     model = EncoderModel(layers[:n_enc], layers[n_enc:])
+    try:
+        model.validate()
+    except (NumericError, ShapeError) as exc:
+        raise StateError(f"{path}: {exc}") from None
     buffers = []
     for ws, bs in layer_shapes:
         buffers.extend([take(ws), take(bs)])

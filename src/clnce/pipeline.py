@@ -43,6 +43,15 @@ _SYNTHETIC_MODE_KEYS = {
     "coarsen": ("merge_groups",),
     "permute": ("splits_per_class",),
 }
+# JSON types of the scalar spec values, whichever source carries them
+_SPEC_VALUE_TYPES = {
+    "k": "int",
+    "level": "int",
+    "K": "int",
+    "max_iters": "int",
+    "tol": "float",
+    "seed": "int",
+}
 
 
 def check_json_value(key: str, value, annotation: str) -> None:
@@ -56,7 +65,8 @@ def check_json_value(key: str, value, annotation: str) -> None:
 
 
 def check_cluster_spec(spec: dict) -> None:
-    """Raise ParameterError for an unknown source or a missing required key."""
+    """Raise ParameterError for an unknown source, a missing required key or
+    a scalar value of the wrong JSON type."""
     if not isinstance(spec, dict):
         raise ParameterError(f"cluster spec must be a JSON object, got {spec!r}")
     source = spec.get("source")
@@ -69,6 +79,9 @@ def check_cluster_spec(spec: dict) -> None:
     for key in required:
         if key not in spec:
             raise ParameterError(f"cluster source {source!r} needs key {key!r}")
+    for key, annotation in _SPEC_VALUE_TYPES.items():
+        if key in spec:
+            check_json_value(key, spec[key], annotation)
 
 
 @dataclass(frozen=True)
@@ -153,10 +166,10 @@ def _run_kmeans(points: np.ndarray, spec: dict, seed: int) -> cl.KMeansResult:
     """k-means for a ``kmeans`` spec: the one place its defaults are set."""
     return cl.kmeans(
         points,
-        int(spec["K"]),
-        max_iters=int(spec.get("max_iters", 50)),
-        tol=float(spec.get("tol", 1e-8)),
-        seed=int(spec.get("seed", seed)),
+        spec["K"],
+        max_iters=spec.get("max_iters", 50),
+        tol=spec.get("tol", 1e-8),
+        seed=spec.get("seed", seed),
     )
 
 
@@ -176,12 +189,12 @@ def build_clusters(d: Dataset, spec: dict, embeddings: np.ndarray | None = None)
     if source == "attributes":
         if d.attributes is None:
             raise DataError("attributes cluster source needs an attribute matrix")
-        return cl.clusters_from_attributes(d.attributes, int(spec["k"]))
+        return cl.clusters_from_attributes(d.attributes, spec["k"])
     if source == "hierarchy":
         if d.hierarchy is None:
             raise DataError("hierarchy cluster source needs a hierarchy")
         tree = cl.prune_to_tree(d.hierarchy)
-        return cl.clusters_from_hierarchy(tree, int(spec["level"]), d)
+        return cl.clusters_from_hierarchy(tree, spec["level"], d)
     if source == "kmeans":
         points = embeddings if embeddings is not None else d.features
         return _run_kmeans(points, spec, 0).assignment
@@ -304,12 +317,14 @@ def linear_evaluate(
         raise DataError("linear evaluation needs labeled train and eval sets")
     x_train = enc.embed(model, train_data.features)
     x_eval = enc.embed(model, eval_data.features)
-    # standardize with train statistics for a well-conditioned probe
+    # standardize with train statistics for a well-conditioned probe, in
+    # place: embed returns fresh arrays
     mu = x_train.mean(axis=0)
     sd = x_train.std(axis=0)
     sd[sd == 0] = 1.0
-    x_train = (x_train - mu) / sd
-    x_eval = (x_eval - mu) / sd
+    for x in (x_train, x_eval):
+        x -= mu
+        x /= sd
     num_classes = max(train_data.num_classes, eval_data.num_classes)
     w, b = _fit_probe(x_train, train_data.labels, num_classes, epochs, lr)
     preds = (w @ x_eval.T + b).argmax(axis=0)

@@ -1,10 +1,20 @@
 """Independently coded reference implementations the tests check against."""
 
+import csv
+
 import numpy as np
 
 from clnce.clusters import ClusterAssignment, KMeansResult, _kmeans_pp_init
+from clnce.data import Dataset
 from clnce.encoder import forward
-from clnce.errors import DataError, NumericError, ParameterError
+from clnce.errors import (
+    DataError,
+    DimensionError,
+    DomainError,
+    NumericError,
+    ParameterError,
+    SchemaError,
+)
 from clnce.objective import CriticConfig, PairBatch
 
 
@@ -141,3 +151,57 @@ def linear_evaluate_reference(model, train_data, eval_data, epochs=200, lr=0.5):
         b -= lr * g.sum(axis=0)
     preds = (x_eval @ w + b).argmax(axis=1)
     return float((preds == eval_data.labels).mean()), w, b
+
+
+def load_dataset_reference(path: str) -> Dataset:
+    """The row-loop CSV loader: every row through ``csv`` and ``float``/``int``.
+
+    The original ``data.load_dataset``; the loadtxt version must give the
+    same dataset, and on bad input the same error class and ``path:line``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        feat_cols = [i for i, c in enumerate(header) if c.startswith("f")]
+        attr_cols = [i for i, c in enumerate(header) if c.startswith("a")]
+        if "id" not in header:
+            raise SchemaError(f"{path}:1: missing 'id' column")
+        id_col = header.index("id")
+        label_col = header.index("label") if "label" in header else None
+        if not feat_cols:
+            raise SchemaError(f"{path}:1: no feature columns (f0..fD)")
+        ids, feats, attrs, labels = [], [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DimensionError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            ids.append(row[id_col])
+            try:
+                feats.append([float(row[i]) for i in feat_cols])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: bad float: {exc}") from None
+            if attr_cols:
+                vals = [row[i] for i in attr_cols]
+                if any(v not in ("0", "1") for v in vals):
+                    raise DomainError(
+                        f"{path}:{lineno}: attribute value not in {{0,1}}"
+                    )
+                attrs.append([int(v) for v in vals])
+            if label_col is not None:
+                try:
+                    lab = int(row[label_col])
+                except ValueError:
+                    raise SchemaError(f"{path}:{lineno}: bad label") from None
+                labels.append(lab)
+    if not feats:
+        raise SchemaError(f"{path}: no data rows")
+    return Dataset(
+        features=np.array(feats, dtype=np.float64),
+        ids=tuple(ids),
+        attributes=np.array(attrs, dtype=np.int64) if attrs else None,
+        labels=np.array(labels, dtype=np.int64) if labels else None,
+    )

@@ -183,6 +183,69 @@ class TestBadInput:
             capsys, "ParameterError",
         )
 
+    def test_nan_checkpoint_weight(self, workspace, capsys):
+        tmp_path, data_path, _, cfg_path = workspace
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        ckpt = os.path.join(out, "checkpoint.bin")
+        with open(ckpt, "rb") as fh:
+            blob = bytearray(fh.read())
+        start = blob.index(b"\n") + 1
+        blob[start:start + 8] = b"\x00\x00\x00\x00\x00\x00\xf8\x7f"  # a NaN in layer 0
+        with open(ckpt, "wb") as fh:
+            fh.write(blob)
+        capsys.readouterr()
+        err = self.run_bad(
+            ["eval", "--checkpoint", ckpt, "--train-data", data_path,
+             "--eval-data", data_path, "--epochs", "5"],
+            capsys, "StateError",
+        )
+        assert "non-finite" in err
+        assert "linear accuracy" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"source": "kmeans", "K": "x"}, "'K'"),
+        ({"source": "kmeans", "K": 3, "max_iters": 2.5}, "'max_iters'"),
+        ({"source": "attributes", "k": "abc"}, "'k'"),
+    ])
+    def test_wrong_cluster_spec_value_type(self, workspace, capsys, spec, key):
+        tmp_path, _, _, cfg_path = workspace
+        with open(cfg_path) as fh:
+            cfg = json.load(fh)
+        cfg["train"]["cluster_source"] = spec
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        err = self.run_bad(
+            ["train", "--config", cfg_path, "--out", str(tmp_path / "x")],
+            capsys, "ParameterError",
+        )
+        assert f"key {key} must be" in err
+        assert not os.path.exists(str(tmp_path / "x"))
+
+    @pytest.mark.parametrize("configs", [5, {"source": "labels"}, "labels", None])
+    def test_infoplane_configs_not_a_list(self, workspace, capsys, configs):
+        tmp_path, _, _, cfg_path = workspace
+        specs_path = str(tmp_path / "specs.json")
+        with open(specs_path, "w") as fh:
+            json.dump(configs, fh)
+        err = self.run_bad(
+            ["infoplane", "--config", cfg_path, "--configs", specs_path,
+             "--out", str(tmp_path / "sweep")],
+            capsys, "SchemaError",
+        )
+        assert "JSON list" in err
+
+    @pytest.mark.parametrize("header", ["id,f0,fold,label", "id,f0,alpha", "label,id,f0"])
+    def test_data_header_outside_grammar(self, workspace, capsys, header):
+        tmp_path, data_path, _, cfg_path = workspace
+        with open(data_path, "w") as fh:
+            fh.write(f"{header}\nr0,1.0,0\nr1,2.0,1\n")
+        err = self.run_bad(
+            ["train", "--config", cfg_path, "--out", str(tmp_path / "x")],
+            capsys, "SchemaError",
+        )
+        assert f"{data_path}:1:" in err
+
 
 class TestEval:
     def test_eval_checkpoint(self, workspace, capsys):

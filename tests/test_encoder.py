@@ -321,6 +321,27 @@ class TestCheckpoint:
         with pytest.raises(StateError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("damage", ["nan_weight", "inf_bias", "unchained"])
+    def test_invalid_parameters_raise_state_error(self, tmp_path, damage):
+        model = init_model([2, 3], [3, 2], seed=9)
+        state = OptimizerState.for_model(model, OptimizerHyper())
+        path = str(tmp_path / "c.bin")
+        save_checkpoint(model, state, path)
+        blob = bytearray(open(path, "rb").read())
+        start = blob.index(b"\n") + 1
+        if damage == "nan_weight":
+            blob[start:start + 8] = np.array([np.nan]).tobytes()
+        elif damage == "inf_bias":
+            # layer 0's bias follows its 2 x 3 weight
+            blob[start + 48:start + 56] = np.array([np.inf]).tobytes()
+        else:
+            # the same parameter count in layers whose widths do not chain
+            blob = blob.replace(b'"projection_dims": [3, 2]', b'"projection_dims": [7, 1]')
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(StateError, match="non-finite|do not chain"):
+            load_checkpoint(path)
+
 
 class TestDeterminism:
     def test_identical_trajectories(self):

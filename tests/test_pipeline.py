@@ -132,6 +132,26 @@ class TestBuildClusters:
         with pytest.raises(ParameterError):
             build_clusters(self.d, spec)
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"source": "kmeans", "K": "x"}, "K"),
+        ({"source": "kmeans", "K": 4.0}, "K"),
+        ({"source": "kmeans", "K": 4, "max_iters": True}, "max_iters"),
+        ({"source": "kmeans", "K": 4, "tol": "1e-8"}, "tol"),
+        ({"source": "kmeans", "K": 4, "seed": None}, "seed"),
+        ({"source": "attributes", "k": [2]}, "k"),
+        ({"source": "hierarchy", "level": "2"}, "level"),
+        ({"source": "synthetic", "mode": "refine", "splits_per_class": 2, "seed": 0.5}, "seed"),
+    ])
+    def test_wrong_spec_value_type_named(self, spec, key):
+        with pytest.raises(ParameterError, match=f"key '{key}' must be"):
+            build_clusters(self.d, spec)
+        with pytest.raises(ParameterError, match=f"key '{key}' must be"):
+            small_config(cluster_source=spec)
+
+    def test_int_tol_accepted(self):
+        c = build_clusters(self.d, {"source": "kmeans", "K": 5, "seed": 1, "tol": 0})
+        assert c.num_clusters == 5
+
 
 def flatten_params(model):
     return np.concatenate([p.ravel() for p in model.all_params()])
