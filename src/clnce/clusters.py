@@ -154,24 +154,6 @@ def prune_to_tree(g: HierarchyGraph) -> HierarchyGraph:
     )
 
 
-def _node_depths(tree: HierarchyGraph) -> dict[str, int]:
-    parent = {}
-    for p, c in tree.edges:
-        if c in parent:
-            raise GraphError(f"node {c!r} has multiple parents; prune first")
-        parent[c] = p
-    roots = tree.roots()
-    if len(roots) != 1:
-        raise GraphError(f"expected one root, found {roots}")
-    depth = {roots[0]: 1}
-    order = _topo_order(tree)
-    for n in order:
-        if n in depth:
-            continue
-        depth[n] = depth[parent[n]] + 1
-    return depth
-
-
 def clusters_from_hierarchy(
     tree: HierarchyGraph, level: int, d: Dataset
 ) -> ClusterAssignment:
@@ -187,7 +169,12 @@ def clusters_from_hierarchy(
     parent = {c: p for p, c in tree.edges}
     if len(parent) != len(tree.edges):
         raise GraphError("tree has a multi-parent node; prune first")
-    depth = _node_depths(tree)
+    roots = tree.roots()
+    if len(roots) != 1:
+        raise GraphError(f"expected one root, found {roots}")
+    depth = {}
+    for n in _topo_order(tree):  # parents first; the root is depth 1
+        depth[n] = depth[parent[n]] + 1 if n in parent else 1
     max_leaf_depth = max(depth[leaf] for leaf in tree.leaf_label_map)
     if level > max_leaf_depth:
         raise ParameterError(f"level {level} exceeds max leaf depth {max_leaf_depth}")
@@ -439,19 +426,3 @@ def save_assignment(a: ClusterAssignment, ids, csv_path: str) -> None:
     with open(csv_path + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True)
         fh.write("\n")
-
-
-def load_assignment(csv_path: str) -> ClusterAssignment:
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["id", "cluster"]:
-            raise ParameterError(f"{csv_path}: expected 'id,cluster' header")
-        vals = [int(row[1]) for row in reader]
-    with open(csv_path + ".json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    return ClusterAssignment(
-        np.array(vals, dtype=np.int64),
-        int(sidecar["num_clusters"]),
-        provenance=str(sidecar["provenance"]),
-    )

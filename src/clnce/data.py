@@ -188,9 +188,11 @@ def _first_bad_row(path: str, dim: int, num_attrs: int, has_label: bool):
                 return DomainError(f"{path}:{lineno}: attribute value not in {{0,1}}")
             if has_label:
                 try:
-                    int(row[-1])
+                    label = int(row[-1])
                 except ValueError:
                     return SchemaError(f"{path}:{lineno}: bad label")
+                if label < 0:
+                    return DomainError(f"{path}:{lineno}: negative label")
     return None
 
 
@@ -199,8 +201,8 @@ def load_dataset(path: str) -> Dataset:
 
     The data rows are parsed by one ``np.loadtxt`` call into a structured
     array, so no row or cell becomes a Python object (the ids are one str
-    per row). When that parse or the attribute check fails, a csv scan names
-    the first bad record as ``path:line``.
+    per row). When that parse, the attribute check or the label sign check
+    fails, a csv scan names the first bad record as ``path:line``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
@@ -231,6 +233,9 @@ def load_dataset(path: str) -> Dataset:
         if not (attrs | (rows["a"] == "0")).all():
             bad = _first_bad_row(path, dim, num_attrs, has_label)
             raise bad or DomainError(f"{path}: attribute value not in {{0,1}}")
+    if has_label and rows["label"].min() < 0:
+        bad = _first_bad_row(path, dim, num_attrs, has_label)
+        raise bad or DomainError(f"{path}: labels must be non-negative")
     return Dataset(
         features=np.ascontiguousarray(rows["f"]),
         ids=tuple(rows["id"]),
@@ -253,6 +258,8 @@ def save_dataset(d: Dataset, path: str) -> None:
                 row += [str(int(v)) for v in d.attributes[i]]
             if d.labels is not None:
                 row.append(str(int(d.labels[i])))
+            if "\r" in row[0]:  # csv.writer quotes only the characters of its "\n" terminator
+                fh.write('"' + row.pop(0).replace('"', '""') + '",')
             writer.writerow(row)
 
 

@@ -16,10 +16,44 @@ import numpy as np
 from .errors import NumericError, ParameterError, ShapeError, StateError
 
 
+def _views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views into ``flat``, layer by layer, each weight followed
+    by its bias: the one place that knows the parameter layout."""
+    layers, offset = [], 0
+    for din, dout in shapes:
+        w = flat[offset : offset + din * dout].reshape(din, dout)
+        offset += din * dout
+        layers.append((w, flat[offset : offset + dout]))
+        offset += dout
+    return layers
+
+
 @dataclass
 class EncoderModel:
+    """All weights and biases live in one float64 vector, ``params``; the
+    layer lists are (w, b) views into it. The constructor copies the given
+    layers in. ``version`` counts SGD steps, so a stale cache is detected."""
+
     encoder_layers: list[tuple[np.ndarray, np.ndarray]]
     projection_layers: list[tuple[np.ndarray, np.ndarray]]
+
+    def __post_init__(self):
+        layers = self.encoder_layers + self.projection_layers
+        for i, (w, b) in enumerate(layers):
+            if np.ndim(w) != 2 or np.shape(b) != (np.shape(w)[1],):
+                raise ShapeError(f"layer {i}: weight/bias shape mismatch")
+        self.shapes = [np.shape(w) for w, _ in layers]
+        self.params = np.zeros(sum(din * dout + dout for din, dout in self.shapes))
+        views = _views(self.params, self.shapes)
+        for (w, b), (vw, vb) in zip(layers, views):
+            vw[...] = w
+            vb[...] = b
+        self.bias_mask = np.zeros(self.params.size, dtype=bool)
+        for _, b in _views(self.bias_mask, self.shapes):
+            b[...] = True
+        n_enc = len(self.encoder_layers)
+        self.encoder_layers, self.projection_layers = views[:n_enc], views[n_enc:]
+        self.version = 0
 
     @property
     def encoder_dims(self) -> list[int]:
@@ -33,17 +67,9 @@ class EncoderModel:
         dims += [w.shape[1] for w, _ in self.projection_layers]
         return dims
 
-    def all_params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in self.encoder_layers + self.projection_layers:
-            out.extend([w, b])
-        return out
-
     def validate(self) -> None:
         layers = self.encoder_layers + self.projection_layers
         for i, (w, b) in enumerate(layers):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ShapeError(f"layer {i}: weight/bias shape mismatch")
             if i + 1 < len(layers) and layers[i + 1][0].shape[0] != w.shape[1]:
                 raise ShapeError(f"layer {i}->{i + 1}: dimensions do not chain")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
@@ -75,7 +101,8 @@ class ForwardCache:
     pre_norm: np.ndarray            # projection output before normalization
     norms: np.ndarray               # per-row L2 norms of pre_norm
     degenerate: np.ndarray          # rows with zero pre-norm output
-    token: int                      # identity of the model at forward time
+    params: np.ndarray              # model.params and model.version at forward
+    version: int                    # time: backward refuses any other model or step
 
 
 def _as_input(model: EncoderModel, x) -> np.ndarray:
@@ -127,13 +154,15 @@ def forward(model: EncoderModel, x: np.ndarray):
     projection_output = pre_norm / safe[:, None]
     if not np.isfinite(projection_output).all():
         raise NumericError("non-finite projection output")
-    cache = ForwardCache(inputs, pre_acts, pre_norm, norms, degenerate, id(model))
+    cache = ForwardCache(
+        inputs, pre_acts, pre_norm, norms, degenerate, model.params, model.version
+    )
     return encoder_output, projection_output, cache
 
 
 def backward(model: EncoderModel, cache: ForwardCache, grad_wrt_projection: np.ndarray):
-    """Exact reverse-mode gradients; returns layer-aligned (dW, db) lists."""
-    if cache.token != id(model):
+    """Exact reverse-mode gradient, one vector in the layout of ``model.params``."""
+    if cache.params is not model.params or cache.version != model.version:
         raise StateError("backward cache does not match this model")
     g = np.asarray(grad_wrt_projection, dtype=np.float64)
     if g.shape != cache.pre_norm.shape:
@@ -144,26 +173,18 @@ def backward(model: EncoderModel, cache: ForwardCache, grad_wrt_projection: np.n
     g = (g - (g * u).sum(axis=1, keepdims=True) * u) / safe[:, None]
     g[cache.degenerate] = 0.0
 
-    n_enc = len(model.encoder_layers)
     layers = model.encoder_layers + model.projection_layers
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    grad = np.empty_like(model.params)
+    grads = _views(grad, model.shapes)
     last = len(layers) - 1
     for li in range(last, -1, -1):
-        w, _ = layers[li]
         if li != last:  # ReLU applied after every layer except the final one
             g = g * (cache.pre_acts[li] > 0)
-        grads[li] = (cache.inputs[li].T @ g, g.sum(axis=0))
+        np.matmul(cache.inputs[li].T, g, out=grads[li][0])
+        np.sum(g, axis=0, out=grads[li][1])
         if li:  # nothing reads the gradient with respect to the input
-            g = g @ w.T
-    return grads[:n_enc], grads[n_enc:]
-
-
-def add_grads(a, b):
-    """Elementwise sum of two (encoder_grads, projection_grads) pairs."""
-    return (
-        [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(a[0], b[0])],
-        [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(a[1], b[1])],
-    )
+            g = g @ layers[li][0].T
+    return grad
 
 
 @dataclass(frozen=True)
@@ -186,13 +207,13 @@ class OptimizerHyper:
 
 @dataclass
 class OptimizerState:
-    momentum_buffers: list[np.ndarray]
+    momentum: np.ndarray            # one buffer in the layout of model.params
     step_count: int
     hyper: OptimizerHyper
 
     @classmethod
     def for_model(cls, model: EncoderModel, hyper: OptimizerHyper) -> "OptimizerState":
-        return cls([np.zeros_like(p) for p in model.all_params()], 0, hyper)
+        return cls(np.zeros_like(model.params), 0, hyper)
 
 
 def lr_at(step: int, hyper: OptimizerHyper) -> float:
@@ -208,35 +229,33 @@ def lr_at(step: int, hyper: OptimizerHyper) -> float:
     return hyper.peak_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def sgd_step(model: EncoderModel, grads, state: OptimizerState):
+def sgd_step(model: EncoderModel, grad: np.ndarray, state: OptimizerState):
     """One SGD+momentum step with decoupled-from-bias weight decay.
 
     buffer <- momentum*buffer + grad + weight_decay*param (weights only
     unless decay_biases); param <- param - lr_at(step)*buffer.
     """
-    enc_grads, proj_grads = grads
-    flat_grads = []
-    for w_g, b_g in enc_grads + proj_grads:
-        flat_grads.extend([w_g, b_g])
-    params = model.all_params()
-    if len(flat_grads) != len(params):
-        raise ShapeError("gradient structure does not match model")
+    if np.shape(grad) != model.params.shape:
+        raise ShapeError("gradient does not match the model's parameters")
     lr = lr_at(state.step_count, state.hyper)
     h = state.hyper
-    for idx, (p, g, buf) in enumerate(zip(params, flat_grads, state.momentum_buffers)):
-        if g.shape != p.shape:
-            raise ShapeError(f"parameter {idx}: gradient shape mismatch")
-        is_bias = idx % 2 == 1
-        decay = h.weight_decay if (h.decay_biases or not is_bias) else 0.0
-        buf *= h.momentum
-        buf += g + decay * p
-        p -= lr * buf
+    # one temporary, in place; buffer*momentum + (grad + decay*param) rounds
+    # as the formula above does
+    step = np.where(model.bias_mask, h.weight_decay * h.decay_biases, h.weight_decay)
+    step *= model.params
+    step += grad
+    state.momentum *= h.momentum
+    state.momentum += step
+    np.multiply(state.momentum, lr, out=step)
+    model.params -= step
+    model.version += 1
     state.step_count += 1
     return model, state
 
 
 def save_checkpoint(model: EncoderModel, state: OptimizerState, path: str) -> None:
-    """JSON header line, then raw little-endian float64 parameter blocks."""
+    """JSON header line, then the parameters and the momentum, each as
+    little-endian float64 in the layout of ``model.params``."""
     header = {
         "encoder_dims": model.encoder_dims,
         "projection_dims": model.projection_dims,
@@ -253,10 +272,8 @@ def save_checkpoint(model: EncoderModel, state: OptimizerState, path: str) -> No
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for p in model.all_params():
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
-        for buf in state.momentum_buffers:
-            fh.write(np.ascontiguousarray(buf, dtype="<f8").tobytes())
+        fh.write(model.params.astype("<f8", copy=False).tobytes())
+        fh.write(state.momentum.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
@@ -265,7 +282,7 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
         blob = fh.read()
 
     def shapes(dims):
-        return [((din, dout), (dout,)) for din, dout in zip(dims[:-1], dims[1:])]
+        return list(zip(dims[:-1], dims[1:]))
 
     try:
         header = json.loads(head.decode("utf-8"))
@@ -273,32 +290,19 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
         n_enc = len(header["encoder_dims"]) - 1
         hyper = OptimizerHyper(**header["hyper"])
         step_count = int(header["step_count"])
-        # parameters, then one momentum buffer per parameter
-        expected = 2 * 8 * sum(int(np.prod(s)) for pair in layer_shapes for s in pair)
+        # the parameters, then the momentum in the same layout
+        expected = 2 * 8 * sum(din * dout + dout for din, dout in layer_shapes)
     except (ValueError, KeyError, TypeError) as exc:
         raise StateError(f"{path}: unreadable checkpoint header ({exc})") from exc
     if len(blob) != expected:
         raise StateError(
             f"{path}: {len(blob)} bytes of parameter blocks, header implies {expected}"
         )
-    offset = 0
-
-    def take(shape):
-        nonlocal offset
-        count = int(np.prod(shape))
-        arr = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=offset
-        ).reshape(shape).copy()
-        offset += count * 8
-        return arr
-
-    layers = [(take(ws), take(bs)) for ws, bs in layer_shapes]
+    params, momentum = np.frombuffer(blob, dtype="<f8").reshape(2, -1)
+    layers = _views(params, layer_shapes)
     model = EncoderModel(layers[:n_enc], layers[n_enc:])
     try:
         model.validate()
     except (NumericError, ShapeError) as exc:
         raise StateError(f"{path}: {exc}") from None
-    buffers = []
-    for ws, bs in layer_shapes:
-        buffers.extend([take(ws), take(bs)])
-    return model, OptimizerState(buffers, step_count, hyper)
+    return model, OptimizerState(momentum.astype(np.float64), step_count, hyper)

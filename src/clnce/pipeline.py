@@ -240,10 +240,9 @@ def _train_one_epoch(d, clusters, cfg, model, state, rng, steps_per_epoch) -> fl
             raise NumericError(f"loss diverged at step {state.step_count}")
         g_scores = obj.cl_infonce_grad(scores)
         g_px, g_py = obj.critic_backward(g_scores, px, py, critic)
-        grads = enc.add_grads(
-            enc.backward(model, cache_x, g_px), enc.backward(model, cache_y, g_py)
-        )
-        enc.sgd_step(model, grads, state)
+        grad = enc.backward(model, cache_x, g_px)
+        grad += enc.backward(model, cache_y, g_py)
+        enc.sgd_step(model, grad, state)
         losses.append(loss)
     return float(np.mean(losses))
 

@@ -43,14 +43,11 @@ def report(num, name, ok, detail):
 
 
 def _flatten(model):
-    return np.concatenate([p.ravel() for p in model.all_params()])
+    return model.params.copy()
 
 
 def _set_params(model, vec):
-    offset = 0
-    for p in model.all_params():
-        p[...] = vec[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
+    model.params[...] = vec
 
 
 def test_criterion_1_gradient_correctness():
@@ -85,13 +82,7 @@ def test_criterion_1_gradient_correctness():
         _, py, cache_y = forward(model, y)
         g_scores = cl_infonce_grad(critic_matrix(px, py, cfg))
         g_px, g_py = critic_backward(g_scores, px, py, cfg)
-        gx = backward(model, cache_x, g_px)
-        gy = backward(model, cache_y, g_py)
-        analytic = np.concatenate(
-            [a.ravel() + b.ravel()
-             for (wa, ba), (wb, bb) in zip(gx[0] + gx[1], gy[0] + gy[1])
-             for a, b in ((wa, wb), (ba, bb))]
-        )
+        analytic = backward(model, cache_x, g_px) + backward(model, cache_y, g_py)
         eps = 1e-6
         idx = rng.choice(base.size, size=12, replace=False)
         for i in idx:

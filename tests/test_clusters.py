@@ -1,4 +1,6 @@
+import csv
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from clnce.clusters import (
     clusters_instance_id,
     coarsen_clusters,
     kmeans,
-    load_assignment,
     permute_clusters,
     prune_to_tree,
     refine_clusters,
@@ -200,6 +201,28 @@ class TestHierarchyClusters:
     def test_bad_level(self):
         with pytest.raises(ParameterError):
             clusters_from_hierarchy(self.tree, 0, self.d)
+
+    @pytest.mark.parametrize("shape", ["diamond", "two_roots", "cycle"])
+    def test_not_a_tree(self, shape):
+        d = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 0]))
+        g = {
+            "diamond": diamond(),
+            "two_roots": HierarchyGraph(
+                nodes=("L", "M", "r1", "r2"),
+                edges=(("r1", "L"), ("r2", "M")),
+                leaf_label_map={"L": 0, "M": 1},
+            ),
+            # one root, one parent per node, and a cycle beside the root
+            "cycle": HierarchyGraph(
+                nodes=("L", "a", "b", "root"),
+                edges=(("root", "L"), ("a", "b"), ("b", "a")),
+                leaf_label_map={"L": 0},
+            ),
+        }[shape]
+        with pytest.raises(GraphError, match={
+            "diamond": "multi-parent", "two_roots": "one root", "cycle": "cycle",
+        }[shape]):
+            clusters_from_hierarchy(g, 1, d)
 
 
 class TestKMeans:
@@ -397,7 +420,11 @@ class TestAssignmentExport:
         ca = clusters_from_labels(np.array([0, 2, 1, 0]))
         path = str(tmp_path / "clusters.csv")
         save_assignment(ca, ["a", "b", "c", "d"], path)
-        back = load_assignment(path)
-        np.testing.assert_array_equal(back.assignment, ca.assignment)
-        assert back.num_clusters == ca.num_clusters
-        assert back.provenance == ca.provenance
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["id", "cluster"]
+        assert [r[0] for r in rows[1:]] == ["a", "b", "c", "d"]
+        np.testing.assert_array_equal([int(r[1]) for r in rows[1:]], ca.assignment)
+        with open(path + ".json", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        assert sidecar == {"num_clusters": ca.num_clusters, "provenance": ca.provenance}

@@ -7,7 +7,7 @@ from clnce.encoder import (
     EncoderModel,
     OptimizerHyper,
     OptimizerState,
-    add_grads,
+    _views,
     backward,
     embed,
     forward,
@@ -39,14 +39,11 @@ def straight_line_forward(model, x):
 
 
 def flatten_params(model):
-    return np.concatenate([p.ravel() for p in model.all_params()])
+    return model.params.copy()
 
 
 def set_params(model, vec):
-    offset = 0
-    for p in model.all_params():
-        p[...] = vec[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
+    model.params[...] = vec
 
 
 class TestForward:
@@ -127,9 +124,7 @@ class TestBackward:
         model = init_model([3, 5], [5, 2], seed=1)
         x = np.random.default_rng(0).normal(size=(4, 3))
         _, proj, cache = forward(model, x)
-        enc_g, proj_g = backward(model, cache, np.zeros_like(proj))
-        for w_g, b_g in enc_g + proj_g:
-            assert (w_g == 0).all() and (b_g == 0).all()
+        assert (backward(model, cache, np.zeros_like(proj)) == 0).all()
 
     def test_stale_cache(self):
         m1 = init_model([3, 5], [5, 2], seed=1)
@@ -160,10 +155,7 @@ class TestBackward:
 
         base = flatten_params(model).copy()
         _, proj, cache = forward(model, x)
-        enc_g, proj_g = backward(model, cache, coeff)
-        analytic = np.concatenate(
-            [g.ravel() for wg, bg in enc_g + proj_g for g in (wg, bg)]
-        )
+        analytic = backward(model, cache, coeff)
         eps = 1e-6
         idx = rng.choice(base.size, size=40, replace=False)
         for i in idx:
@@ -188,8 +180,9 @@ class TestBackward:
         x = np.array([[2.0, 3.0]])
         _, proj, cache = forward(model, x)
         # 1-D normalized output is +-1 with zero gradient through the norm
-        enc_g, proj_g = backward(model, cache, np.ones_like(proj))
-        assert abs(proj_g[0][0]).max() < 1e-15
+        grad = backward(model, cache, np.ones_like(proj))
+        proj_w_grad = _views(grad, model.shapes)[1][0]
+        assert abs(proj_w_grad).max() < 1e-15
 
 
 class TestScheduler:
@@ -232,11 +225,7 @@ class TestSgdStep:
         return model, OptimizerState.for_model(model, hyper)
 
     def ones_grads(self, model, value=1.0):
-        enc = [(np.full_like(w, value), np.full_like(b, value))
-               for w, b in model.encoder_layers]
-        proj = [(np.full_like(w, value), np.full_like(b, value))
-                for w, b in model.projection_layers]
-        return enc, proj
+        return np.full_like(model.params, value)
 
     def test_plain_gradient_descent(self):
         model, state = self.make()
@@ -272,12 +261,11 @@ class TestSgdStep:
             model.encoder_layers[0][1], bias_before, atol=1e-15
         )
         # weights do decay
-        assert state.momentum_buffers[0].any()
+        assert _views(state.momentum, model.shapes)[0][0].any()
 
     def test_shape_mismatch(self):
         model, state = self.make()
-        bad = self.ones_grads(model)
-        bad[0][0] = (np.zeros((5, 5)), bad[0][0][1])
+        bad = np.ones(model.params.size + 1)
         with pytest.raises(ShapeError):
             sgd_step(model, bad, state)
 
@@ -288,11 +276,7 @@ class TestCheckpoint:
         hyper = OptimizerHyper(peak_lr=0.17, momentum=0.95, weight_decay=1e-4,
                                warmup_steps=5, total_steps=50)
         state = OptimizerState.for_model(model, hyper)
-        grads = (
-            [(np.ones_like(w), np.ones_like(b)) for w, b in model.encoder_layers],
-            [(np.ones_like(w), np.ones_like(b)) for w, b in model.projection_layers],
-        )
-        sgd_step(model, grads, state)
+        sgd_step(model, np.ones_like(model.params), state)
         p1 = str(tmp_path / "c1.bin")
         p2 = str(tmp_path / "c2.bin")
         save_checkpoint(model, state, p1)
@@ -301,8 +285,7 @@ class TestCheckpoint:
         assert open(p1, "rb").read() == open(p2, "rb").read()
         assert state2.step_count == 1
         assert state2.hyper == hyper
-        for a, b in zip(model.all_params(), model2.all_params()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(model.params, model2.params)
 
     @pytest.mark.parametrize("cut", ["header", "blocks", "trailing"])
     def test_damaged_file_raises_state_error(self, tmp_path, cut):
@@ -343,6 +326,59 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+class TestParameterArena:
+    def test_params_concatenate_layers_in_order(self):
+        model = init_model([3, 5, 4], [4, 2], seed=9)
+        expected = np.concatenate(
+            [p.ravel() for w, b in model.encoder_layers + model.projection_layers
+             for p in (w, b)]
+        )
+        assert model.params.flags.c_contiguous
+        assert model.params.tobytes() == expected.tobytes()
+
+    def test_checkpoint_body_is_params_then_momentum(self, tmp_path):
+        model = init_model([3, 5, 4], [4, 2], seed=9)
+        state = OptimizerState.for_model(model, OptimizerHyper(momentum=0.9))
+        grad = np.random.default_rng(0).normal(size=model.params.size)
+        sgd_step(model, grad, state)
+        path = str(tmp_path / "c.bin")
+        save_checkpoint(model, state, path)
+        blob = open(path, "rb").read()
+        body = blob[blob.index(b"\n") + 1:]
+        assert state.momentum.any()
+        assert body == model.params.tobytes() + state.momentum.tobytes()
+
+    def test_layer_views_write_through(self):
+        model = init_model([3, 5], [5, 2], seed=1)
+        w, b = model.encoder_layers[0]
+        w[1, 2] = 7.0
+        b[4] = -3.0
+        assert model.params[1 * 5 + 2] == 7.0
+        assert model.params[15 + 4] == -3.0
+        model.params[-1] = 11.0
+        assert model.projection_layers[-1][1][-1] == 11.0
+
+    def test_constructor_copies_its_layers(self):
+        w, b = np.eye(3), np.zeros(3)
+        model = EncoderModel([(w, b)], [(np.eye(3), np.zeros(3))])
+        model.encoder_layers[0][0][0, 0] = 5.0
+        assert w[0, 0] == 1.0
+
+    def test_bias_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="weight/bias"):
+            EncoderModel([(np.eye(3), np.zeros(2))], [(np.eye(3), np.zeros(3))])
+
+    def test_cache_from_before_sgd_step_is_stale(self):
+        model = init_model([3, 5], [5, 2], seed=1)
+        state = OptimizerState.for_model(model, OptimizerHyper())
+        _, proj, cache = forward(model, np.ones((2, 3)))
+        sgd_step(model, backward(model, cache, np.ones_like(proj)), state)
+        with pytest.raises(StateError):
+            backward(model, cache, np.ones_like(proj))
+        _, proj, fresh = forward(model, np.ones((2, 3)))
+        backward(model, fresh, np.ones_like(proj))
+
+
 class TestDeterminism:
     def test_identical_trajectories(self):
         trajectories = []
@@ -359,12 +395,3 @@ class TestDeterminism:
             trajectories.append(flatten_params(model).copy())
         np.testing.assert_array_equal(trajectories[0], trajectories[1])
 
-
-def test_add_grads():
-    model = init_model([2, 3], [3, 2], seed=0)
-    g = (
-        [(np.ones_like(w), np.ones_like(b)) for w, b in model.encoder_layers],
-        [(np.ones_like(w), np.ones_like(b)) for w, b in model.projection_layers],
-    )
-    total = add_grads(g, g)
-    assert (total[0][0][0] == 2).all()

@@ -1,11 +1,13 @@
 """The public surface matches the package and its README."""
 
+import ast
 import pathlib
 import re
 
 import clnce
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = pathlib.Path(clnce.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -22,3 +24,21 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     accuracy = float(capsys.readouterr().out.strip())
     assert 0.0 <= accuracy <= 1.0
+
+
+def test_no_dead_module_level_definitions():
+    """Every module-level function and class is named somewhere in the
+    package besides its own definition: called, referenced or imported."""
+    defined, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert [f"{module}:{name}" for module, name in defined if name not in used] == []

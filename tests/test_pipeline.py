@@ -154,7 +154,7 @@ class TestBuildClusters:
 
 
 def flatten_params(model):
-    return np.concatenate([p.ravel() for p in model.all_params()])
+    return model.params.copy()
 
 
 class TestTrainPredetermined:
