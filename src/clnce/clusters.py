@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,18 @@ class ClusterAssignment:
     @property
     def num_samples(self) -> int:
         return self.assignment.size
+
+    @cached_property
+    def member_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(sizes, members, starts)``: cluster c's rows, in order, are
+        ``members[starts[c] : starts[c] + sizes[c]]``. Built once and read-only,
+        like the assignment."""
+        sizes = np.bincount(self.assignment, minlength=self.num_clusters)
+        members = np.argsort(self.assignment, kind="stable")
+        layout = (sizes, members, np.cumsum(sizes) - sizes)
+        for a in layout:
+            a.flags.writeable = False
+        return layout
 
 
 @dataclass(frozen=True)
@@ -194,20 +207,66 @@ def clusters_from_hierarchy(
     return ClusterAssignment(assignment, n_clusters, provenance=f"hierarchy({level})")
 
 
-def _kmeans_pp_init(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centroids = np.empty((K, points.shape[1]))
+def _sq_dist(fresh: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``((fresh - other) ** 2).sum(axis=1)`` bit for bit, in place in
+    ``fresh``, a gather the caller owns. ``fresh - other`` is exactly
+    ``-(other - fresh)``, so either operand order gives the same squares."""
+    fresh -= other
+    np.square(fresh, out=fresh)
+    return fresh.sum(axis=1)
+
+
+def _slack(dim: int, norm_sum: np.ndarray) -> np.ndarray:
+    """``4 * err``, in place in ``norm_sum`` (||x|| + ||c|| per row), where
+    ``err = (D + 4) * eps * ((||x|| + ||c||)^2 + 2 * tiny)`` bounds the
+    rounding error of both the GEMM form ||x||^2 - 2 x.c + ||c||^2 and the
+    direct sum of squared differences. ``tiny``, the smallest normal float,
+    covers products that underflow, whose error is absolute, not relative."""
+    info = np.finfo(np.float64)
+    norm_sum *= norm_sum
+    norm_sum += 2.0 * info.tiny
+    norm_sum *= 4.0 * (dim + 4) * info.eps
+    return norm_sum
+
+
+def _kmeans_pp_init(
+    points: np.ndarray, pts_sq: np.ndarray, K: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding: a uniform first row, then rows drawn with
+    probability proportional to D², the squared distance to the nearest
+    centroid so far.
+
+    D² is bit-identical to ``np.minimum(d2, ((points - c) ** 2).sum(axis=1))``,
+    so the draws and the final generator state are too. A new centroid's
+    distances are taken in the GEMV form ||x||^2 - 2 x.c + ||c||^2; a row
+    whose value there exceeds ``d2 + 4 * err`` (see ``_slack``) keeps its
+    ``d2`` whatever the rounding, and only the other rows get the direct
+    distance.
+    """
+    n, dim = points.shape
+    centroids = np.empty((K, dim))
+    norms = np.sqrt(pts_sq)
+    g = np.empty(n)
+    # +inf certifies no row, so the first centroid sets every d2 directly
+    d2 = np.full(n, np.inf)
     centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, K):
-        total = d2.sum()
-        if total <= 0:
-            centroids[j] = points[rng.integers(n)]
-            continue
-        probs = d2 / total
-        idx = rng.choice(n, p=probs)
-        centroids[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    for j in range(K):
+        if j:
+            total = d2.sum()
+            if total <= 0:
+                centroids[j] = points[rng.integers(n)]
+                continue
+            centroids[j] = points[rng.choice(n, p=d2 / total)]
+        c = centroids[j]
+        c_sq = c @ c
+        np.matmul(points, c, out=g)
+        g *= -2.0
+        g += pts_sq
+        g += c_sq
+        keep_above = _slack(dim, norms + np.sqrt(c_sq))
+        keep_above += d2
+        redo = np.flatnonzero(~(g > keep_above))
+        d2[redo] = np.minimum(d2[redo], _sq_dist(points[redo], c))
     return centroids
 
 
@@ -223,29 +282,31 @@ def _nearest(
     Equal, bit for bit, to the argmin of the broadcast distances
     ``((pts[:, None] - centroids[None]) ** 2).sum(axis=2)``, lowest index on
     ties, and to their values at that argmin. The search runs on the GEMM
-    form ||x||^2 - 2 x.c + ||c||^2. Both forms are within
-    ``err = (D + 4) * eps * (||x|| + max ||c||)^2`` of the exact distance, so
-    a row whose GEMM gap between best and second-best exceeds ``4 * err``
-    has the same argmin under both; every other row (near and exact ties,
-    large offsets, overflow) is recomputed with the broadcast in blocks.
+    form ||x||^2 - 2 x.c + ||c||^2. Both forms are within ``err`` (see
+    ``_slack``, with max ||c||) of the exact distance, so a row whose GEMM
+    gap between best and second-best exceeds ``4 * err`` has the same argmin
+    under both; every other row (near and exact ties, large offsets,
+    underflow, overflow) is recomputed with the broadcast in blocks.
     """
     n, dim = pts.shape
     c_sq = (centroids**2).sum(axis=1)
-    g = pts_sq[:, None] - 2.0 * (pts @ centroids.T) + c_sq
+    # in place, the same bits as pts_sq[:, None] - 2.0 * (pts @ centroids.T) + c_sq
+    g = pts @ centroids.T
+    g *= -2.0
+    g += pts_sq[:, None]
+    g += c_sq
     assign = g.argmin(axis=1)
     rows = np.arange(n)
     best = g[rows, assign]
     g[rows, assign] = np.inf
     gap = g.min(axis=1) - best
-    eps = np.finfo(np.float64).eps
-    err = (dim + 4) * eps * (np.sqrt(pts_sq) + np.sqrt(c_sq.max())) ** 2
-    redo = np.flatnonzero(~(gap > 4.0 * err))
+    redo = np.flatnonzero(~(gap > _slack(dim, np.sqrt(pts_sq) + np.sqrt(c_sq.max()))))
     step = max(1, _BROADCAST_BLOCK // max(1, centroids.size))
     for s in range(0, redo.size, step):
         idx = redo[s : s + step]
         d2 = ((pts[idx, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign[idx] = d2.argmin(axis=1)
-    return assign, ((pts - centroids[assign]) ** 2).sum(axis=1)
+    return assign, _sq_dist(centroids[assign], pts)
 
 
 def kmeans(
@@ -278,8 +339,8 @@ def kmeans(
     if max_iters < 1:
         raise ParameterError("max_iters must be >= 1")
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(pts, K, rng)
     pts_sq = (pts**2).sum(axis=1)
+    centroids = _kmeans_pp_init(pts, pts_sq, K, rng)
     prev_inertia = np.inf
     history: list[float] = []
     assign = np.zeros(n, dtype=np.int64)

@@ -68,10 +68,7 @@ class EncoderModel:
         return dims
 
     def validate(self) -> None:
-        layers = self.encoder_layers + self.projection_layers
-        for i, (w, b) in enumerate(layers):
-            if i + 1 < len(layers) and layers[i + 1][0].shape[0] != w.shape[1]:
-                raise ShapeError(f"layer {i}->{i + 1}: dimensions do not chain")
+        for i, (w, b) in enumerate(self.encoder_layers + self.projection_layers):
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise NumericError(f"layer {i}: non-finite parameters")
 
@@ -282,12 +279,18 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
         blob = fh.read()
 
     def shapes(dims):
+        if not (isinstance(dims, list) and len(dims) >= 2
+                and all(type(w) is int and w > 0 for w in dims)):
+            raise ValueError(f"layer widths {dims!r} are not >= 2 positive ints")
         return list(zip(dims[:-1], dims[1:]))
 
     try:
         header = json.loads(head.decode("utf-8"))
-        layer_shapes = shapes(header["encoder_dims"]) + shapes(header["projection_dims"])
-        n_enc = len(header["encoder_dims"]) - 1
+        enc, proj = header["encoder_dims"], header["projection_dims"]
+        layer_shapes = shapes(enc) + shapes(proj)
+        if enc[-1] != proj[0]:
+            raise ValueError("encoder and projection widths do not chain")
+        n_enc = len(enc) - 1
         hyper = OptimizerHyper(**header["hyper"])
         step_count = int(header["step_count"])
         # the parameters, then the momentum in the same layout
@@ -303,6 +306,6 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
     model = EncoderModel(layers[:n_enc], layers[n_enc:])
     try:
         model.validate()
-    except (NumericError, ShapeError) as exc:
+    except NumericError as exc:
         raise StateError(f"{path}: {exc}") from None
     return model, OptimizerState(momentum.astype(np.float64), step_count, hyper)

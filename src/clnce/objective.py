@@ -45,14 +45,10 @@ def sample_pair_batch(
     within the cluster (x == y allowed; the two views realize the pair)."""
     if n < 2:
         raise ParameterError("batch size must be >= 2 (need at least one negative)")
-    assign = clusters.assignment
-    sizes = np.bincount(assign, minlength=clusters.num_clusters)
+    sizes, members, starts = clusters.member_layout
     if (sizes == 0).any():
         raise ParameterError("every cluster must be non-empty")
-    # members of cluster c are members[starts[c] : starts[c] + sizes[c]]
-    members = np.argsort(assign, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    z = assign[rng.integers(clusters.num_samples, size=n)]  # size-weighted
+    z = clusters.assignment[rng.integers(clusters.num_samples, size=n)]  # size-weighted
     # one bounded draw per position in the order x0, y0, x1, y1, ...
     pos = rng.integers(0, np.repeat(sizes[z], 2))
     picks = members[np.repeat(starts[z], 2) + pos]

@@ -4,7 +4,7 @@ import csv
 
 import numpy as np
 
-from clnce.clusters import ClusterAssignment, KMeansResult, _kmeans_pp_init
+from clnce.clusters import ClusterAssignment, KMeansResult
 from clnce.data import Dataset
 from clnce.encoder import forward
 from clnce.errors import (
@@ -38,6 +38,30 @@ def infonce_loss_reference(projections_x, projections_y, cfg: CriticConfig) -> f
     return -total / n
 
 
+def kmeans_pp_init_reference(
+    points: np.ndarray, K: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding with one full direct distance pass per centroid.
+
+    The original ``clusters._kmeans_pp_init``: the certified GEMV version
+    must draw the same centroids and leave the generator in the same state.
+    """
+    n = points.shape[0]
+    centroids = np.empty((K, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, K):
+        total = d2.sum()
+        if total <= 0:
+            centroids[j] = points[rng.integers(n)]
+            continue
+        probs = d2 / total
+        idx = rng.choice(n, p=probs)
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
 def kmeans_reference(
     points: np.ndarray,
     K: int,
@@ -59,7 +83,7 @@ def kmeans_reference(
     if max_iters < 1:
         raise ParameterError("max_iters must be >= 1")
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(pts, K, rng)
+    centroids = kmeans_pp_init_reference(pts, K, rng)
     prev_inertia = np.inf
     history: list[float] = []
     assign = np.zeros(n, dtype=np.int64)

@@ -203,6 +203,24 @@ class TestBadInput:
         assert "non-finite" in err
         assert "linear accuracy" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("widths", [b"[6.0, 8]", b"[6, true]", b"[8]"])
+    def test_ill_typed_checkpoint_widths(self, workspace, capsys, widths):
+        tmp_path, data_path, _, cfg_path = workspace
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        ckpt = os.path.join(out, "checkpoint.bin")
+        with open(ckpt, "rb") as fh:
+            blob = fh.read()
+        with open(ckpt, "wb") as fh:
+            fh.write(blob.replace(b'"encoder_dims": [6, 8]', b'"encoder_dims": ' + widths))
+        capsys.readouterr()
+        err = self.run_bad(
+            ["eval", "--checkpoint", ckpt, "--train-data", data_path,
+             "--eval-data", data_path, "--epochs", "5"],
+            capsys, "StateError",
+        )
+        assert "layer widths" in err
+
     @pytest.mark.parametrize("spec, key", [
         ({"source": "kmeans", "K": "x"}, "'K'"),
         ({"source": "kmeans", "K": 3, "max_iters": 2.5}, "'max_iters'"),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clnce.clusters import (
+    _kmeans_pp_init,
     _nearest,
     attribute_entropy,
     clusters_from_attributes,
@@ -25,7 +26,7 @@ from clnce.data import Dataset, HierarchyGraph
 from clnce.errors import GraphError, NumericError, ParameterError, SizeError
 from clnce.info import conditional_entropy, empirical_joint
 
-from oracles import kmeans_reference
+from oracles import kmeans_pp_init_reference, kmeans_reference
 
 
 def is_refinement(fine, coarse):
@@ -322,6 +323,31 @@ class TestKMeansProperties:
         assert got.centroids.tobytes() == want.centroids.tobytes()
         assert got.inertia_history == want.inertia_history
         assert got.iterations_run == want.iterations_run
+
+    @settings(max_examples=150, deadline=None)
+    @given(lloyd_inputs(), st.data())
+    def test_seeding_bit_identical_to_direct_oracle(self, inputs, data):
+        pts, _, seed = inputs
+        K = data.draw(st.integers(1, pts.shape[0]), label="K")
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        got = _kmeans_pp_init(pts, (pts**2).sum(axis=1), K, rng)
+        want = kmeans_pp_init_reference(pts, K, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(lloyd_inputs(), st.sampled_from([1e-162, 3e-160, 1e-155]))
+    def test_underflowing_products_stay_exact(self, inputs, scale):
+        # squares near the subnormal range round with an absolute error
+        # that no relative bound covers
+        pts, K, seed = inputs
+        pts = pts * scale
+        got = kmeans(pts, K, max_iters=3, seed=seed)
+        want = kmeans_reference(pts, K, max_iters=3, seed=seed)
+        np.testing.assert_array_equal(got.assignment.assignment, want.assignment.assignment)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.inertia_history == want.inertia_history
 
     @settings(max_examples=150, deadline=None)
     @given(lloyd_inputs(), st.integers(1, 8), st.integers(0, 2**32 - 1))

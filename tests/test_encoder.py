@@ -325,6 +325,18 @@ class TestCheckpoint:
         with pytest.raises(StateError, match="non-finite|do not chain"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("dims", [b"[2.0, 3.0]", b"[true, 3]", b"[2]"])
+    def test_ill_typed_layer_widths_raise_state_error(self, tmp_path, dims):
+        model = init_model([2, 3], [3, 2], seed=9)
+        state = OptimizerState.for_model(model, OptimizerHyper())
+        path = str(tmp_path / "c.bin")
+        save_checkpoint(model, state, path)
+        blob = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(blob.replace(b'"encoder_dims": [2, 3]', b'"encoder_dims": ' + dims))
+        with pytest.raises(StateError, match="layer widths"):
+            load_checkpoint(path)
+
 
 class TestParameterArena:
     def test_params_concatenate_layers_in_order(self):

@@ -42,3 +42,23 @@ def test_no_dead_module_level_definitions():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert [f"{module}:{name}" for module, name in defined if name not in used] == []
+
+
+def test_oracles_use_only_public_names():
+    """An oracle that reaches a private helper of the package, by import or
+    through a module attribute, would check that helper against itself."""
+    oracles = pathlib.Path(__file__).resolve().parent / "oracles.py"
+    tree = ast.parse(oracles.read_text(encoding="utf-8"))
+    private, bound = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "clnce":
+            private += [a.name for a in node.names if a.name.startswith("_")]
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0]
+                      for a in node.names if a.name.split(".")[0] == "clnce"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in bound):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []
