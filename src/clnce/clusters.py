@@ -71,13 +71,10 @@ class KMeansResult:
     inertia_history: tuple[float, ...]
 
 
-def _first_occurrence_ids(keys) -> tuple[np.ndarray, int]:
-    """Map hashable keys to dense ids in order of first appearance."""
-    table: dict = {}
-    out = np.empty(len(keys), dtype=np.int64)
-    for i, k in enumerate(keys):
-        out[i] = table.setdefault(k, len(table))
-    return out, len(table)
+def _first_occurrence_ids(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids of the rows of ``keys`` in order of first appearance."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.reshape(-1)], first.size
 
 
 def attribute_entropy(column: np.ndarray) -> float:
@@ -109,8 +106,7 @@ def clusters_from_attributes(attributes: np.ndarray, k: int) -> ClusterAssignmen
     entropies = [attribute_entropy(attrs[:, j]) for j in range(num_attrs)]
     order = sorted(range(num_attrs), key=lambda j: (-entropies[j], j))
     selected = sorted(order[:k])
-    patterns = [tuple(row) for row in attrs[:, selected]]
-    assignment, n_clusters = _first_occurrence_ids(patterns)
+    assignment, n_clusters = _first_occurrence_ids(attrs[:, selected])
     return ClusterAssignment(assignment, n_clusters, provenance=f"attributes({k})")
 
 
@@ -118,7 +114,9 @@ def _topo_order(g: HierarchyGraph) -> list[str]:
     indeg = {n: 0 for n in g.nodes}
     for _, c in g.edges:
         indeg[c] += 1
-    frontier = sorted(n for n, d in indeg.items() if d == 0)
+    frontier = g.roots()
+    if len(frontier) != 1:
+        raise GraphError(f"expected one root, found {frontier}")
     order = []
     children = {n: [] for n in g.nodes}
     for p, c in g.edges:
@@ -143,23 +141,14 @@ def prune_to_tree(g: HierarchyGraph) -> HierarchyGraph:
     keep the lexicographically smallest parent id.
     """
     order = _topo_order(g)
-    roots = g.roots()
-    if len(roots) != 1:
-        raise GraphError(f"expected one root, found {roots}")
-    root = roots[0]
-    # longest root-to-node path length, root at depth 1
-    depth = {root: 1}
+    # longest root-to-node path length, root (order[0]) at 1; parents come first
+    depth = {order[0]: 1}
     parents = {n: [] for n in g.nodes}
     for p, c in g.edges:
         parents[c].append(p)
     kept_edges = []
-    for n in order:
-        if n == root:
-            continue
-        reach = [p for p in parents[n] if p in depth]
-        if not reach:
-            raise GraphError(f"node {n!r} unreachable from root")
-        best = min(reach, key=lambda p: (-depth[p], p))
+    for n in order[1:]:
+        best = min(parents[n], key=lambda p: (-depth[p], p))
         depth[n] = depth[best] + 1
         kept_edges.append((best, n))
     return HierarchyGraph(
@@ -182,9 +171,6 @@ def clusters_from_hierarchy(
     parent = {c: p for p, c in tree.edges}
     if len(parent) != len(tree.edges):
         raise GraphError("tree has a multi-parent node; prune first")
-    roots = tree.roots()
-    if len(roots) != 1:
-        raise GraphError(f"expected one root, found {roots}")
     depth = {}
     for n in _topo_order(tree):  # parents first; the root is depth 1
         depth[n] = depth[parent[n]] + 1 if n in parent else 1
@@ -203,17 +189,30 @@ def clusters_from_hierarchy(
         if int(lab) not in leaf_by_label:
             raise DataError(f"label {int(lab)} has no leaf in the hierarchy")
         keys.append(ancestor_at(leaf_by_label[int(lab)]))
-    assignment, n_clusters = _first_occurrence_ids(keys)
+    assignment, n_clusters = _first_occurrence_ids(np.array(keys))
     return ClusterAssignment(assignment, n_clusters, provenance=f"hierarchy({level})")
 
 
-def _sq_dist(fresh: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """``((fresh - other) ** 2).sum(axis=1)`` bit for bit, in place in
-    ``fresh``, a gather the caller owns. ``fresh - other`` is exactly
-    ``-(other - fresh)``, so either operand order gives the same squares."""
-    fresh -= other
-    np.square(fresh, out=fresh)
-    return fresh.sum(axis=1)
+# element budget of one block of rows, or of (rows, K, D) broadcast terms
+_BROADCAST_BLOCK = 1 << 18
+
+
+def _sq_dist(points: np.ndarray, rows: np.ndarray, centers) -> np.ndarray:
+    """``((points[rows] - centers) ** 2).sum(axis=1)`` bit for bit, with
+    ``centers`` a scalar, one row, or one row per entry of ``rows``. Rows are
+    gathered ``_BROADCAST_BLOCK // D`` at a time into one buffer: no (len(rows),
+    D) temporary, and each row still sums along its contiguous axis."""
+    step = max(1, _BROADCAST_BLOCK // max(1, points.shape[1]))
+    buf = np.empty((min(step, rows.size), points.shape[1]))
+    out = np.empty(rows.size)
+    for lo in range(0, rows.size, step):
+        idx = rows[lo : lo + step]
+        # mode "clip" gathers straight into the buffer; "raise" would copy
+        block = np.take(points, idx, axis=0, out=buf[: idx.size], mode="clip")
+        block -= centers[lo : lo + step] if np.ndim(centers) == 2 else centers
+        np.square(block, out=block)
+        block.sum(axis=1, out=out[lo : lo + step])
+    return out
 
 
 def _slack(dim: int, norm_sum: np.ndarray) -> np.ndarray:
@@ -231,17 +230,20 @@ def _slack(dim: int, norm_sum: np.ndarray) -> np.ndarray:
 
 def _kmeans_pp_init(
     points: np.ndarray, pts_sq: np.ndarray, K: int, rng: np.random.Generator
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k-means++ seeding: a uniform first row, then rows drawn with
     probability proportional to D², the squared distance to the nearest
-    centroid so far.
+    centroid so far. Also returns each row's nearest centroid and its D²,
+    equal to ``_nearest`` on the centroids bit for bit: a row moves only to
+    a strictly closer centroid, so ties keep the lowest index.
 
     D² is bit-identical to ``np.minimum(d2, ((points - c) ** 2).sum(axis=1))``,
     so the draws and the final generator state are too. A new centroid's
     distances are taken in the GEMV form ||x||^2 - 2 x.c + ||c||^2; a row
     whose value there exceeds ``d2 + 4 * err`` (see ``_slack``) keeps its
     ``d2`` whatever the rounding, and only the other rows get the direct
-    distance.
+    distance. Draws invert the cdf of ``d2 / total`` as ``rng.choice`` does,
+    with the same generator state; an overflowing total raises NumericError.
     """
     n, dim = points.shape
     centroids = np.empty((K, dim))
@@ -249,14 +251,18 @@ def _kmeans_pp_init(
     g = np.empty(n)
     # +inf certifies no row, so the first centroid sets every d2 directly
     d2 = np.full(n, np.inf)
+    nearest = np.zeros(n, dtype=np.int64)
     centroids[0] = points[rng.integers(n)]
     for j in range(K):
         if j:
             total = d2.sum()
+            if not np.isfinite(total):
+                raise NumericError("squared distances overflow in k-means++ seeding")
             if total <= 0:
                 centroids[j] = points[rng.integers(n)]
                 continue
-            centroids[j] = points[rng.choice(n, p=d2 / total)]
+            cdf = np.cumsum(d2 / total)
+            centroids[j] = points[(cdf / cdf[-1]).searchsorted(rng.random(), side="right")]
         c = centroids[j]
         c_sq = c @ c
         np.matmul(points, c, out=g)
@@ -266,12 +272,11 @@ def _kmeans_pp_init(
         keep_above = _slack(dim, norms + np.sqrt(c_sq))
         keep_above += d2
         redo = np.flatnonzero(~(g > keep_above))
-        d2[redo] = np.minimum(d2[redo], _sq_dist(points[redo], c))
-    return centroids
-
-
-# element budget of one (rows, K, D) block of the exact broadcast fallback
-_BROADCAST_BLOCK = 1 << 18
+        direct = _sq_dist(points, redo, c)
+        closer = direct < d2[redo]
+        d2[redo[closer]] = direct[closer]
+        nearest[redo[closer]] = j
+    return centroids, nearest, d2
 
 
 def _nearest(
@@ -306,7 +311,8 @@ def _nearest(
         idx = redo[s : s + step]
         d2 = ((pts[idx, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign[idx] = d2.argmin(axis=1)
-    return assign, _sq_dist(centroids[assign], pts)
+    # (c - x)^2 has the bits of (x - c)^2
+    return assign, _sq_dist(centroids, assign, pts)
 
 
 def kmeans(
@@ -327,8 +333,11 @@ def kmeans(
     broadcast of squared differences. The nearest-centroid search is one
     ``points @ centroids.T`` GEMM whose argmin is kept only where a rounding
     error bound certifies it; uncertified rows fall back to the broadcast.
-    Inertia is summed from the exact assigned distances, and centroid means
-    add the same rows in the same order. Memory is O(nK), not O(nKD).
+    The seeding's nearest centroids serve as the first iteration's. Inertia
+    is summed from the exact assigned distances, and centroid means add the
+    same rows in the same order. Beyond the input, memory is O(nK) plus one
+    block of ``_BROADCAST_BLOCK`` floats and the rows of one cluster at a
+    time in the centroid update; no (n, D) temporary is formed.
     """
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
@@ -339,14 +348,13 @@ def kmeans(
     if max_iters < 1:
         raise ParameterError("max_iters must be >= 1")
     rng = np.random.default_rng(seed)
-    pts_sq = (pts**2).sum(axis=1)
-    centroids = _kmeans_pp_init(pts, pts_sq, K, rng)
+    pts_sq = _sq_dist(pts, np.arange(n), 0.0)  # x - 0.0 is x, bit for bit
+    centroids, assign, dist = _kmeans_pp_init(pts, pts_sq, K, rng)
     prev_inertia = np.inf
     history: list[float] = []
-    assign = np.zeros(n, dtype=np.int64)
-    it = 0
     for it in range(1, max_iters + 1):
-        assign, dist = _nearest(pts, pts_sq, centroids)
+        if it > 1:
+            assign, dist = _nearest(pts, pts_sq, centroids)
         # repair empty clusters one at a time; repairs can empty other
         # clusters, so rescan until stable (at most K passes)
         for _ in range(K):
@@ -360,12 +368,12 @@ def kmeans(
         if prev_inertia - inertia < tol:
             break
         prev_inertia = inertia
-        # members of each cluster as contiguous slices, in row order
+        # members of each cluster as contiguous runs of ``order``, in row order
         counts = np.bincount(assign, minlength=K)
-        grouped = pts[np.argsort(assign, kind="stable")]
+        order = np.argsort(assign, kind="stable")
         ends = np.cumsum(counts)
         for j in np.flatnonzero(counts):
-            centroids[j] = grouped[ends[j] - counts[j] : ends[j]].mean(axis=0)
+            centroids[j] = pts[order[ends[j] - counts[j] : ends[j]]].mean(axis=0)
     result = ClusterAssignment(assign, K, provenance=f"kmeans({K})")
     return KMeansResult(
         centroids=centroids,

@@ -222,24 +222,22 @@ def load_dataset(path: str) -> Dataset:
                 rows = np.loadtxt(
                     fh, dtype=fields, delimiter=",", quotechar='"', comments=None, ndmin=1
                 )
+            problem = None
         except ValueError as exc:
-            bad = _first_bad_row(path, dim, num_attrs, has_label)
-            raise bad or SchemaError(f"{path}: {exc}") from None
-    if not rows.size:
-        raise SchemaError(f"{path}: no data rows")
-    attrs = None
-    if num_attrs:
-        attrs = rows["a"] == "1"
-        if not (attrs | (rows["a"] == "0")).all():
-            bad = _first_bad_row(path, dim, num_attrs, has_label)
-            raise bad or DomainError(f"{path}: attribute value not in {{0,1}}")
-    if has_label and rows["label"].min() < 0:
-        bad = _first_bad_row(path, dim, num_attrs, has_label)
-        raise bad or DomainError(f"{path}: labels must be non-negative")
+            problem = SchemaError(f"{path}: {exc}")
+    if problem is None:
+        if not rows.size:
+            raise SchemaError(f"{path}: no data rows")
+        if num_attrs and not ((rows["a"] == "1") | (rows["a"] == "0")).all():
+            problem = DomainError(f"{path}: attribute value not in {{0,1}}")
+        elif has_label and rows["label"].min() < 0:
+            problem = DomainError(f"{path}: labels must be non-negative")
+    if problem is not None:
+        raise _first_bad_row(path, dim, num_attrs, has_label) or problem
     return Dataset(
         features=np.ascontiguousarray(rows["f"]),
         ids=tuple(rows["id"]),
-        attributes=attrs,
+        attributes=rows["a"] == "1" if num_attrs else None,
         labels=np.ascontiguousarray(rows["label"]) if has_label else None,
     )
 
@@ -318,7 +316,9 @@ def augment_rows(features: np.ndarray, cfg: AugmentConfig, rng: np.random.Genera
     """One stochastic view: additive Gaussian noise, then coordinate masking."""
     out = np.asarray(features, dtype=np.float64)
     if cfg.noise_sigma > 0:
-        out = out + rng.normal(0.0, cfg.noise_sigma, size=out.shape)
+        noise = rng.normal(0.0, cfg.noise_sigma, size=out.shape)
+        noise += out  # the bits of out + noise, without a second (B, D) array
+        out = noise
     else:
         out = out.copy()
     if cfg.mask_prob > 0:

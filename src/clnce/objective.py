@@ -66,8 +66,9 @@ def critic_matrix(
     return px @ py.T / cfg.temperature
 
 
-def cl_infonce_loss(scores: np.ndarray) -> float:
-    """Negated batch objective with per-row max-subtraction stabilization."""
+def _loss_and_grad(scores: np.ndarray) -> tuple[float, np.ndarray]:
+    """Loss and d(loss)/d(scores) from one max-shifted exp, the gradient
+    formed in place; ``rowsum / n`` has the bits of ``e.mean(axis=1)``."""
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError("scores must be a square matrix")
@@ -77,22 +78,25 @@ def cl_infonce_loss(scores: np.ndarray) -> float:
     if not np.isfinite(s).all():
         raise NumericError("non-finite scores")
     row_max = s.max(axis=1, keepdims=True)
-    log_mean_exp = np.log(np.exp(s - row_max).mean(axis=1)) + row_max[:, 0]
-    return float(-(np.diag(s) - log_mean_exp).mean())
+    e = s - row_max
+    np.exp(e, out=e)
+    rowsum = e.sum(axis=1, keepdims=True)
+    log_mean_exp = np.log(rowsum[:, 0] / n) + row_max[:, 0]
+    loss = float(-(np.diag(s) - log_mean_exp).mean())
+    e /= rowsum
+    e.flat[:: n + 1] -= 1.0
+    e /= n
+    return loss, e
+
+
+def cl_infonce_loss(scores: np.ndarray) -> float:
+    """Negated batch objective with per-row max-subtraction stabilization."""
+    return _loss_and_grad(scores)[0]
 
 
 def cl_infonce_grad(scores: np.ndarray) -> np.ndarray:
     """d(loss)/d(scores): (1/n) * (row softmax - identity)."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ShapeError("scores must be a square matrix")
-    n = s.shape[0]
-    if not np.isfinite(s).all():
-        raise NumericError("non-finite scores")
-    shifted = s - s.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    softmax = e / e.sum(axis=1, keepdims=True)
-    return (softmax - np.eye(n)) / n
+    return _loss_and_grad(scores)[1]
 
 
 def critic_backward(

@@ -235,10 +235,9 @@ def _train_one_epoch(d, clusters, cfg, model, state, rng, steps_per_epoch) -> fl
         _, px, cache_x = enc.forward(model, view_x)
         _, py, cache_y = enc.forward(model, view_y)
         scores = obj.critic_matrix(px, py, critic)
-        loss = obj.cl_infonce_loss(scores)
+        loss, g_scores = obj._loss_and_grad(scores)
         if not np.isfinite(loss):
             raise NumericError(f"loss diverged at step {state.step_count}")
-        g_scores = obj.cl_infonce_grad(scores)
         g_px, g_py = obj.critic_backward(g_scores, px, py, critic)
         grad = enc.backward(model, cache_x, g_px)
         grad += enc.backward(model, cache_y, g_py)
@@ -310,36 +309,40 @@ def linear_evaluate(
     """Top-1 accuracy of a multinomial-logistic probe on frozen encoder output.
 
     The projection head plays no part here; only the encoder embedding is
-    read. Full-batch gradient descent from a zero init is deterministic.
+    read. Full-batch gradient descent from a zero init is deterministic. The
+    fit holds only the transposed train embedding; the eval rows are
+    embedded after it.
     """
     if train_data.labels is None or eval_data.labels is None:
         raise DataError("linear evaluation needs labeled train and eval sets")
-    x_train = enc.embed(model, train_data.features)
-    x_eval = enc.embed(model, eval_data.features)
     # standardize with train statistics for a well-conditioned probe, in
     # place: embed returns fresh arrays
-    mu = x_train.mean(axis=0)
-    sd = x_train.std(axis=0)
+    x = enc.embed(model, train_data.features)
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0)
     sd[sd == 0] = 1.0
-    for x in (x_train, x_eval):
-        x -= mu
-        x /= sd
+    x -= mu
+    x /= sd
+    xt = np.ascontiguousarray(x.T)
+    del x
     num_classes = max(train_data.num_classes, eval_data.num_classes)
-    w, b = _fit_probe(x_train, train_data.labels, num_classes, epochs, lr)
-    preds = (w @ x_eval.T + b).argmax(axis=0)
+    w, b = _fit_probe(xt, train_data.labels, num_classes, epochs, lr)
+    del xt
+    x = (enc.embed(model, eval_data.features) - mu) / sd
+    preds = (w @ x.T + b).argmax(axis=0)
     return float((preds == eval_data.labels).mean())
 
 
-def _fit_probe(x, labels, num_classes: int, epochs: int, lr: float):
-    """Softmax regression on the rows of ``x`` by full-batch gradient descent
-    from zero; returns class-major weights (C, D) and bias (C, 1).
+def _fit_probe(xt, labels, num_classes: int, epochs: int, lr: float):
+    """Softmax regression on the columns of ``xt`` (D, n) by full-batch
+    gradient descent from zero; returns class-major weights (C, D) and bias
+    (C, 1).
 
     Logits are laid out (C, n): the softmax max and sum over the classes
     combine C rows of n entries elementwise, where an (n, C) layout reduces
     n short rows of C entries.
     """
-    n, dim = x.shape
-    xt = np.ascontiguousarray(x.T)
+    dim, n = xt.shape
     targets = np.arange(num_classes)[:, None] == labels
     w = np.zeros((num_classes, dim))
     b = np.zeros((num_classes, 1))
@@ -352,7 +355,7 @@ def _fit_probe(x, labels, num_classes: int, epochs: int, lr: float):
         g /= g.sum(axis=0)
         g -= targets
         g /= n
-        w -= lr * (g @ x)
+        w -= lr * (g @ xt.T)
         b -= lr * g.sum(axis=1, keepdims=True)
     return w, b
 

@@ -14,6 +14,7 @@ from clnce.errors import (
     NumericError,
     ParameterError,
     SchemaError,
+    ShapeError,
 )
 from clnce.objective import CriticConfig, PairBatch
 
@@ -36,6 +37,37 @@ def infonce_loss_reference(projections_x, projections_y, cfg: CriticConfig) -> f
         denom = m + np.log(sum(np.exp(r - m) for r in ratios) / n)
         total += pos - denom
     return -total / n
+
+
+def cl_infonce_loss_reference(scores: np.ndarray) -> float:
+    """The original ``objective.cl_infonce_loss``: its own shift, exp and
+    mean. The fused loss-and-gradient pass must give the same bits."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ShapeError("scores must be a square matrix")
+    n = s.shape[0]
+    if n < 2:
+        raise ParameterError("need n >= 2")
+    if not np.isfinite(s).all():
+        raise NumericError("non-finite scores")
+    row_max = s.max(axis=1, keepdims=True)
+    log_mean_exp = np.log(np.exp(s - row_max).mean(axis=1)) + row_max[:, 0]
+    return float(-(np.diag(s) - log_mean_exp).mean())
+
+
+def cl_infonce_grad_reference(scores: np.ndarray) -> np.ndarray:
+    """The original ``objective.cl_infonce_grad``: (softmax - eye(n)) / n,
+    each step a new array. The fused pass must give the same bits."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ShapeError("scores must be a square matrix")
+    n = s.shape[0]
+    if not np.isfinite(s).all():
+        raise NumericError("non-finite scores")
+    shifted = s - s.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    softmax = e / e.sum(axis=1, keepdims=True)
+    return (softmax - np.eye(n)) / n
 
 
 def kmeans_pp_init_reference(

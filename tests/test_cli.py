@@ -1,10 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from clnce.cli import main
-from clnce.data import save_dataset, save_hierarchy
+from clnce.data import Dataset, save_dataset, save_hierarchy
 from clnce.datagen import make_mixture_dataset
 
 
@@ -114,6 +115,29 @@ class TestBadInput:
              "--eval-data", data_path, "--epochs", "5"],
             capsys, "StateError",
         )
+
+    @pytest.mark.parametrize("command", ["make-clusters", "train"])
+    def test_kmeans_distance_overflow(self, workspace, capsys, command):
+        # finite features whose squared distances overflow to inf
+        tmp_path, _, _, cfg_path = workspace
+        rng = np.random.default_rng(0)
+        features = rng.choice([-1.0, 1.0], size=(8, 2)) * 1e160 * (1 + rng.random((8, 2)))
+        data_path = str(tmp_path / "huge.csv")
+        save_dataset(Dataset(features=features, labels=np.arange(8) % 2), data_path)
+        if command == "make-clusters":
+            argv = ["make-clusters", "--data", data_path, "--source", "kmeans",
+                    "--K", "3", "--out", str(tmp_path / "c.csv")]
+        else:
+            with open(cfg_path) as fh:
+                cfg = json.load(fh)
+            cfg["data"] = data_path
+            del cfg["hierarchy"]
+            cfg["train"]["cluster_source"] = {"source": "kmeans", "K": 3}
+            with open(cfg_path, "w") as fh:
+                json.dump(cfg, fh)
+            argv = ["train", "--config", cfg_path, "--out", str(tmp_path / "x")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.run_bad(argv, capsys, "NumericError")
 
     def test_malformed_run_config(self, workspace, capsys):
         tmp_path, _, _, cfg_path = workspace

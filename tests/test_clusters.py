@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,19 @@ class TestKMeans:
         with pytest.raises(NumericError):
             kmeans(np.array([[np.nan, 0.0]]), 1, seed=0)
 
+    def test_memory_stays_below_one_copy_of_the_points(self):
+        # beyond its input, kmeans holds O(nK) floats, one block of rows and
+        # one cluster's rows at a time: never an (n, D) temporary
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(20000, 64)) + 8.0 * (np.arange(20000) % 3)[:, None]
+        tracemalloc.start()
+        try:
+            kmeans(pts, 3, max_iters=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pts.nbytes
+
 
 @st.composite
 def lloyd_inputs(draw):
@@ -331,10 +345,23 @@ class TestKMeansProperties:
         K = data.draw(st.integers(1, pts.shape[0]), label="K")
         rng = np.random.default_rng(seed)
         ref_rng = np.random.default_rng(seed)
-        got = _kmeans_pp_init(pts, (pts**2).sum(axis=1), K, rng)
+        got = _kmeans_pp_init(pts, (pts**2).sum(axis=1), K, rng)[0]
         want = kmeans_pp_init_reference(pts, K, ref_rng)
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(lloyd_inputs(), st.data())
+    def test_seeding_nearest_is_the_lloyd_search_on_its_centroids(self, inputs, data):
+        # kmeans takes the seeding's (nearest, d2) as its first iteration's
+        # (assign, dist) in place of a _nearest call
+        pts, _, seed = inputs
+        K = data.draw(st.integers(1, pts.shape[0]), label="K")
+        pts_sq = (pts**2).sum(axis=1)
+        centroids, nearest, d2 = _kmeans_pp_init(pts, pts_sq, K, np.random.default_rng(seed))
+        assign, dist = _nearest(pts, pts_sq, centroids)
+        assert nearest.tolist() == assign.tolist()
+        assert d2.tobytes() == dist.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(lloyd_inputs(), st.sampled_from([1e-162, 3e-160, 1e-155]))

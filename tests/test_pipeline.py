@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clnce import pipeline
 from clnce.clusters import kmeans
 from clnce.data import Dataset, split_dataset
 from clnce.datagen import make_balanced_hierarchy, make_blob_dataset, make_mixture_dataset
@@ -283,6 +286,33 @@ class TestLinearEvaluate:
         with pytest.raises(DataError):
             linear_evaluate(model, d, d)
 
+    def test_one_train_embedding_held_during_the_fit(self, monkeypatch):
+        # two (n_train, D) arrays exist only while the standardised train
+        # embedding is transposed; the fit holds the transposed copy alone,
+        # and the eval rows are embedded after it
+        n, dim = 4000, 64
+        rng = np.random.default_rng(0)
+        model = init_model([2, dim], [dim, 2], seed=0)
+        train_data = Dataset(features=rng.normal(size=(n, 2)), labels=rng.integers(0, 3, size=n))
+        eval_data = Dataset(features=rng.normal(size=(n, 2)), labels=rng.integers(0, 3, size=n))
+        held_at_fit = []
+        fit = pipeline._fit_probe
+
+        def recording_fit(*args):
+            held_at_fit.append(tracemalloc.get_traced_memory()[0])
+            return fit(*args)
+
+        monkeypatch.setattr(pipeline, "_fit_probe", recording_fit)
+        tracemalloc.start()
+        try:
+            linear_evaluate(model, train_data, eval_data, epochs=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        embedding = n * dim * 8
+        assert held_at_fit[0] < 1.5 * embedding
+        assert peak < 2.5 * embedding
+
 
 class TestLinearEvaluateProperties:
     """The class-major probe against the row-major oracle."""
@@ -329,7 +359,7 @@ class TestLinearEvaluateProperties:
         mu, sd = x_train.mean(axis=0), x_train.std(axis=0)
         sd[sd == 0] = 1.0
         x_std = (x_train - mu) / sd
-        w, b = _fit_probe(x_std, train_data.labels, num_classes, epochs, lr)
+        w, b = _fit_probe(np.ascontiguousarray(x_std.T), train_data.labels, num_classes, epochs, lr)
         assert w.shape == (num_classes, embed_dim) and b.shape == (num_classes, 1)
         # the two layouts add the class terms of the softmax sum in a
         # different order, so the weights agree to rounding, not bit for bit.
