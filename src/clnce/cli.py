@@ -42,12 +42,12 @@ def _load_run_config(path: str):
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     if "data" not in raw or "train" not in raw:
         raise ParameterError("config must contain 'data' and 'train'")
-    d = load_dataset(raw["data"])
+    d = load_dataset(pl.parse_value("data", raw["data"]))
     if raw.get("hierarchy"):
-        d = dataclasses.replace(d, hierarchy=load_hierarchy(raw["hierarchy"]))
+        hierarchy = load_hierarchy(pl.parse_value("hierarchy", raw["hierarchy"]))
+        d = dataclasses.replace(d, hierarchy=hierarchy)
     cfg = pl.TrainConfig.from_dict(raw["train"])
-    train_fraction = raw.get("train_fraction", 0.7)
-    pl.check_json_value("train_fraction", train_fraction, "float")
+    train_fraction = pl.parse_value("train_fraction", raw.get("train_fraction", 0.7))
     return d, cfg, float(train_fraction)
 
 
@@ -130,14 +130,9 @@ def _cmd_make_clusters(args) -> int:
     d = load_dataset(args.data)
     if args.hierarchy:
         d = dataclasses.replace(d, hierarchy=load_hierarchy(args.hierarchy))
-    spec = {"source": args.source}
-    if args.source == "attributes":
-        spec["k"] = args.k
-    elif args.source == "hierarchy":
-        spec["level"] = args.level
-    elif args.source == "kmeans":
-        spec["K"] = args.K
-        spec["seed"] = args.seed
+    spec = {"source": args.source}  # with the flags its source has keys for
+    spec.update((key, getattr(args, key)) for key in pl.SPEC_KEYS[args.source]
+                if getattr(args, key, None) is not None)
     clusters = pl.build_clusters(d, spec)
     cl.save_assignment(clusters, d.ids, args.out)
     print(f"{clusters.num_clusters} clusters ({clusters.provenance}) -> {args.out}")
@@ -198,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hierarchy", default=None)
     p.add_argument("--source", required=True,
                    choices=["attributes", "hierarchy", "kmeans", "labels", "instance_id"])
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--K", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=int)
+    p.add_argument("--level", type=int)
+    p.add_argument("--K", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_clusters)
 
@@ -216,6 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:  # every --seed flag
+            pl.parse_value("seed", args.seed)
         return args.func(args)
     except ClnceError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)

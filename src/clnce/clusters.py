@@ -110,28 +110,33 @@ def clusters_from_attributes(attributes: np.ndarray, k: int) -> ClusterAssignmen
     return ClusterAssignment(assignment, n_clusters, provenance=f"attributes({k})")
 
 
-def _topo_order(g: HierarchyGraph) -> list[str]:
-    indeg = {n: 0 for n in g.nodes}
-    for _, c in g.edges:
-        indeg[c] += 1
+def _longest_paths(g: HierarchyGraph) -> tuple[dict[str, int], dict[str, str]]:
+    """Each node's depth on its longest path from the single root, which is at
+    depth 1, and each other node's parent on that path, both in topological
+    order; ties keep the lexicographically smallest parent id."""
     frontier = g.roots()
     if len(frontier) != 1:
         raise GraphError(f"expected one root, found {frontier}")
-    order = []
+    parents = {n: [] for n in g.nodes}
     children = {n: [] for n in g.nodes}
     for p, c in g.edges:
+        parents[c].append(p)
         children[p].append(c)
-    while frontier:
+    waiting = {n: len(ps) for n, ps in parents.items()}
+    depth, kept = {}, {}
+    while frontier:  # a node is taken once all its parents have been
         n = frontier.pop(0)
-        order.append(n)
+        if parents[n]:
+            kept[n] = min(parents[n], key=lambda p: (-depth[p], p))
+        depth[n] = depth[kept[n]] + 1 if parents[n] else 1
         for c in sorted(children[n]):
-            indeg[c] -= 1
-            if indeg[c] == 0:
+            waiting[c] -= 1
+            if waiting[c] == 0:
                 frontier.append(c)
         frontier.sort()
-    if len(order) != len(g.nodes):
+    if len(depth) != len(g.nodes):
         raise GraphError("hierarchy contains a cycle")
-    return order
+    return depth, kept
 
 
 def prune_to_tree(g: HierarchyGraph) -> HierarchyGraph:
@@ -140,19 +145,11 @@ def prune_to_tree(g: HierarchyGraph) -> HierarchyGraph:
     The retained parent is the one on the longest root-to-node path; ties
     keep the lexicographically smallest parent id.
     """
-    order = _topo_order(g)
-    # longest root-to-node path length, root (order[0]) at 1; parents come first
-    depth = {order[0]: 1}
-    parents = {n: [] for n in g.nodes}
-    for p, c in g.edges:
-        parents[c].append(p)
-    kept_edges = []
-    for n in order[1:]:
-        best = min(parents[n], key=lambda p: (-depth[p], p))
-        depth[n] = depth[best] + 1
-        kept_edges.append((best, n))
+    _, kept = _longest_paths(g)
     return HierarchyGraph(
-        nodes=g.nodes, edges=tuple(kept_edges), leaf_label_map=dict(g.leaf_label_map)
+        nodes=g.nodes,
+        edges=tuple((p, c) for c, p in kept.items()),
+        leaf_label_map=dict(g.leaf_label_map),
     )
 
 
@@ -168,13 +165,10 @@ def clusters_from_hierarchy(
         raise ParameterError("level must be >= 1")
     if d.labels is None:
         raise DataError("dataset has no labels to map onto the hierarchy")
-    parent = {c: p for p, c in tree.edges}
-    if len(parent) != len(tree.edges):
+    if len({c for _, c in tree.edges}) != len(tree.edges):
         raise GraphError("tree has a multi-parent node; prune first")
-    depth = {}
-    for n in _topo_order(tree):  # parents first; the root is depth 1
-        depth[n] = depth[parent[n]] + 1 if n in parent else 1
-    max_leaf_depth = max(depth[leaf] for leaf in tree.leaf_label_map)
+    depth, parent = _longest_paths(tree)
+    max_leaf_depth = max((depth[leaf] for leaf in tree.leaf_label_map), default=0)
     if level > max_leaf_depth:
         raise ParameterError(f"level {level} exceeds max leaf depth {max_leaf_depth}")
 
@@ -243,7 +237,8 @@ def _kmeans_pp_init(
     whose value there exceeds ``d2 + 4 * err`` (see ``_slack``) keeps its
     ``d2`` whatever the rounding, and only the other rows get the direct
     distance. Draws invert the cdf of ``d2 / total`` as ``rng.choice`` does,
-    with the same generator state; an overflowing total raises NumericError.
+    with the same generator state. A total that overflows raises NumericError
+    once the first centroid's distances are in, so for every K.
     """
     n, dim = points.shape
     centroids = np.empty((K, dim))
@@ -255,9 +250,6 @@ def _kmeans_pp_init(
     centroids[0] = points[rng.integers(n)]
     for j in range(K):
         if j:
-            total = d2.sum()
-            if not np.isfinite(total):
-                raise NumericError("squared distances overflow in k-means++ seeding")
             if total <= 0:
                 centroids[j] = points[rng.integers(n)]
                 continue
@@ -276,6 +268,9 @@ def _kmeans_pp_init(
         closer = direct < d2[redo]
         d2[redo[closer]] = direct[closer]
         nearest[redo[closer]] = j
+        total = d2.sum()
+        if not np.isfinite(total):
+            raise NumericError("squared distances overflow in k-means++ seeding")
     return centroids, nearest, d2
 
 
@@ -348,8 +343,12 @@ def kmeans(
     if max_iters < 1:
         raise ParameterError("max_iters must be >= 1")
     rng = np.random.default_rng(seed)
-    pts_sq = _sq_dist(pts, np.arange(n), 0.0)  # x - 0.0 is x, bit for bit
-    centroids, assign, dist = _kmeans_pp_init(pts, pts_sq, K, rng)
+    # Overflow here is not lost: a GEMM-form term that is not finite is
+    # recomputed directly, and a direct distance that overflows ends the
+    # seeding in NumericError. So it does not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts_sq = _sq_dist(pts, np.arange(n), 0.0)  # x - 0.0 is x, bit for bit
+        centroids, assign, dist = _kmeans_pp_init(pts, pts_sq, K, rng)
     prev_inertia = np.inf
     history: list[float] = []
     for it in range(1, max_iters + 1):
@@ -465,23 +464,6 @@ def permute_clusters(
     return ClusterAssignment(
         assign, base.num_clusters, provenance=f"synthetic(permute,{sorted(fixed)})"
     )
-
-
-def synthesize_clusters(labels: np.ndarray, spec: dict) -> ClusterAssignment:
-    """Dispatch on a synthetic-mode spec dict: {"mode": ..., params}."""
-    mode = spec.get("mode")
-    if mode == "refine":
-        return refine_clusters(labels, spec["splits_per_class"], spec.get("seed", 0))
-    if mode == "coarsen":
-        return coarsen_clusters(labels, spec["merge_groups"])
-    if mode == "permute":
-        base = refine_clusters(
-            labels, spec["splits_per_class"], spec.get("seed", 0)
-        )
-        return permute_clusters(
-            labels, base, spec.get("fixed_class_set", ()), spec.get("seed", 0)
-        )
-    raise ParameterError(f"unknown synthetic mode {mode!r}")
 
 
 def save_assignment(a: ClusterAssignment, ids, csv_path: str) -> None:

@@ -10,6 +10,7 @@ by ``leaf<TAB>label`` lines.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -143,6 +144,17 @@ class AugmentConfig:
 HEADER_GRAMMAR = "id,f0..f{D-1}[,a0..a{A-1}][,label]"
 
 
+def _utf8(load):
+    """``load(path)``, with a file that is not UTF-8 text a SchemaError."""
+    @functools.wraps(load)
+    def wrapped(path: str):
+        try:
+            return load(path)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+    return wrapped
+
+
 def _parse_header(header: list[str], path: str) -> tuple[int, int, bool]:
     """(D, A, has_label) of a header in HEADER_GRAMMAR, with D >= 1."""
     dim = num_attrs = 0
@@ -196,6 +208,7 @@ def _first_bad_row(path: str, dim: int, num_attrs: int, has_label: bool):
     return None
 
 
+@_utf8
 def load_dataset(path: str) -> Dataset:
     """Load and validate a dataset CSV whose header follows HEADER_GRAMMAR.
 
@@ -261,6 +274,7 @@ def save_dataset(d: Dataset, path: str) -> None:
             writer.writerow(row)
 
 
+@_utf8
 def load_hierarchy(path: str) -> HierarchyGraph:
     edges: list[tuple[str, str]] = []
     leaf_label_map: dict[str, int] = {}
@@ -285,6 +299,8 @@ def load_hierarchy(path: str) -> HierarchyGraph:
                 edges.append((parts[0], parts[1]))
     if not edges:
         raise SchemaError(f"{path}: no edges")
+    if not leaf_label_map:
+        raise SchemaError(f"{path}: no leaf<TAB>label lines after '#labels'")
     nodes = tuple(sorted({n for e in edges for n in e}))
     return HierarchyGraph(nodes=nodes, edges=tuple(edges), leaf_label_map=leaf_label_map)
 

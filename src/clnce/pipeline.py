@@ -18,70 +18,96 @@ from .data import AugmentConfig, Dataset, augment_rows, split_dataset
 from .errors import DataError, NumericError, ParameterError
 
 
-# JSON value types accepted for each TrainConfig annotation: ints are valid
-# floats, and the width tuples arrive as lists of ints
-_JSON_FIELD_TYPES = {
-    "int": int,
-    "int | None": (int, type(None)),
-    "float": (int, float),
-    "dict": dict,
-    "tuple": (list, tuple),
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _ints(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(_int(x) for x in v)
+
+
+# The JSON kind of every value a run config carries, by key: the file paths,
+# train_fraction, the TrainConfig fields and the cluster-spec keys. A kind is
+# a description and a test; bools are never numbers. A kind bounds a value
+# only where nothing checks it before training: the objects that use the
+# other values check them (temperature, momentum, k, K, ...).
+_INT = ("an int", _int)
+_FLOAT = ("a number", lambda v: _int(v) or isinstance(v, float))
+_COUNT = ("an int >= 0", lambda v: _int(v) and v >= 0)
+_WIDTHS = ("a non-empty list of positive ints", lambda v: _ints(v) and v and min(v) > 0)
+_KINDS = {
+    **dict.fromkeys(("data", "hierarchy"), ("a path", lambda v: isinstance(v, str))),
+    **dict.fromkeys(("k", "level", "K", "max_iters", "splits_per_class"), _INT),
+    **dict.fromkeys(("temperature", "momentum", "weight_decay", "noise_sigma",
+                     "mask_prob", "eval_lr", "tol", "train_fraction"), _FLOAT),
+    "epochs": ("an int >= 1", lambda v: _int(v) and v >= 1),
+    "batch_size": ("an int >= 2", lambda v: _int(v) and v >= 2),
+    "seed": _COUNT,
+    "eval_epochs": _COUNT,
+    "peak_lr": ("a number >= 0", lambda v: _FLOAT[1](v) and v >= 0),
+    "warmup_steps": ("an int or null", lambda v: v is None or _int(v)),
+    "cluster_source": ("a JSON object", lambda v: isinstance(v, dict)),
+    "encoder_widths": _WIDTHS,
+    "projection_widths": _WIDTHS,
+    "fixed_class_set": ("a list of ints", _ints),
+    "merge_groups": ("a list of lists of ints",
+                     lambda v: isinstance(v, (list, tuple)) and all(_ints(g) for g in v)),
 }
 
-# Keys a cluster spec must carry, by source; a synthetic spec also needs the
-# keys of its mode
-_SPEC_REQUIRED_KEYS = {
-    "labels": (),
-    "instance_id": (),
-    "attributes": ("k",),
-    "hierarchy": ("level",),
-    "kmeans": ("K",),
-    "synthetic": ("mode",),
-}
-_SYNTHETIC_MODE_KEYS = {
-    "refine": ("splits_per_class",),
-    "coarsen": ("merge_groups",),
-    "permute": ("splits_per_class",),
-}
-# JSON types of the scalar spec values, whichever source carries them
-_SPEC_VALUE_TYPES = {
-    "k": "int",
-    "level": "int",
-    "K": "int",
-    "max_iters": "int",
-    "tol": "float",
-    "seed": "int",
+_REQUIRED, _CALLER_SEED = "required", "the caller's seed"
+# The keys of a cluster spec besides "source", by source (a synthetic spec's
+# by its mode), each with its default or _REQUIRED. Any other key is an error.
+SPEC_KEYS = {
+    "labels": {},
+    "instance_id": {},
+    "attributes": {"k": _REQUIRED},
+    "hierarchy": {"level": _REQUIRED},
+    "kmeans": {"K": _REQUIRED, "max_iters": 50, "tol": 1e-8, "seed": _CALLER_SEED},
+    "synthetic": {
+        "refine": {"splits_per_class": _REQUIRED, "seed": 0},
+        "coarsen": {"merge_groups": _REQUIRED},
+        "permute": {"splits_per_class": _REQUIRED, "fixed_class_set": (), "seed": 0},
+    },
 }
 
 
-def check_json_value(key: str, value, annotation: str) -> None:
-    """Raise ParameterError unless ``value`` is a JSON value of the type
-    ``annotation`` names (a TrainConfig annotation); bools are never numbers."""
-    ok = isinstance(value, _JSON_FIELD_TYPES[annotation]) and not isinstance(value, bool)
-    if ok and isinstance(value, (list, tuple)):
-        ok = all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    if not ok:
-        raise ParameterError(f"config key {key!r} must be {annotation}, got {value!r}")
+def parse_value(key: str, value):
+    """``value`` if it is of the kind of ``key``; otherwise ParameterError."""
+    name, ok = _KINDS[key]
+    if not ok(value):
+        raise ParameterError(f"key {key!r} must be {name}, got {value!r}")
+    return value
 
 
-def check_cluster_spec(spec: dict) -> None:
-    """Raise ParameterError for an unknown source, a missing required key or
-    a scalar value of the wrong JSON type."""
+def parse_cluster_spec(spec, seed: int = 0) -> dict:
+    """The cluster spec with its values parsed and every default filled in;
+    a ``kmeans`` seed defaults to ``seed``, the caller's seed. Raises
+    ParameterError for an unknown source, mode or key, or a missing one."""
     if not isinstance(spec, dict):
         raise ParameterError(f"cluster spec must be a JSON object, got {spec!r}")
     source = spec.get("source")
-    if not isinstance(source, str) or source not in _SPEC_REQUIRED_KEYS:
+    keys = SPEC_KEYS.get(source) if isinstance(source, str) else None
+    if keys is None:
         raise ParameterError(f"unknown cluster source {source!r}")
-    required = _SPEC_REQUIRED_KEYS[source]
-    mode = spec.get("mode")
-    if source == "synthetic" and isinstance(mode, str):
-        required += _SYNTHETIC_MODE_KEYS.get(mode, ())
-    for key in required:
-        if key not in spec:
-            raise ParameterError(f"cluster source {source!r} needs key {key!r}")
-    for key, annotation in _SPEC_VALUE_TYPES.items():
+    parsed = {"source": source}
+    if source == "synthetic":
+        if "mode" not in spec:
+            raise ParameterError("cluster source 'synthetic' needs key 'mode'")
+        mode = parsed["mode"] = spec["mode"]
+        keys = keys.get(mode) if isinstance(mode, str) else None
+        if keys is None:
+            raise ParameterError(f"unknown synthetic mode {mode!r}")
+    unknown = set(spec) - set(parsed) - set(keys)
+    if unknown:
+        raise ParameterError(f"unknown {source!r} cluster spec keys: {sorted(unknown, key=str)}")
+    for key, default in keys.items():
         if key in spec:
-            check_json_value(key, spec[key], annotation)
+            parsed[key] = parse_value(key, spec[key])
+        elif default == _REQUIRED:
+            raise ParameterError(f"cluster source {source!r} needs key {key!r}")
+        else:
+            parsed[key] = seed if default == _CALLER_SEED else default
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -103,11 +129,9 @@ class TrainConfig:
     eval_lr: float = 0.5
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise ParameterError("batch_size must be >= 2")
-        if self.epochs < 1:
-            raise ParameterError("epochs must be >= 1")
-        check_cluster_spec(self.cluster_source)
+        for f in dataclasses.fields(self):
+            parse_value(f.name, getattr(self, f.name))
+        parse_cluster_spec(self.cluster_source)
         object.__setattr__(self, "encoder_widths", tuple(self.encoder_widths))
         object.__setattr__(self, "projection_widths", tuple(self.projection_widths))
 
@@ -115,21 +139,10 @@ class TrainConfig:
     def from_dict(cls, raw: dict) -> "TrainConfig":
         if not isinstance(raw, dict):
             raise ParameterError("train config must be a JSON object")
-        annotations = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(raw) - set(annotations)
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            check_json_value(key, value, annotations[key])
         return cls(**raw)
-
-    def critic(self) -> obj.CriticConfig:
-        return obj.CriticConfig(temperature=self.temperature)
-
-    def augment(self) -> AugmentConfig:
-        return AugmentConfig(
-            noise_sigma=self.noise_sigma, mask_prob=self.mask_prob, seed=self.seed
-        )
 
 
 @dataclass
@@ -150,27 +163,10 @@ class RunReport:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        raw = json.loads(text)
-        return cls(
-            loss_curve=raw["loss_curve"],
-            info_plane_curve=[im.InfoPlanePoint(**p) for p in raw["info_plane_curve"]],
-            final_linear_accuracy=raw["final_linear_accuracy"],
-            checkpoint_path=raw["checkpoint_path"],
-            kmeans_trace=raw.get("kmeans_trace", []),
-        )
 
-
-def _run_kmeans(points: np.ndarray, spec: dict, seed: int) -> cl.KMeansResult:
-    """k-means for a ``kmeans`` spec: the one place its defaults are set."""
-    return cl.kmeans(
-        points,
-        spec["K"],
-        max_iters=spec.get("max_iters", 50),
-        tol=spec.get("tol", 1e-8),
-        seed=spec.get("seed", seed),
-    )
+def _run_kmeans(points: np.ndarray, spec: dict) -> cl.KMeansResult:
+    """k-means on a parsed ``kmeans`` spec, whose keys are its arguments."""
+    return cl.kmeans(points, **{k: v for k, v in spec.items() if k != "source"})
 
 
 def build_clusters(d: Dataset, spec: dict, embeddings: np.ndarray | None = None):
@@ -178,8 +174,8 @@ def build_clusters(d: Dataset, spec: dict, embeddings: np.ndarray | None = None)
 
     A ``kmeans`` source clusters ``embeddings`` (the raw features if None).
     """
-    check_cluster_spec(spec)
-    source = spec.get("source")
+    spec = parse_cluster_spec(spec)
+    source = spec["source"]
     if source == "labels":
         if d.labels is None:
             raise DataError("labels cluster source needs a labeled dataset")
@@ -197,13 +193,15 @@ def build_clusters(d: Dataset, spec: dict, embeddings: np.ndarray | None = None)
         return cl.clusters_from_hierarchy(tree, spec["level"], d)
     if source == "kmeans":
         points = embeddings if embeddings is not None else d.features
-        return _run_kmeans(points, spec, 0).assignment
-    if source == "synthetic":
-        if d.labels is None:
-            raise DataError("synthetic cluster source needs labels")
-        return cl.synthesize_clusters(
-            d.labels, {k: v for k, v in spec.items() if k != "source"}
-        )
+        return _run_kmeans(points, spec).assignment
+    if d.labels is None:
+        raise DataError("synthetic cluster source needs labels")
+    if spec["mode"] == "coarsen":
+        return cl.coarsen_clusters(d.labels, spec["merge_groups"])
+    refined = cl.refine_clusters(d.labels, spec["splits_per_class"], spec["seed"])
+    if spec["mode"] == "refine":
+        return refined
+    return cl.permute_clusters(d.labels, refined, spec["fixed_class_set"], spec["seed"])
 
 
 def _init_run(d: Dataset, cfg: TrainConfig):
@@ -225,8 +223,8 @@ def _init_run(d: Dataset, cfg: TrainConfig):
 
 
 def _train_one_epoch(d, clusters, cfg, model, state, rng, steps_per_epoch) -> float:
-    critic = cfg.critic()
-    aug = cfg.augment()
+    critic = obj.CriticConfig(temperature=cfg.temperature)
+    aug = AugmentConfig(noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob, seed=cfg.seed)
     losses = []
     for _ in range(steps_per_epoch):
         batch = obj.sample_pair_batch(clusters, cfg.batch_size, rng)
@@ -260,15 +258,15 @@ def train(
     state after epoch e-1; the recluster after the last epoch only completes
     the trace.
     """
-    spec = cfg.cluster_source
-    refresh = spec.get("source") == "kmeans"
+    spec = parse_cluster_spec(cfg.cluster_source, cfg.seed)
+    refresh = spec["source"] == "kmeans"
     model, state, steps_per_epoch = _init_run(d, cfg)
     rng = np.random.default_rng(cfg.seed)
     trace = []
     info_curve = []
 
     def recluster():
-        result = _run_kmeans(enc.embed(model, d.features), spec, cfg.seed)
+        result = _run_kmeans(enc.embed(model, d.features), spec)
         trace.append({"epoch": len(trace), "encoder_step_count": state.step_count,
                       "inertia_history": list(result.inertia_history)})
         return result.assignment

@@ -1,9 +1,13 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import clnce
 from clnce.cli import main
 from clnce.data import Dataset, save_dataset, save_hierarchy
 from clnce.datagen import make_mixture_dataset
@@ -33,6 +37,14 @@ def workspace(tmp_path):
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
     return tmp_path, data_path, hier_path, cfg_path
+
+
+def update_train_config(cfg_path, **values):
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
+    cfg["train"].update(values)
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
 
 
 class TestTrain:
@@ -117,8 +129,9 @@ class TestBadInput:
         )
 
     @pytest.mark.parametrize("command", ["make-clusters", "train"])
-    def test_kmeans_distance_overflow(self, workspace, capsys, command):
-        # finite features whose squared distances overflow to inf
+    def test_kmeans_distance_overflow(self, workspace, command):
+        # finite features whose squared distances overflow to inf; run in a
+        # child process, where numpy's warnings reach stderr
         tmp_path, _, _, cfg_path = workspace
         rng = np.random.default_rng(0)
         features = rng.choice([-1.0, 1.0], size=(8, 2)) * 1e160 * (1 + rng.random((8, 2)))
@@ -136,8 +149,15 @@ class TestBadInput:
             with open(cfg_path, "w") as fh:
                 json.dump(cfg, fh)
             argv = ["train", "--config", cfg_path, "--out", str(tmp_path / "x")]
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.run_bad(argv, capsys, "NumericError")
+        src = str(pathlib.Path(clnce.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "clnce.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error [NumericError]: squared distances overflow in k-means++ seeding"
+        ]
 
     def test_malformed_run_config(self, workspace, capsys):
         tmp_path, _, _, cfg_path = workspace
@@ -195,6 +215,89 @@ class TestBadInput:
         )
         assert f"needs key {key}" in err
         assert not os.path.exists(str(tmp_path / "x"))
+
+    @pytest.mark.parametrize("values", [
+        {"seed": -1},
+        {"cluster_source": {"source": "kmeans", "K": 3, "seed": -1}},
+        {"cluster_source": {"source": "synthetic", "mode": "refine", "splits_per_class": "2"}},
+        {"cluster_source": {"source": "synthetic", "mode": "coarsen", "merge_groups": 5}},
+        {"cluster_source": {"source": "synthetic", "mode": "coarsen",
+                            "merge_groups": [[0, 1], [2, "x"]]}},
+        {"cluster_source": {"source": "synthetic", "mode": "permute", "splits_per_class": 1,
+                            "fixed_class_set": 5}},
+        {"encoder_widths": []},
+        {"projection_widths": []},
+        {"encoder_widths": [0]},
+        {"peak_lr": -1},
+        {"eval_epochs": -1},
+        {"cluster_source": {"source": "labels", "K": 3}},
+    ], ids=json.dumps)
+    def test_bad_train_value(self, workspace, capsys, values):
+        tmp_path, _, _, cfg_path = workspace
+        update_train_config(cfg_path, **values)
+        err = self.run_bad(
+            ["train", "--config", cfg_path, "--out", str(tmp_path / "x")],
+            capsys, "ParameterError",
+        )
+        assert len(err.splitlines()) == 1
+        assert not os.path.exists(str(tmp_path / "x"))
+
+    @pytest.mark.parametrize("key, value", [("data", None), ("data", 5), ("hierarchy", 5)])
+    def test_bad_run_config_path(self, workspace, capsys, key, value):
+        tmp_path, _, _, cfg_path = workspace
+        with open(cfg_path) as fh:
+            cfg = json.load(fh)
+        cfg[key] = value
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        err = self.run_bad(
+            ["train", "--config", cfg_path, "--out", str(tmp_path / "x")],
+            capsys, "ParameterError",
+        )
+        assert f"key '{key}' must be a path" in err
+
+    @pytest.mark.parametrize("command", ["make-data", "verify-bounds", "train", "make-clusters"])
+    def test_negative_seed_flag(self, workspace, capsys, command):
+        tmp_path, data_path, _, cfg_path = workspace
+        out = str(tmp_path / "x")
+        argv = {
+            "make-data": ["make-data", "--out", out],
+            "verify-bounds": ["verify-bounds", "--models", "1"],
+            "train": ["train", "--config", cfg_path, "--out", out],
+            "make-clusters": ["make-clusters", "--data", data_path, "--source", "kmeans",
+                              "--K", "2", "--out", out],
+        }[command]
+        err = self.run_bad(argv + ["--seed", "-1"], capsys, "ParameterError")
+        assert "'seed' must be an int >= 0, got -1" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["make-clusters", "train"])
+    def test_hierarchy_without_leaf_labels(self, workspace, capsys, command):
+        tmp_path, data_path, hier_path, cfg_path = workspace
+        with open(hier_path, "w") as fh:
+            fh.write("root\ta\n")
+        if command == "make-clusters":
+            argv = ["make-clusters", "--data", data_path, "--hierarchy", hier_path,
+                    "--source", "hierarchy", "--level", "1", "--out", str(tmp_path / "c.csv")]
+        else:
+            update_train_config(cfg_path, cluster_source={"source": "hierarchy", "level": 1})
+            argv = ["train", "--config", cfg_path, "--out", str(tmp_path / "x")]
+        err = self.run_bad(argv, capsys, "SchemaError")
+        assert f"{hier_path}: no leaf" in err
+
+    @pytest.mark.parametrize("which", ["data", "hierarchy"])
+    def test_file_not_utf8(self, workspace, capsys, which):
+        tmp_path, data_path, hier_path, cfg_path = workspace
+        path = data_path if which == "data" else hier_path
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe" + blob)
+        err = self.run_bad(
+            ["train", "--config", cfg_path, "--out", str(tmp_path / "x")],
+            capsys, "SchemaError",
+        )
+        assert f"{path}: not UTF-8" in err
 
     def test_missing_key_in_infoplane_spec(self, workspace, capsys):
         tmp_path, _, _, cfg_path = workspace

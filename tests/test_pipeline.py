@@ -13,7 +13,6 @@ from clnce.encoder import EncoderModel, embed, forward, init_model
 from clnce.errors import DataError, ParameterError
 from clnce.info import info_plane_point
 from clnce.pipeline import (
-    RunReport,
     TrainConfig,
     _fit_probe,
     build_clusters,
@@ -66,6 +65,15 @@ class TestTrainConfig:
     def test_bad_batch_size(self):
         with pytest.raises(ParameterError):
             TrainConfig(batch_size=1)
+
+    @pytest.mark.parametrize("kw", [
+        {"epochs": 0}, {"seed": -1}, {"peak_lr": -0.5},
+        {"eval_epochs": -1}, {"encoder_widths": ()}, {"projection_widths": (4, 0)},
+    ])
+    def test_constructor_checks_ranges(self, kw):
+        # every construction is checked, not only from_dict
+        with pytest.raises(ParameterError, match=f"key '{next(iter(kw))}' must be"):
+            TrainConfig(**kw)
 
     def test_widths_normalized_to_tuples(self):
         cfg = TrainConfig.from_dict({"encoder_widths": [16, 8]})
@@ -150,6 +158,28 @@ class TestBuildClusters:
             build_clusters(self.d, spec)
         with pytest.raises(ParameterError, match=f"key '{key}' must be"):
             small_config(cluster_source=spec)
+
+    @pytest.mark.parametrize("spec", [
+        {"source": "labels", "K": 3},
+        {"source": "kmeans", "K": 3, "mode": "refine"},
+        {"source": "synthetic", "mode": "coarsen", "merge_groups": [[0, 1, 2]], "seed": 0},
+    ])
+    def test_unknown_spec_key(self, spec):
+        with pytest.raises(ParameterError, match="unknown .* cluster spec keys"):
+            build_clusters(self.d, spec)
+        with pytest.raises(ParameterError, match="unknown .* cluster spec keys"):
+            small_config(cluster_source=spec)
+
+    def test_unknown_synthetic_mode(self):
+        with pytest.raises(ParameterError, match="unknown synthetic mode"):
+            build_clusters(self.d, {"source": "synthetic", "mode": "shuffle"})
+
+    def test_parse_fills_defaults(self):
+        assert pipeline.parse_cluster_spec({"source": "kmeans", "K": 3}, seed=7) == {
+            "source": "kmeans", "K": 3, "max_iters": 50, "tol": 1e-8, "seed": 7}
+        spec = {"source": "synthetic", "mode": "permute", "splits_per_class": 2}
+        assert pipeline.parse_cluster_spec(spec, seed=7) == {
+            **spec, "fixed_class_set": (), "seed": 0}
 
     def test_int_tol_accepted(self):
         c = build_clusters(self.d, {"source": "kmeans", "K": 5, "seed": 1, "tol": 0})
@@ -384,18 +414,6 @@ class TestLinearEvaluateProperties:
         acc = linear_evaluate(model, train_data, eval_data)
         ref_acc, _, _ = linear_evaluate_reference(model, train_data, eval_data)
         assert acc == ref_acc
-
-
-class TestRunReport:
-    def test_json_round_trip(self):
-        d = small_dataset(n=80)
-        cfg = small_config()
-        _, report = train(d, cfg)
-        restored = RunReport.from_json(report.to_json())
-        assert restored.loss_curve == report.loss_curve
-        assert restored.info_plane_curve == report.info_plane_curve
-        assert restored.final_linear_accuracy == report.final_linear_accuracy
-        assert restored.kmeans_trace == report.kmeans_trace
 
 
 class TestInfoPlaneExperiment:
