@@ -78,10 +78,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    epochs = pl.parse_value("eval_epochs", args.epochs)
+    lr = pl.parse_value("eval_lr", args.lr)
     model, _ = enc.load_checkpoint(args.checkpoint)
     train_data = load_dataset(args.train_data)
     eval_data = load_dataset(args.eval_data)
-    acc = pl.linear_evaluate(model, train_data, eval_data, epochs=args.epochs, lr=args.lr)
+    acc = pl.linear_evaluate(model, train_data, eval_data, epochs=epochs, lr=lr)
     print(f"linear accuracy {acc:.4f}")
     return 0
 
@@ -106,6 +108,8 @@ def _cmd_infoplane(args) -> int:
 
 
 def _cmd_verify_bounds(args) -> int:
+    if args.models < 1:
+        raise ParameterError(f"--models must be an int >= 1, got {args.models}")
     rng = np.random.default_rng(args.seed)
     all_ok = True
     for i in range(args.models):

@@ -187,16 +187,17 @@ def clusters_from_hierarchy(
     return ClusterAssignment(assignment, n_clusters, provenance=f"hierarchy({level})")
 
 
-# element budget of one block of rows, or of (rows, K, D) broadcast terms
-_BROADCAST_BLOCK = 1 << 18
+# element budgets of one block of (rows, K, D) broadcast terms, and of one
+# block of gathered rows (256 KB, within a core's L2 cache)
+_BROADCAST_BLOCK, _GATHER_BLOCK = 1 << 18, 1 << 15
 
 
 def _sq_dist(points: np.ndarray, rows: np.ndarray, centers) -> np.ndarray:
     """``((points[rows] - centers) ** 2).sum(axis=1)`` bit for bit, with
     ``centers`` a scalar, one row, or one row per entry of ``rows``. Rows are
-    gathered ``_BROADCAST_BLOCK // D`` at a time into one buffer: no (len(rows),
+    gathered ``_GATHER_BLOCK // D`` at a time into one buffer: no (len(rows),
     D) temporary, and each row still sums along its contiguous axis."""
-    step = max(1, _BROADCAST_BLOCK // max(1, points.shape[1]))
+    step = max(1, _GATHER_BLOCK // max(1, points.shape[1]))
     buf = np.empty((min(step, rows.size), points.shape[1]))
     out = np.empty(rows.size)
     for lo in range(0, rows.size, step):
@@ -331,8 +332,9 @@ def kmeans(
     The seeding's nearest centroids serve as the first iteration's. Inertia
     is summed from the exact assigned distances, and centroid means add the
     same rows in the same order. Beyond the input, memory is O(nK) plus one
-    block of ``_BROADCAST_BLOCK`` floats and the rows of one cluster at a
-    time in the centroid update; no (n, D) temporary is formed.
+    block of ``_BROADCAST_BLOCK`` broadcast terms, one of ``_GATHER_BLOCK``
+    gathered rows, and the rows of one cluster at a time in the centroid
+    update; no (n, D) temporary is formed.
     """
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():

@@ -112,15 +112,28 @@ def _as_input(model: EncoderModel, x) -> np.ndarray:
     return x
 
 
-def embed(model: EncoderModel, x: np.ndarray) -> np.ndarray:
+# rows per block of a full-set pass: its activations stay in cache
+ROW_BLOCK = 256
+
+
+def embed(model: EncoderModel, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Encoder output only: bit-identical to ``forward(model, x)[0]``, without
-    the projection head, the L2 norms or the backward cache."""
-    h = _as_input(model, x)
-    for w, b in model.encoder_layers:
-        h = h @ w
-        h += b
-        np.maximum(h, 0.0, out=h)
-    return h
+    the projection head, the L2 norms or the backward cache. Rows run in
+    blocks of ``ROW_BLOCK`` into ``out``, any (n, D) array (a transposed view
+    too). No block has one row unless x does: numpy sends a single row
+    through GEMV, whose bits differ from those of GEMM rows."""
+    x = _as_input(model, x)
+    if out is None:
+        out = np.empty((len(x), model.encoder_layers[-1][0].shape[1]))
+    edges = [*range(0, max(len(x) - 1, 1), ROW_BLOCK), len(x)]
+    for lo, hi in zip(edges, edges[1:]):
+        h = x[lo:hi]
+        for w, b in model.encoder_layers:
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+        out[lo:hi] = h
+    return out
 
 
 def forward(model: EncoderModel, x: np.ndarray):
@@ -292,7 +305,9 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
             raise ValueError("encoder and projection widths do not chain")
         n_enc = len(enc) - 1
         hyper = OptimizerHyper(**header["hyper"])
-        step_count = int(header["step_count"])
+        step_count = header["step_count"]
+        if not (type(step_count) is int and step_count >= 0):
+            raise ValueError(f"step_count {step_count!r} is not an int >= 0")
         # the parameters, then the momentum in the same layout
         expected = 2 * 8 * sum(din * dout + dout for din, dout in layer_shapes)
     except (ValueError, KeyError, TypeError) as exc:

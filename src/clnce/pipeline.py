@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,8 @@ _KINDS = {
     **dict.fromkeys(("data", "hierarchy"), ("a path", lambda v: isinstance(v, str))),
     **dict.fromkeys(("k", "level", "K", "max_iters", "splits_per_class"), _INT),
     **dict.fromkeys(("temperature", "momentum", "weight_decay", "noise_sigma",
-                     "mask_prob", "eval_lr", "tol", "train_fraction"), _FLOAT),
+                     "mask_prob", "tol", "train_fraction"), _FLOAT),
+    "eval_lr": ("a finite number", lambda v: _FLOAT[1](v) and abs(v) <= sys.float_info.max),
     "epochs": ("an int >= 1", lambda v: _int(v) and v >= 1),
     "batch_size": ("an int >= 2", lambda v: _int(v) and v >= 2),
     "seed": _COUNT,
@@ -308,27 +310,52 @@ def linear_evaluate(
 
     The projection head plays no part here; only the encoder embedding is
     read. Full-batch gradient descent from a zero init is deterministic. The
-    fit holds only the transposed train embedding; the eval rows are
-    embedded after it.
+    train rows are embedded straight into the (D, n) layout the fit reads
+    and standardised there; the eval rows are embedded after the fit, so
+    one (n, D) array is live at a time.
     """
     if train_data.labels is None or eval_data.labels is None:
         raise DataError("linear evaluation needs labeled train and eval sets")
-    # standardize with train statistics for a well-conditioned probe, in
-    # place: embed returns fresh arrays
-    x = enc.embed(model, train_data.features)
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
+    xt = np.empty((model.encoder_layers[-1][0].shape[1], train_data.num_samples))
+    x = enc.embed(model, train_data.features, out=xt.T)
+    # standardize with train statistics for a well-conditioned probe
+    mu, sd = _mean_std(x)
     sd[sd == 0] = 1.0
     x -= mu
     x /= sd
-    xt = np.ascontiguousarray(x.T)
-    del x
     num_classes = max(train_data.num_classes, eval_data.num_classes)
     w, b = _fit_probe(xt, train_data.labels, num_classes, epochs, lr)
-    del xt
-    x = (enc.embed(model, eval_data.features) - mu) / sd
+    del x, xt
+    x = enc.embed(model, eval_data.features)
+    x -= mu
+    x /= sd
     preds = (w @ x.T + b).argmax(axis=0)
     return float((preds == eval_data.labels).mean())
+
+
+def _mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x.mean(axis=0)`` and ``x.std(axis=0)`` of a row-major copy of ``x``,
+    bit for bit, with no (n, D) temporary. For D >= 2 numpy sums such an
+    array's rows in order from 0.0, which blocks summed under a carry row
+    repeat; a column is contiguous in any layout, and numpy sums it pairwise."""
+    n, dim = x.shape
+    if dim == 1:
+        return x.mean(axis=0), x.std(axis=0)
+    buf = np.empty((enc.ROW_BLOCK + 1, dim))
+
+    def column_sum(shift, square):
+        carry = np.zeros(dim)
+        for lo in range(0, n, enc.ROW_BLOCK):
+            block = buf[: 1 + min(enc.ROW_BLOCK, n - lo)]
+            block[0] = carry
+            rows = np.subtract(x[lo : lo + enc.ROW_BLOCK], shift, out=block[1:])
+            if square:
+                np.multiply(rows, rows, out=rows)
+            block.sum(axis=0, out=carry)
+        return carry
+
+    mu = column_sum(0.0, False) / n  # x - 0.0 has the bits of x
+    return mu, np.sqrt(column_sum(mu, True) / n)
 
 
 def _fit_probe(xt, labels, num_classes: int, epochs: int, lr: float):

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -347,6 +348,48 @@ class TestBadInput:
             capsys, "StateError",
         )
         assert "layer widths" in err
+
+    @pytest.mark.parametrize("step_count", [b"1e999", b"2.7", b"-1", b"true", b'"3"'])
+    def test_ill_typed_checkpoint_step_count(self, workspace, capsys, step_count):
+        tmp_path, data_path, _, cfg_path = workspace
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        ckpt = os.path.join(out, "checkpoint.bin")
+        with open(ckpt, "rb") as fh:
+            blob = fh.read()
+        with open(ckpt, "wb") as fh:
+            fh.write(re.sub(rb'"step_count": \d+', b'"step_count": ' + step_count, blob, 1))
+        capsys.readouterr()
+        err = self.run_bad(
+            ["eval", "--checkpoint", ckpt, "--train-data", data_path,
+             "--eval-data", data_path, "--epochs", "5"],
+            capsys, "StateError",
+        )
+        assert "step_count" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "-5", "'eval_epochs' must be an int >= 0, got -5"),
+        ("--lr", "nan", "'eval_lr' must be a finite number, got nan"),
+        ("--lr", "-inf", "'eval_lr' must be a finite number, got -inf"),
+    ])
+    def test_bad_eval_flag(self, workspace, capsys, flag, value, message):
+        tmp_path, data_path, _, cfg_path = workspace
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        capsys.readouterr()
+        err = self.run_bad(
+            ["eval", "--checkpoint", os.path.join(out, "checkpoint.bin"),
+             "--train-data", data_path, "--eval-data", data_path, f"{flag}={value}"],
+            capsys, "ParameterError",
+        )
+        assert message in err
+        assert "linear accuracy" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("models", ["-3", "0"])
+    def test_verify_bounds_needs_a_model(self, capsys, models):
+        err = self.run_bad(["verify-bounds", "--models", models], capsys, "ParameterError")
+        assert "--models must be an int >= 1" in err
+        assert "all chains hold" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("spec, key", [
         ({"source": "kmeans", "K": "x"}, "'K'"),

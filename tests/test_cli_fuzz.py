@@ -1,6 +1,7 @@
-"""Fuzzed run configs, cluster specs, hierarchy TSVs and dataset CSVs through
-``clnce.cli.main``. The only outcomes allowed are exit 0, or exit 2 or 3
-with one ``error [...]`` line on stderr; a traceback fails the test.
+"""Fuzzed run configs, cluster specs, hierarchy TSVs, dataset CSVs and
+checkpoints through ``clnce.cli.main``. The only outcomes allowed are exit
+0, or exit 2 or 3 with one ``error [...]`` line on stderr; a traceback fails
+the test.
 
 Each input is a valid one with a few values, lines or cells replaced, so
 that runs reach training as well as the parsers."""
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from clnce.cli import main
 from clnce.datagen import make_mixture_dataset
+from clnce.encoder import OptimizerHyper, OptimizerState, init_model, save_checkpoint
 from clnce.pipeline import TrainConfig
 
 FUZZ = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -48,7 +50,7 @@ BASE_TRAIN = {"epochs": 1, "batch_size": 4, "encoder_widths": [4], "projection_w
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    names = ("data.csv", "hier.tsv", "run.json", "out", "clusters.csv")
+    names = ("data.csv", "hier.tsv", "run.json", "out", "clusters.csv", "ckpt.bin")
     return {name: str(root / name) for name in names}
 
 
@@ -162,3 +164,74 @@ def test_dataset_csv(paths, base, edits, rows, sep):
     spec = {"source": "kmeans", "K": 2, "max_iters": 2}
     run_train(paths, {**BASE_TRAIN, "cluster_source": spec},
               data_rows=table, sep=sep)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(paths):
+    """The header (a dict) and the parameter blocks of a valid checkpoint for
+    DATA's three features."""
+    model = init_model([3, 4], [4, 3], seed=0)
+    save_checkpoint(model, OptimizerState.for_model(model, OptimizerHyper()), paths["ckpt.bin"])
+    with open(paths["ckpt.bin"], "rb") as fh:
+        return json.loads(fh.readline()), fh.read()
+
+
+DELETE = object()
+EDITS = st.one_of(VALUES, st.just(DELETE))
+
+
+def edited(mapping, edits):
+    out = dict(mapping)
+    for key, value in edits.items():
+        if value is DELETE:
+            out.pop(key, None)
+        else:
+            out[key] = value
+    return out
+
+
+def resized(header, blob):
+    """``blob`` repeated or cut to the size the header's widths imply, so that
+    edited widths can reach the probe; ``blob`` itself where they imply none."""
+    try:
+        dims = header["encoder_dims"][:-1] + header["projection_dims"]
+        size = 16 * sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+    except (KeyError, TypeError):
+        return blob
+    if not (isinstance(size, int) and 0 < size <= 1 << 20):
+        return blob
+    return (blob * (size // len(blob) + 1))[:size]
+
+
+@FUZZ
+@given(header=st.dictionaries(st.sampled_from(["encoder_dims", "projection_dims",
+                                               "step_count", "hyper", "bogus"]),
+                              EDITS, max_size=2),
+       hyper=st.dictionaries(st.sampled_from([*OptimizerHyper.__dataclass_fields__, "bogus"]),
+                             EDITS, max_size=2),
+       head=st.one_of(st.none(), st.sampled_from([b"", b"5", b"[]", b"{", b"\xff\xfe"])),
+       fit=st.booleans(),
+       cut=st.one_of(st.just(0), st.integers(-24, 24)))
+@example(header={"step_count": float("inf")}, hyper={}, head=None, fit=False, cut=0)
+@example(header={"step_count": 2.7}, hyper={}, head=None, fit=False, cut=0)
+@example(header={"encoder_dims": [3.0, 4]}, hyper={}, head=None, fit=False, cut=0)
+@example(header={"encoder_dims": [3, True]}, hyper={}, head=None, fit=False, cut=0)
+@example(header={"encoder_dims": [3, 1], "projection_dims": [1, 1]}, hyper={}, head=None,
+         fit=True, cut=0)
+@example(header={}, hyper={}, head=None, fit=False, cut=-100)
+@example(header={}, hyper={}, head=None, fit=False, cut=8)
+def test_checkpoint(paths, checkpoint, header, hyper, head, fit, cut):
+    base_header, blob = checkpoint
+    header = edited(base_header, header)
+    if isinstance(header.get("hyper"), dict):
+        header["hyper"] = edited(header["hyper"], hyper)
+    if fit:
+        blob = resized(header, blob)
+    blob = blob[:len(blob) + cut] if cut < 0 else blob + bytes(cut)
+    if head is None:
+        head = json.dumps(header).encode("utf-8")
+    with open(paths["ckpt.bin"], "wb") as fh:
+        fh.write(head + b"\n" + blob)
+    write(paths["data.csv"], [",".join(r) for r in CSV_ROWS])
+    assert_clean_outcome(["eval", "--checkpoint", paths["ckpt.bin"], "--train-data",
+                          paths["data.csv"], "--eval-data", paths["data.csv"], "--epochs", "2"])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clnce.encoder import (
+    ROW_BLOCK,
     EncoderModel,
     OptimizerHyper,
     OptimizerState,
@@ -92,9 +93,21 @@ class TestEmbed:
     @settings(max_examples=60, deadline=None)
     @given(
         widths=st.lists(st.integers(1, 9), min_size=2, max_size=4),
-        rows=st.integers(0, 12),
+        # within one block, and across blocks with every kind of tail,
+        # 1-row tails included
+        rows=st.one_of(st.integers(0, 12), st.sampled_from(
+            [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2, 2 * ROW_BLOCK,
+             2 * ROW_BLOCK + 1, 3 * ROW_BLOCK + 1, 3 * ROW_BLOCK + 77])),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(widths=[1, 1], rows=2 * ROW_BLOCK + 1, seed=0)
+    @example(widths=[5, 1, 3], rows=ROW_BLOCK + 1, seed=1)
+    @example(widths=[1, 7, 1], rows=3 * ROW_BLOCK + 77, seed=2)
+    @example(widths=[9, 9], rows=1, seed=3)
+    # a 1-row tail block would change the bits of these
+    @example(widths=[9, 9], rows=3 * ROW_BLOCK + 1, seed=4)
+    @example(widths=[2, 64], rows=ROW_BLOCK + 1, seed=1)
+    @example(widths=[64, 128, 128], rows=2 * ROW_BLOCK + 1, seed=2)
     def test_bit_identical_to_forward(self, widths, rows, seed):
         model = init_model(widths, [widths[-1], 3], seed=seed % 1000)
         rng = np.random.default_rng(seed)
@@ -105,6 +118,10 @@ class TestEmbed:
         got = embed(model, x)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+        # into a column-major view, as the linear probe embeds its train rows
+        out = np.empty((widths[-1], rows)).T
+        assert embed(model, x, out=out) is out
+        assert np.ascontiguousarray(out).tobytes() == expected.tobytes()
 
     def test_input_left_unchanged(self):
         model = init_model([3, 4], [4, 2], seed=0)

@@ -2,19 +2,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clnce import pipeline
 from clnce.clusters import kmeans
 from clnce.data import Dataset, split_dataset
 from clnce.datagen import make_balanced_hierarchy, make_blob_dataset, make_mixture_dataset
-from clnce.encoder import EncoderModel, embed, forward, init_model
+from clnce.encoder import ROW_BLOCK, EncoderModel, embed, forward, init_model
 from clnce.errors import DataError, ParameterError
 from clnce.info import info_plane_point
 from clnce.pipeline import (
     TrainConfig,
     _fit_probe,
+    _mean_std,
     build_clusters,
     linear_evaluate,
     run_info_plane_experiment,
@@ -317,9 +318,9 @@ class TestLinearEvaluate:
             linear_evaluate(model, d, d)
 
     def test_one_train_embedding_held_during_the_fit(self, monkeypatch):
-        # two (n_train, D) arrays exist only while the standardised train
-        # embedding is transposed; the fit holds the transposed copy alone,
-        # and the eval rows are embedded after it
+        # the train rows are embedded and standardised in the (D, n) layout
+        # the fit reads, and the eval rows are embedded after the fit: one
+        # (n, D) array at a time, plus a block of rows
         n, dim = 4000, 64
         rng = np.random.default_rng(0)
         model = init_model([2, dim], [dim, 2], seed=0)
@@ -341,7 +342,43 @@ class TestLinearEvaluate:
             tracemalloc.stop()
         embedding = n * dim * 8
         assert held_at_fit[0] < 1.5 * embedding
-        assert peak < 2.5 * embedding
+        assert peak < 1.3 * embedding
+
+    def test_one_embedding_held_during_a_recluster(self):
+        # the embedding, O(nK) distance terms and fixed blocks of rows
+        n, dim, K = 4000, 64, 10
+        model = init_model([2, dim], [dim, 2], seed=0)
+        x = np.random.default_rng(0).normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            kmeans(embed(model, x), K=K, max_iters=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * (n * dim * 8) + 2 * (n * K * 8)
+
+
+class TestMeanStd:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.one_of(st.integers(1, 9), st.sampled_from(
+            [ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 3 * ROW_BLOCK + 77])),
+        dim=st.integers(1, 9),
+        relu=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=3 * ROW_BLOCK + 77, dim=1, relu=False, seed=0)
+    @example(rows=2 * ROW_BLOCK + 1, dim=64, relu=True, seed=1)
+    def test_bit_identical_to_numpy_on_a_row_major_copy(self, rows, dim, relu, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, dim)) * rng.lognormal(sigma=3.0, size=(rows, 1))
+        if relu:
+            np.maximum(x, 0.0, out=x)
+        view = np.empty((dim, rows)).T  # the probe's (D, n) layout, transposed
+        view[...] = x
+        mu, sd = _mean_std(view)
+        assert mu.tobytes() == x.mean(axis=0).tobytes()
+        assert sd.tobytes() == x.std(axis=0).tobytes()
 
 
 class TestLinearEvaluateProperties:
