@@ -143,13 +143,11 @@ def _cmd_make_clusters(args) -> int:
     return 0
 
 
+_PRESETS = {"mixture": datagen.make_mixture_dataset, "blobs": datagen.make_blob_dataset}
+
+
 def _cmd_make_data(args) -> int:
-    if args.preset == "mixture":
-        d = datagen.make_mixture_dataset(seed=args.seed)
-    elif args.preset == "blobs":
-        d = datagen.make_blob_dataset(seed=args.seed)
-    else:
-        raise ParameterError(f"unknown preset {args.preset!r}")
+    d = _PRESETS[args.preset](seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, f"{args.preset}.csv")
     save_dataset(d, data_path)
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_make_clusters)
 
     p = sub.add_parser("make-data", help="generate a synthetic dataset CSV")
-    p.add_argument("--preset", choices=["mixture", "blobs"], default="mixture")
+    p.add_argument("--preset", choices=_PRESETS, default="mixture")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_data)

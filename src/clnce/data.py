@@ -132,7 +132,6 @@ class AugmentConfig:
 
     noise_sigma: float = 0.0
     mask_prob: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.noise_sigma < 0:

@@ -95,8 +95,8 @@ class ForwardCache:
 
     inputs: list[np.ndarray]        # input to each layer, encoder then proj
     pre_acts: list[np.ndarray]      # affine outputs before ReLU/normalize
-    pre_norm: np.ndarray            # projection output before normalization
-    norms: np.ndarray               # per-row L2 norms of pre_norm
+    output: np.ndarray              # the unit-norm projection forward returns
+    norms: np.ndarray               # per-row L2 norms of pre_acts[-1]
     degenerate: np.ndarray          # rows with zero pre-norm output
     params: np.ndarray              # model.params and model.version at forward
     version: int                    # time: backward refuses any other model or step
@@ -139,35 +139,28 @@ def embed(model: EncoderModel, x: np.ndarray, out: np.ndarray | None = None) -> 
 def forward(model: EncoderModel, x: np.ndarray):
     """Returns (encoder_output, projection_output, cache).
 
-    Projection rows are unit-norm except exact-zero rows, which stay zero and
-    are flagged in the cache.
+    Every layer is affine, with a ReLU between consecutive layers. Projection
+    rows are unit-norm except exact-zero rows, which stay zero and are
+    flagged in the cache.
     """
-    x = _as_input(model, x)
+    h = _as_input(model, x)
     inputs, pre_acts = [], []
-    h = x
-    for w, b in model.encoder_layers:
+    for w, b in model.encoder_layers + model.projection_layers:
+        if pre_acts:
+            h = np.maximum(h, 0.0)
         inputs.append(h)
-        z = h @ w + b
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0)
-    encoder_output = h
-    n_proj = len(model.projection_layers)
-    for li, (w, b) in enumerate(model.projection_layers):
-        inputs.append(h)
-        z = h @ w + b
-        pre_acts.append(z)
-        h = z if li == n_proj - 1 else np.maximum(z, 0.0)
-    pre_norm = h
-    norms = np.linalg.norm(pre_norm, axis=1)
+        h = h @ w
+        h += b
+        pre_acts.append(h)
+    norms = np.linalg.norm(h, axis=1)
     degenerate = norms == 0.0
-    safe = np.where(degenerate, 1.0, norms)
-    projection_output = pre_norm / safe[:, None]
-    if not np.isfinite(projection_output).all():
+    output = h / np.where(degenerate, 1.0, norms)[:, None]
+    if not np.isfinite(output).all():
         raise NumericError("non-finite projection output")
     cache = ForwardCache(
-        inputs, pre_acts, pre_norm, norms, degenerate, model.params, model.version
+        inputs, pre_acts, output, norms, degenerate, model.params, model.version
     )
-    return encoder_output, projection_output, cache
+    return inputs[len(model.encoder_layers)], output, cache
 
 
 def backward(model: EncoderModel, cache: ForwardCache, grad_wrt_projection: np.ndarray):
@@ -175,25 +168,23 @@ def backward(model: EncoderModel, cache: ForwardCache, grad_wrt_projection: np.n
     if cache.params is not model.params or cache.version != model.version:
         raise StateError("backward cache does not match this model")
     g = np.asarray(grad_wrt_projection, dtype=np.float64)
-    if g.shape != cache.pre_norm.shape:
+    u = cache.output
+    if g.shape != u.shape:
         raise ShapeError("upstream gradient shape mismatch")
     # normalization Jacobian: d(v/|v|) applied to g is (g - (g.u)u)/|v|
-    safe = np.where(cache.degenerate, 1.0, cache.norms)
-    u = cache.pre_norm / safe[:, None]
-    g = (g - (g * u).sum(axis=1, keepdims=True) * u) / safe[:, None]
+    g = g - (g * u).sum(axis=1, keepdims=True) * u
+    g /= np.where(cache.degenerate, 1.0, cache.norms)[:, None]
     g[cache.degenerate] = 0.0
 
     layers = model.encoder_layers + model.projection_layers
     grad = np.empty_like(model.params)
     grads = _views(grad, model.shapes)
-    last = len(layers) - 1
-    for li in range(last, -1, -1):
-        if li != last:  # ReLU applied after every layer except the final one
-            g = g * (cache.pre_acts[li] > 0)
+    for li in range(len(layers) - 1, -1, -1):
         np.matmul(cache.inputs[li].T, g, out=grads[li][0])
         np.sum(g, axis=0, out=grads[li][1])
-        if li:  # nothing reads the gradient with respect to the input
+        if li:  # the input of layer li is the ReLU of pre_acts[li - 1]
             g = g @ layers[li][0].T
+            g *= cache.pre_acts[li - 1] > 0
     return grad
 
 

@@ -78,7 +78,7 @@ def _check_distribution(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if (p < 0).any():
         raise DistributionError("negative probability entry")
-    if abs(p.sum() - 1.0) > 1e-9:
+    if abs(p.sum() - 1.0) > _ATOL:
         raise DistributionError(f"probabilities sum to {p.sum()}, not 1")
     return p
 

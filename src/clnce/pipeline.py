@@ -20,7 +20,7 @@ from .errors import DataError, NumericError, ParameterError
 
 
 def _int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    return isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63
 
 
 def _ints(v) -> bool:
@@ -29,24 +29,25 @@ def _ints(v) -> bool:
 
 # The JSON kind of every value a run config carries, by key: the file paths,
 # train_fraction, the TrainConfig fields and the cluster-spec keys. A kind is
-# a description and a test; bools are never numbers. A kind bounds a value
-# only where nothing checks it before training: the objects that use the
-# other values check them (temperature, momentum, k, K, ...).
+# a description and a test; bools are never numbers, an int fits in int64 and
+# a number in a finite float64. A kind bounds a value only where nothing
+# checks it before training: the objects that use the other values check
+# them (temperature, momentum, k, K, ...).
 _INT = ("an int", _int)
-_FLOAT = ("a number", lambda v: _int(v) or isinstance(v, float))
+_FLOAT = ("a finite number", lambda v: (_int(v) or isinstance(v, float))
+          and abs(v) <= sys.float_info.max)
 _COUNT = ("an int >= 0", lambda v: _int(v) and v >= 0)
 _WIDTHS = ("a non-empty list of positive ints", lambda v: _ints(v) and v and min(v) > 0)
 _KINDS = {
     **dict.fromkeys(("data", "hierarchy"), ("a path", lambda v: isinstance(v, str))),
     **dict.fromkeys(("k", "level", "K", "max_iters", "splits_per_class"), _INT),
     **dict.fromkeys(("temperature", "momentum", "weight_decay", "noise_sigma",
-                     "mask_prob", "tol", "train_fraction"), _FLOAT),
-    "eval_lr": ("a finite number", lambda v: _FLOAT[1](v) and abs(v) <= sys.float_info.max),
+                     "mask_prob", "tol", "train_fraction", "eval_lr"), _FLOAT),
     "epochs": ("an int >= 1", lambda v: _int(v) and v >= 1),
     "batch_size": ("an int >= 2", lambda v: _int(v) and v >= 2),
     "seed": _COUNT,
     "eval_epochs": _COUNT,
-    "peak_lr": ("a number >= 0", lambda v: _FLOAT[1](v) and v >= 0),
+    "peak_lr": ("a finite number >= 0", lambda v: _FLOAT[1](v) and v >= 0),
     "warmup_steps": ("an int or null", lambda v: v is None or _int(v)),
     "cluster_source": ("a JSON object", lambda v: isinstance(v, dict)),
     "encoder_widths": _WIDTHS,
@@ -156,14 +157,7 @@ class RunReport:
     kmeans_trace: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "loss_curve": self.loss_curve,
-            "info_plane_curve": [dataclasses.asdict(p) for p in self.info_plane_curve],
-            "final_linear_accuracy": self.final_linear_accuracy,
-            "checkpoint_path": self.checkpoint_path,
-            "kmeans_trace": self.kmeans_trace,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def _run_kmeans(points: np.ndarray, spec: dict) -> cl.KMeansResult:
@@ -171,11 +165,9 @@ def _run_kmeans(points: np.ndarray, spec: dict) -> cl.KMeansResult:
     return cl.kmeans(points, **{k: v for k, v in spec.items() if k != "source"})
 
 
-def build_clusters(d: Dataset, spec: dict, embeddings: np.ndarray | None = None):
-    """Construct a ClusterAssignment from a cluster-source spec dict.
-
-    A ``kmeans`` source clusters ``embeddings`` (the raw features if None).
-    """
+def build_clusters(d: Dataset, spec: dict):
+    """Construct a ClusterAssignment from a cluster-source spec dict; a
+    ``kmeans`` source clusters the features of ``d``."""
     spec = parse_cluster_spec(spec)
     source = spec["source"]
     if source == "labels":
@@ -194,8 +186,7 @@ def build_clusters(d: Dataset, spec: dict, embeddings: np.ndarray | None = None)
         tree = cl.prune_to_tree(d.hierarchy)
         return cl.clusters_from_hierarchy(tree, spec["level"], d)
     if source == "kmeans":
-        points = embeddings if embeddings is not None else d.features
-        return _run_kmeans(points, spec).assignment
+        return _run_kmeans(d.features, spec).assignment
     if d.labels is None:
         raise DataError("synthetic cluster source needs labels")
     if spec["mode"] == "coarsen":
@@ -226,7 +217,7 @@ def _init_run(d: Dataset, cfg: TrainConfig):
 
 def _train_one_epoch(d, clusters, cfg, model, state, rng, steps_per_epoch) -> float:
     critic = obj.CriticConfig(temperature=cfg.temperature)
-    aug = AugmentConfig(noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob, seed=cfg.seed)
+    aug = AugmentConfig(noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob)
     losses = []
     for _ in range(steps_per_epoch):
         batch = obj.sample_pair_batch(clusters, cfg.batch_size, rng)
@@ -361,7 +352,7 @@ def _mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _fit_probe(xt, labels, num_classes: int, epochs: int, lr: float):
     """Softmax regression on the columns of ``xt`` (D, n) by full-batch
     gradient descent from zero; returns class-major weights (C, D) and bias
-    (C, 1).
+    (C, 1). Raises NumericError if the fit diverges to non-finite weights.
 
     Logits are laid out (C, n): the softmax max and sum over the classes
     combine C rows of n entries elementwise, where an (n, C) layout reduces
@@ -372,16 +363,19 @@ def _fit_probe(xt, labels, num_classes: int, epochs: int, lr: float):
     w = np.zeros((num_classes, dim))
     b = np.zeros((num_classes, 1))
     g = np.empty((num_classes, n))
-    for _ in range(epochs):
-        np.matmul(w, xt, out=g)
-        g += b
-        g -= g.max(axis=0)
-        np.exp(g, out=g)
-        g /= g.sum(axis=0)
-        g -= targets
-        g /= n
-        w -= lr * (g @ xt.T)
-        b -= lr * g.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            np.matmul(w, xt, out=g)
+            g += b
+            g -= g.max(axis=0)
+            np.exp(g, out=g)
+            g /= g.sum(axis=0)
+            g -= targets
+            g /= n
+            w -= lr * (g @ xt.T)
+            b -= lr * g.sum(axis=1, keepdims=True)
+    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        raise NumericError(f"linear probe diverged to non-finite weights at lr {lr!r}")
     return w, b
 
 

@@ -70,6 +70,58 @@ def cl_infonce_grad_reference(scores: np.ndarray) -> np.ndarray:
     return (softmax - np.eye(n)) / n
 
 
+def forward_reference(model, x):
+    """The two-loop ``encoder.forward``: the encoder layers, each followed by
+    a ReLU, then the projection layers with a ReLU between them, then the L2
+    normalisation. Returns (encoder_output, projection_output, cache), its
+    cache a dict with the inputs, pre_acts, pre_norm, norms and degenerate
+    flags of each row. The one-loop version must give the same bits."""
+    h = np.asarray(x, dtype=np.float64)
+    inputs, pre_acts = [], []
+    for w, b in model.encoder_layers:
+        inputs.append(h)
+        z = h @ w + b
+        pre_acts.append(z)
+        h = np.maximum(z, 0.0)
+    encoder_output = h
+    n_proj = len(model.projection_layers)
+    for li, (w, b) in enumerate(model.projection_layers):
+        inputs.append(h)
+        z = h @ w + b
+        pre_acts.append(z)
+        h = z if li == n_proj - 1 else np.maximum(z, 0.0)
+    pre_norm = h
+    norms = np.linalg.norm(pre_norm, axis=1)
+    degenerate = norms == 0.0
+    safe = np.where(degenerate, 1.0, norms)
+    projection_output = pre_norm / safe[:, None]
+    cache = {"inputs": inputs, "pre_acts": pre_acts, "pre_norm": pre_norm,
+             "norms": norms, "degenerate": degenerate}
+    return encoder_output, projection_output, cache
+
+
+def backward_reference(model, cache, grad_wrt_projection):
+    """The original ``encoder.backward`` on a ``forward_reference`` cache: it
+    renormalises pre_norm and masks with a new array per layer. Returns the
+    (weight, bias) gradient of each layer, encoder then projection."""
+    g = np.asarray(grad_wrt_projection, dtype=np.float64)
+    # normalization Jacobian: d(v/|v|) applied to g is (g - (g.u)u)/|v|
+    safe = np.where(cache["degenerate"], 1.0, cache["norms"])
+    u = cache["pre_norm"] / safe[:, None]
+    g = (g - (g * u).sum(axis=1, keepdims=True) * u) / safe[:, None]
+    g[cache["degenerate"]] = 0.0
+    layers = model.encoder_layers + model.projection_layers
+    grads = [None] * len(layers)
+    last = len(layers) - 1
+    for li in range(last, -1, -1):
+        if li != last:  # ReLU applied after every layer except the final one
+            g = g * (cache["pre_acts"][li] > 0)
+        grads[li] = (cache["inputs"][li].T @ g, g.sum(axis=0))
+        if li:
+            g = g @ layers[li][0].T
+    return grads
+
+
 def kmeans_pp_init_reference(
     points: np.ndarray, K: int, rng: np.random.Generator
 ) -> np.ndarray:

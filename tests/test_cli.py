@@ -243,6 +243,56 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert not os.path.exists(str(tmp_path / "x"))
 
+    @pytest.mark.parametrize("key, value", [pytest.param(*kv, id=kv[0]) for kv in [
+        ("peak_lr", 10**400), ("temperature", float("inf")), ("momentum", -10**400),
+        ("weight_decay", 10**400), ("noise_sigma", float("nan")), ("mask_prob", 10**400),
+        ("tol", float("nan")), ("train_fraction", 10**400), ("eval_lr", float("-inf")),
+        ("epochs", 10**400), ("batch_size", 10**400), ("eval_epochs", 10**400),
+    ]])
+    def test_number_out_of_range(self, workspace, capsys, key, value):
+        # numbers a float64 or an int64 cannot hold, or NaN and +-Infinity
+        tmp_path, _, _, cfg_path = workspace
+        with open(cfg_path) as fh:
+            cfg = json.load(fh)
+        if key == "train_fraction":
+            cfg[key] = value
+        elif key == "tol":
+            cfg["train"]["cluster_source"] = {"source": "kmeans", "K": 3, key: value}
+        else:
+            cfg["train"][key] = value
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        err = self.run_bad(
+            ["train", "--config", cfg_path, "--out", str(tmp_path / "x")],
+            capsys, "ParameterError",
+        )
+        assert f"key '{key}' must be" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_probe_divergence(self, workspace, command):
+        # run in a child process, where numpy's warnings reach stderr
+        tmp_path, data_path, _, cfg_path = workspace
+        out = str(tmp_path / "run")
+        if command == "eval":
+            assert main(["train", "--config", cfg_path, "--out", out]) == 0
+            argv = ["eval", "--checkpoint", os.path.join(out, "checkpoint.bin"),
+                    "--train-data", data_path, "--eval-data", data_path,
+                    "--lr", "1e308", "--epochs", "5"]
+        else:
+            update_train_config(cfg_path, eval_lr=1e308, eval_epochs=5)
+            argv = ["train", "--config", cfg_path, "--out", out]
+        src = str(pathlib.Path(clnce.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "clnce.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error [NumericError]: linear probe diverged to non-finite weights at lr 1e+308"
+        ]
+
     @pytest.mark.parametrize("key, value", [("data", None), ("data", 5), ("hierarchy", 5)])
     def test_bad_run_config_path(self, workspace, capsys, key, value):
         tmp_path, _, _, cfg_path = workspace

@@ -23,11 +23,12 @@ FUZZ = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 DATA = make_mixture_dataset(num_classes=3, dim=3, num_samples=24, num_attributes=2, seed=0)
 
-# Small enough that any int here keeps a run short (epochs, K, max_iters...)
+# Small enough that any int here keeps a run short (epochs, K, max_iters...);
+# +-10**400 fits neither an int64 nor a float64, so every key refuses it
 VALUES = st.one_of(
     st.integers(-2, 4),
-    st.sampled_from([0.5, -0.5, 2.5, 1e-8, 1e308, float("nan"), float("inf"),
-                     "2", "x", True, False, None, {}, {"source": "labels"}]),
+    st.sampled_from([0.5, -0.5, 2.5, 1e-8, 1e308, float("nan"), float("inf"), 10**400,
+                     -10**400, "2", "x", True, False, None, {}, {"source": "labels"}]),
     st.lists(st.integers(-1, 4), max_size=3),
     st.lists(st.lists(st.one_of(st.integers(-1, 3), st.just("x")), max_size=3), max_size=3),
 )
@@ -108,6 +109,10 @@ def run_train(paths, train_values, top=None, data_rows=CSV_ROWS, sep="\n"):
 @example(values={"eval_epochs": -1}, spec=SPECS[0], spec_values={}, top={})
 @example(values={}, spec=SPECS[0], spec_values={"K": 3}, top={})
 @example(values={}, spec=SPECS[0], spec_values={}, top={"train_fraction": "abc"})
+@example(values={"peak_lr": 10**400}, spec=SPECS[0], spec_values={}, top={})
+@example(values={"epochs": 10**400}, spec=SPECS[0], spec_values={}, top={})
+@example(values={"batch_size": 10**400}, spec=SPECS[0], spec_values={}, top={})
+@example(values={}, spec=SPECS[0], spec_values={}, top={"train_fraction": -10**400})
 @example(values={}, spec=SPECS[0], spec_values={}, top={"data": None})
 @example(values={}, spec=SPECS[3], spec_values={}, top={"hierarchy": 5})
 def test_run_config_values(paths, values, spec, spec_values, top):

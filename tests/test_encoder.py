@@ -19,6 +19,7 @@ from clnce.encoder import (
     sgd_step,
 )
 from clnce.errors import ParameterError, ShapeError, StateError
+from oracles import backward_reference, forward_reference
 
 
 def straight_line_forward(model, x):
@@ -87,6 +88,63 @@ class TestForward:
         model = init_model([4, 6], [6, 3], seed=2)
         with pytest.raises(ShapeError):
             forward(model, np.zeros((2, 5)))
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestTwoLoopOracle:
+    """The one-loop forward and the cache-reading backward give the bits of
+    the original two-loop forward and renormalising backward."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        encoder_widths=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+        projection_widths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        rows=st.integers(1, 12),
+        zero_rows=st.integers(0, 3),
+        biased=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(encoder_widths=[1, 1], projection_widths=[1], rows=1, zero_rows=0,
+             biased=True, seed=0)
+    @example(encoder_widths=[3, 1, 4], projection_widths=[2, 1], rows=5, zero_rows=0,
+             biased=False, seed=1)
+    @example(encoder_widths=[4, 6], projection_widths=[3], rows=1, zero_rows=1,
+             biased=False, seed=2)
+    @example(encoder_widths=[5, 8, 6], projection_widths=[4, 3], rows=7, zero_rows=3,
+             biased=False, seed=3)
+    def test_bit_identical_to_oracle(self, encoder_widths, projection_widths, rows,
+                                     zero_rows, biased, seed):
+        model = init_model(encoder_widths, [encoder_widths[-1], *projection_widths],
+                           seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        if biased:
+            for _, b in model.encoder_layers + model.projection_layers:
+                b[...] = rng.normal(size=b.shape)  # exercise dead and live units
+        x = rng.normal(scale=3.0, size=(rows, encoder_widths[0]))
+        x[:zero_rows] = 0.0
+        upstream = rng.normal(size=(rows, projection_widths[-1]))
+
+        enc_out, proj_out, cache = forward(model, x)
+        ref_enc, ref_proj, ref = forward_reference(model, x)
+        assert_same_bits(enc_out, ref_enc)
+        assert_same_bits(proj_out, ref_proj)
+        assert len(cache.pre_acts) == len(ref["pre_acts"])
+        for z, ref_z in zip(cache.pre_acts, ref["pre_acts"]):
+            assert_same_bits(z, ref_z)
+        assert_same_bits(cache.norms, ref["norms"])
+        assert_same_bits(cache.degenerate, ref["degenerate"])
+        if not biased:  # zero rows through zero biases stay zero
+            assert cache.degenerate[:zero_rows].all()
+
+        grad = backward(model, cache, upstream)
+        ref_grads = backward_reference(model, ref, upstream)
+        for (gw, gb), (ref_gw, ref_gb) in zip(_views(grad, model.shapes), ref_grads, strict=True):
+            assert_same_bits(gw, ref_gw)
+            assert_same_bits(gb, ref_gb)
 
 
 class TestEmbed:

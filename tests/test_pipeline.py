@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -256,7 +257,8 @@ class TestKmeansLoop:
         )
         embeddings, _, _ = forward(initial, d.features)
         oracle = kmeans(embeddings, 4, max_iters=50, tol=1e-8, seed=cfg.seed)
-        expected = build_clusters(d, {**spec, "seed": cfg.seed}, embeddings=embeddings)
+        expected = build_clusters(dataclasses.replace(d, features=embeddings),
+                                  {**spec, "seed": cfg.seed})
         np.testing.assert_array_equal(oracle.assignment.assignment, expected.assignment)
         assert report.kmeans_trace[0]["inertia_history"] == list(oracle.inertia_history)
         assert report.info_plane_curve[0] == info_plane_point(
