@@ -33,22 +33,13 @@ def _read_json(path: str):
 
 
 def _load_run_config(path: str):
-    raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: run config must be a JSON object")
-    known = {"data", "hierarchy", "train", "train_fraction"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    if "data" not in raw or "train" not in raw:
-        raise ParameterError("config must contain 'data' and 'train'")
-    d = load_dataset(pl.parse_value("data", raw["data"]))
-    if raw.get("hierarchy"):
-        hierarchy = load_hierarchy(pl.parse_value("hierarchy", raw["hierarchy"]))
-        d = dataclasses.replace(d, hierarchy=hierarchy)
-    cfg = pl.TrainConfig.from_dict(raw["train"])
-    train_fraction = pl.parse_value("train_fraction", raw.get("train_fraction", 0.7))
-    return d, cfg, float(train_fraction)
+    """Dataset, TrainConfig and train fraction of a run config, parsed before any file is read."""
+    run = pl.parse_object(_read_json(path), pl.RUN_KEYS, "run config")
+    cfg = pl.TrainConfig.from_dict(run["train"])
+    d = load_dataset(run["data"])
+    if run["hierarchy"]:
+        d = dataclasses.replace(d, hierarchy=load_hierarchy(run["hierarchy"]))
+    return d, cfg, float(run["train_fraction"])
 
 
 def _cmd_train(args) -> int:

@@ -311,11 +311,15 @@ def _nearest(
     return assign, _sq_dist(centroids, assign, pts)
 
 
+# the Lloyd budget of kmeans, and of a kmeans cluster spec that sets none
+KMEANS_MAX_ITERS, KMEANS_TOL = 50, 1e-8
+
+
 def kmeans(
     points: np.ndarray,
     K: int,
-    max_iters: int = 100,
-    tol: float = 1e-8,
+    max_iters: int = KMEANS_MAX_ITERS,
+    tol: float = KMEANS_TOL,
     seed: int = 0,
 ) -> KMeansResult:
     """Lloyd iterations from a seeded k-means++ start.

@@ -57,10 +57,9 @@ def make_mixture_dataset(
     )
 
 
-def make_balanced_hierarchy(num_classes: int, groups: int = 0) -> HierarchyGraph:
-    """Three-level tree: root -> groups -> class leaves."""
-    if groups <= 0:
-        groups = max(2, int(round(np.sqrt(num_classes))))
+def make_balanced_hierarchy(num_classes: int) -> HierarchyGraph:
+    """Three-level tree: root -> max(2, round(sqrt(num_classes))) groups -> class leaves."""
+    groups = max(2, int(round(np.sqrt(num_classes))))
     edges = []
     leaf_label_map = {}
     for g in range(groups):

@@ -67,11 +67,6 @@ class EncoderModel:
         dims += [w.shape[1] for w, _ in self.projection_layers]
         return dims
 
-    def validate(self) -> None:
-        for i, (w, b) in enumerate(self.encoder_layers + self.projection_layers):
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise NumericError(f"layer {i}: non-finite parameters")
-
 
 def init_model(encoder_dims, projection_dims, seed: int = 0) -> EncoderModel:
     """He-initialized model; projection input dim must match encoder output."""
@@ -117,11 +112,12 @@ ROW_BLOCK = 256
 
 
 def embed(model: EncoderModel, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Encoder output only: bit-identical to ``forward(model, x)[0]``, without
-    the projection head, the L2 norms or the backward cache. Rows run in
-    blocks of ``ROW_BLOCK`` into ``out``, any (n, D) array (a transposed view
-    too). No block has one row unless x does: numpy sends a single row
-    through GEMV, whose bits differ from those of GEMM rows."""
+    """Encoder output only, without the projection head, the L2 norms or the
+    backward cache. Rows run into ``out``, any (n, D) array (a transposed
+    view too), in blocks of ``ROW_BLOCK`` (a 1-row tail joins the block
+    before it: numpy sends one row through GEMV, not GEMM). Each block has
+    the bits of ``forward`` on its rows; a larger x may not match
+    ``forward(model, x)[0]`` bit for bit, as BLAS picks kernels by shape."""
     x = _as_input(model, x)
     if out is None:
         out = np.empty((len(x), model.encoder_layers[-1][0].shape[1]))
@@ -308,10 +304,8 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
             f"{path}: {len(blob)} bytes of parameter blocks, header implies {expected}"
         )
     params, momentum = np.frombuffer(blob, dtype="<f8").reshape(2, -1)
+    if not np.isfinite(params).all():
+        raise StateError(f"{path}: non-finite parameters")
     layers = _views(params, layer_shapes)
     model = EncoderModel(layers[:n_enc], layers[n_enc:])
-    try:
-        model.validate()
-    except NumericError as exc:
-        raise StateError(f"{path}: {exc}") from None
     return model, OptimizerState(momentum.astype(np.float64), step_count, hyper)

@@ -203,16 +203,14 @@ def verify_bound_chain(m: DiscreteJointModel, n: int = 3) -> BoundChainReport:
 def info_plane_point(
     z: np.ndarray,
     t: np.ndarray,
-    downstream_accuracy: float | None = None,
     config_label: str = "",
 ) -> InfoPlanePoint:
-    """Plug-in (I(Z;T), H(Z|T), H(Z)) from empirical counts."""
+    """Plug-in (I(Z;T), H(Z|T), H(Z)) from empirical counts; no downstream accuracy."""
     joint = empirical_joint(z, t)
     return InfoPlanePoint(
         mi_zt=mutual_information(joint),
         h_z_given_t=conditional_entropy(joint, given=1),
         h_z=entropy(joint.sum(axis=1)),
-        downstream_accuracy=downstream_accuracy,
         config_label=config_label,
     )
 

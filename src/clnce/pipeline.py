@@ -4,6 +4,7 @@ linear evaluation protocol, and the synthetic info-plane sweep.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import sys
@@ -38,8 +39,10 @@ _FLOAT = ("a finite number", lambda v: (_int(v) or isinstance(v, float))
           and abs(v) <= sys.float_info.max)
 _COUNT = ("an int >= 0", lambda v: _int(v) and v >= 0)
 _WIDTHS = ("a non-empty list of positive ints", lambda v: _ints(v) and v and min(v) > 0)
+_OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
 _KINDS = {
-    **dict.fromkeys(("data", "hierarchy"), ("a path", lambda v: isinstance(v, str))),
+    "data": ("a path", lambda v: isinstance(v, str)),
+    "hierarchy": ("a path or null", lambda v: v is None or isinstance(v, str)),
     **dict.fromkeys(("k", "level", "K", "max_iters", "splits_per_class"), _INT),
     **dict.fromkeys(("temperature", "momentum", "weight_decay", "noise_sigma",
                      "mask_prob", "tol", "train_fraction", "eval_lr"), _FLOAT),
@@ -49,7 +52,8 @@ _KINDS = {
     "eval_epochs": _COUNT,
     "peak_lr": ("a finite number >= 0", lambda v: _FLOAT[1](v) and v >= 0),
     "warmup_steps": ("an int or null", lambda v: v is None or _int(v)),
-    "cluster_source": ("a JSON object", lambda v: isinstance(v, dict)),
+    "train": _OBJECT,
+    "cluster_source": _OBJECT,
     "encoder_widths": _WIDTHS,
     "projection_widths": _WIDTHS,
     "fixed_class_set": ("a list of ints", _ints),
@@ -57,21 +61,26 @@ _KINDS = {
                      lambda v: isinstance(v, (list, tuple)) and all(_ints(g) for g in v)),
 }
 
+# A required key whose value, one of ``tables``, picks its object's other keys
+_Tag = collections.namedtuple("_Tag", "noun tables")
 _REQUIRED, _CALLER_SEED = "required", "the caller's seed"
-# The keys of a cluster spec besides "source", by source (a synthetic spec's
-# by its mode), each with its default or _REQUIRED. Any other key is an error.
+# The keys of a cluster spec besides "source", by source, each with its
+# default or _REQUIRED; a synthetic spec's mode picks the rest.
 SPEC_KEYS = {
     "labels": {},
     "instance_id": {},
     "attributes": {"k": _REQUIRED},
     "hierarchy": {"level": _REQUIRED},
-    "kmeans": {"K": _REQUIRED, "max_iters": 50, "tol": 1e-8, "seed": _CALLER_SEED},
-    "synthetic": {
+    "kmeans": {"K": _REQUIRED, "max_iters": cl.KMEANS_MAX_ITERS, "tol": cl.KMEANS_TOL,
+               "seed": _CALLER_SEED},
+    "synthetic": {"mode": _Tag("synthetic mode", {
         "refine": {"splits_per_class": _REQUIRED, "seed": 0},
         "coarsen": {"merge_groups": _REQUIRED},
         "permute": {"splits_per_class": _REQUIRED, "fixed_class_set": (), "seed": 0},
-    },
+    })},
 }
+# The top level of a run config; its "train" object holds TrainConfig's keys
+RUN_KEYS = {"data": _REQUIRED, "hierarchy": None, "train": _REQUIRED, "train_fraction": 0.7}
 
 
 def parse_value(key: str, value):
@@ -82,35 +91,43 @@ def parse_value(key: str, value):
     return value
 
 
-def parse_cluster_spec(spec, seed: int = 0) -> dict:
-    """The cluster spec with its values parsed and every default filled in;
-    a ``kmeans`` seed defaults to ``seed``, the caller's seed. Raises
-    ParameterError for an unknown source, mode or key, or a missing one."""
-    if not isinstance(spec, dict):
-        raise ParameterError(f"cluster spec must be a JSON object, got {spec!r}")
-    source = spec.get("source")
-    keys = SPEC_KEYS.get(source) if isinstance(source, str) else None
-    if keys is None:
-        raise ParameterError(f"unknown cluster source {source!r}")
-    parsed = {"source": source}
-    if source == "synthetic":
-        if "mode" not in spec:
-            raise ParameterError("cluster source 'synthetic' needs key 'mode'")
-        mode = parsed["mode"] = spec["mode"]
-        keys = keys.get(mode) if isinstance(mode, str) else None
-        if keys is None:
-            raise ParameterError(f"unknown synthetic mode {mode!r}")
-    unknown = set(spec) - set(parsed) - set(keys)
+def parse_object(raw, keys: dict, what: str, seed: int = 0) -> dict:
+    """The JSON object ``raw`` (``what`` in messages) parsed by ``keys``, which
+    maps each key to its default, _REQUIRED or a _Tag, whose value adds the
+    keys it picks. Every value goes through the kind of its key, and a
+    missing key takes its default, ``seed`` for _CALLER_SEED. A non-object,
+    an unknown tag value, an unknown key or a missing required key is a
+    ParameterError."""
+    if not isinstance(raw, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {raw!r}")
+    keys, name = list(keys.items()), what
+    for key, tag in keys:  # grows by the keys each tag picks
+        if isinstance(tag, _Tag):
+            if key not in raw:
+                raise ParameterError(f"{name} needs key {key!r}")
+            value = raw[key]
+            if not (isinstance(value, str) and value in tag.tables):
+                raise ParameterError(f"unknown {tag.noun} {value!r}")
+            keys += tag.tables[value].items()
+            name = f"{value!r} {what}"
+    unknown = set(raw) - {key for key, _ in keys}
     if unknown:
-        raise ParameterError(f"unknown {source!r} cluster spec keys: {sorted(unknown, key=str)}")
-    for key, default in keys.items():
-        if key in spec:
-            parsed[key] = parse_value(key, spec[key])
-        elif default == _REQUIRED:
-            raise ParameterError(f"cluster source {source!r} needs key {key!r}")
+        raise ParameterError(f"unknown {name} keys: {sorted(unknown, key=str)}")
+    parsed = {}
+    for key, default in keys:
+        if key in raw:
+            parsed[key] = raw[key] if isinstance(default, _Tag) else parse_value(key, raw[key])
+        elif default is _REQUIRED:
+            raise ParameterError(f"{name} needs key {key!r}")
         else:
-            parsed[key] = seed if default == _CALLER_SEED else default
+            parsed[key] = seed if default is _CALLER_SEED else default
     return parsed
+
+
+def parse_cluster_spec(spec, seed: int = 0) -> dict:
+    """The spec, parsed, with every default filled in; a kmeans seed defaults to ``seed``."""
+    return parse_object(spec, {"source": _Tag("cluster source", SPEC_KEYS)},
+                        "cluster spec", seed)
 
 
 @dataclass(frozen=True)
@@ -140,12 +157,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        if not isinstance(raw, dict):
-            raise ParameterError("train config must be a JSON object")
-        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        """A config from a run config's ``train`` object; each key defaults to its field's."""
+        return cls(**parse_object(raw, dataclasses.asdict(cls()), "train config"))
 
 
 @dataclass
@@ -198,6 +211,8 @@ def build_clusters(d: Dataset, spec: dict):
 
 
 def _init_run(d: Dataset, cfg: TrainConfig):
+    critic = obj.CriticConfig(temperature=cfg.temperature)
+    aug = AugmentConfig(noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob)
     encoder_dims = [d.feature_dim, *cfg.encoder_widths]
     projection_dims = [encoder_dims[-1], *cfg.projection_widths]
     model = enc.init_model(encoder_dims, projection_dims, seed=cfg.seed)
@@ -212,29 +227,7 @@ def _init_run(d: Dataset, cfg: TrainConfig):
         total_steps=total_steps,
     )
     state = enc.OptimizerState.for_model(model, hyper)
-    return model, state, steps_per_epoch
-
-
-def _train_one_epoch(d, clusters, cfg, model, state, rng, steps_per_epoch) -> float:
-    critic = obj.CriticConfig(temperature=cfg.temperature)
-    aug = AugmentConfig(noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob)
-    losses = []
-    for _ in range(steps_per_epoch):
-        batch = obj.sample_pair_batch(clusters, cfg.batch_size, rng)
-        view_x = augment_rows(d.features[batch.x_indices], aug, rng)
-        view_y = augment_rows(d.features[batch.y_indices], aug, rng)
-        _, px, cache_x = enc.forward(model, view_x)
-        _, py, cache_y = enc.forward(model, view_y)
-        scores = obj.critic_matrix(px, py, critic)
-        loss, g_scores = obj._loss_and_grad(scores)
-        if not np.isfinite(loss):
-            raise NumericError(f"loss diverged at step {state.step_count}")
-        g_px, g_py = obj.critic_backward(g_scores, px, py, critic)
-        grad = enc.backward(model, cache_x, g_px)
-        grad += enc.backward(model, cache_y, g_py)
-        enc.sgd_step(model, grad, state)
-        losses.append(loss)
-    return float(np.mean(losses))
+    return critic, aug, model, state, steps_per_epoch
 
 
 def train(
@@ -253,10 +246,29 @@ def train(
     """
     spec = parse_cluster_spec(cfg.cluster_source, cfg.seed)
     refresh = spec["source"] == "kmeans"
-    model, state, steps_per_epoch = _init_run(d, cfg)
+    critic, aug, model, state, steps_per_epoch = _init_run(d, cfg)
     rng = np.random.default_rng(cfg.seed)
     trace = []
     info_curve = []
+
+    def train_epoch(clusters) -> float:
+        losses = []
+        for _ in range(steps_per_epoch):
+            batch = obj.sample_pair_batch(clusters, cfg.batch_size, rng)
+            view_x = augment_rows(d.features[batch.x_indices], aug, rng)
+            view_y = augment_rows(d.features[batch.y_indices], aug, rng)
+            _, px, cache_x = enc.forward(model, view_x)
+            _, py, cache_y = enc.forward(model, view_y)
+            scores = obj.critic_matrix(px, py, critic)
+            loss, g_scores = obj._loss_and_grad(scores)
+            if not np.isfinite(loss):
+                raise NumericError(f"loss diverged at step {state.step_count}")
+            g_px, g_py = obj.critic_backward(g_scores, px, py, critic)
+            grad = enc.backward(model, cache_x, g_px)
+            grad += enc.backward(model, cache_y, g_py)
+            enc.sgd_step(model, grad, state)
+            losses.append(loss)
+        return float(np.mean(losses))
 
     def recluster():
         result = _run_kmeans(enc.embed(model, d.features), spec)
@@ -274,7 +286,7 @@ def train(
             ))
     loss_curve = []
     for epoch in range(1, cfg.epochs + 1):
-        loss_curve.append(_train_one_epoch(d, clusters, cfg, model, state, rng, steps_per_epoch))
+        loss_curve.append(train_epoch(clusters))
         if refresh:
             if d.labels is not None:
                 info_curve.append(im.info_plane_point(
@@ -391,10 +403,10 @@ def run_info_plane_experiment(
         raise DataError("info-plane experiment needs a labeled dataset")
     if len(configs) < 2:
         raise ParameterError("need at least 2 cluster configs")
+    run_cfgs = [dataclasses.replace(cfg, cluster_source=spec) for spec in configs]
     train_data, eval_data = split_dataset(d, train_fraction, cfg.seed)
     points = []
-    for spec in configs:
-        run_cfg = dataclasses.replace(cfg, cluster_source=spec)
+    for run_cfg in run_cfgs:
         _, report = train(train_data, run_cfg, eval_data=eval_data)
         points.append(
             dataclasses.replace(

@@ -102,6 +102,30 @@ class TestTrain:
             json.dump(cfg, fh)
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("top", [
+        {"train": {"epochs": 0}},
+        {"train": {"bogus": 1}},
+        {"train": {"cluster_source": {"source": "nope"}}},
+        {"train": {}, "train_fraction": "x"},
+        {"train": {}, "hierarchy": 5},
+    ], ids=json.dumps)
+    def test_config_parsed_before_data_is_read(self, tmp_path, capsys, top):
+        # the data file does not exist, so reading it first would exit 3
+        cfg_path = str(tmp_path / "bad.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({"data": str(tmp_path / "nope.csv"), **top}, fh)
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+        assert "error [ParameterError]" in capsys.readouterr().err
+
+    def test_null_hierarchy(self, workspace):
+        tmp_path, data_path, _, cfg_path = workspace
+        with open(cfg_path) as fh:
+            cfg = json.load(fh)
+        cfg["hierarchy"] = None
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 0
+
 
 class TestBadInput:
     """Malformed input ends in a categorised error with exit code 2."""
@@ -360,6 +384,19 @@ class TestBadInput:
              "--out", str(tmp_path / "sweep")],
             capsys, "ParameterError",
         )
+
+    def test_infoplane_parses_every_spec_before_training(self, workspace, capsys):
+        # the first spec fails only once its training starts (4 attributes)
+        tmp_path, _, _, cfg_path = workspace
+        specs_path = str(tmp_path / "specs.json")
+        with open(specs_path, "w") as fh:
+            json.dump([{"source": "attributes", "k": 99}, {"source": "nope"}], fh)
+        err = self.run_bad(
+            ["infoplane", "--config", cfg_path, "--configs", specs_path,
+             "--out", str(tmp_path / "sweep")],
+            capsys, "ParameterError",
+        )
+        assert "'nope'" in err
 
     def test_nan_checkpoint_weight(self, workspace, capsys):
         tmp_path, data_path, _, cfg_path = workspace

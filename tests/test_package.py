@@ -5,6 +5,7 @@ import pathlib
 import re
 
 import clnce
+from clnce import pipeline
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = pathlib.Path(clnce.__file__).resolve().parent
@@ -24,6 +25,34 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     accuracy = float(capsys.readouterr().out.strip())
     assert 0.0 <= accuracy <= 1.0
+
+
+def test_readme_cluster_spec_table_matches_spec_keys():
+    """Each row of the README's cluster-spec table names, in backticks, its
+    sources or synthetic mode, their required keys, and their optional keys
+    with the default after the last comma in parentheses; together the rows
+    cover every source and mode of ``pipeline.SPEC_KEYS`` once."""
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| `source` |"):].split("\n\n")[0].splitlines()
+    modes = pipeline.SPEC_KEYS["synthetic"]["mode"].tables
+    readme_default = {"empty": (), "the run seed": pipeline._CALLER_SEED}
+    covered = []
+    for row in table[2:]:
+        names, required, optional = row.strip("| ").split(" | ")
+        names = re.findall(r"`(\w+)`", names)
+        if names[0] == "synthetic":
+            names, tables = names[2:], [modes[names[2]]]
+        else:
+            tables = [pipeline.SPEC_KEYS[name] for name in names]
+        got = {key: pipeline._REQUIRED for key in re.findall(r"`(\w+)`", required)}
+        for key, kind in re.findall(r"`(\w+)` \(([^)]*)\)", optional):
+            default = kind.rsplit(", ", 1)[1].split(";")[0]
+            got[key] = (readme_default[default] if default in readme_default
+                        else ast.literal_eval(default))
+        for name, keys in zip(names, tables):
+            assert list(got.items()) == list(keys.items()), name
+        covered += names
+    assert sorted(covered) == sorted([*pipeline.SPEC_KEYS.keys() - {"synthetic"}, *modes])
 
 
 def test_no_dead_module_level_definitions():

@@ -77,6 +77,9 @@ class TestTrainConfig:
         with pytest.raises(ParameterError, match=f"key '{next(iter(kw))}' must be"):
             TrainConfig(**kw)
 
+    def test_from_dict_fills_every_default(self):
+        assert TrainConfig.from_dict({}) == TrainConfig()
+
     def test_widths_normalized_to_tuples(self):
         cfg = TrainConfig.from_dict({"encoder_widths": [16, 8]})
         assert cfg.encoder_widths == (16, 8)
@@ -228,6 +231,16 @@ class TestTrainPredetermined:
         assert (tmp_path / "model.bin").stat().st_size > 0
 
 
+class TestParseOrder:
+    @pytest.mark.parametrize("kw", [{"temperature": 0}, {"noise_sigma": -1.0},
+                                    {"mask_prob": 2.0}])
+    def test_step_settings_checked_before_clustering(self, kw):
+        # without labels, building the clusters would raise DataError
+        bare = Dataset(features=small_dataset().features)
+        with pytest.raises(ParameterError):
+            train(bare, small_config(cluster_source={"source": "labels"}, **kw))
+
+
 class TestKmeansLoop:
     def test_trace_covers_every_epoch_boundary(self):
         d = small_dataset()
@@ -255,6 +268,8 @@ class TestKmeansLoop:
             [cfg.encoder_widths[-1], *cfg.projection_widths],
             seed=cfg.seed,
         )
+        # all rows fit in one embed block, which has the bits of forward
+        assert d.num_samples <= ROW_BLOCK
         embeddings, _, _ = forward(initial, d.features)
         oracle = kmeans(embeddings, 4, max_iters=50, tol=1e-8, seed=cfg.seed)
         expected = build_clusters(dataclasses.replace(d, features=embeddings),
@@ -460,6 +475,15 @@ class TestInfoPlaneExperiment:
         d = small_dataset()
         with pytest.raises(ParameterError):
             run_info_plane_experiment(d, [{"source": "labels"}], small_config())
+
+    def test_every_spec_parsed_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before every spec was parsed")
+
+        monkeypatch.setattr(pipeline, "train", no_training)
+        specs = [{"source": "labels"}, {"source": "synthetic", "mode": "refine"}]
+        with pytest.raises(ParameterError, match="needs key 'splits_per_class'"):
+            run_info_plane_experiment(small_dataset(), specs, small_config())
 
     def test_points_carry_accuracy_and_labels(self, tmp_path):
         d = small_dataset(n=150)
