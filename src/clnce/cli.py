@@ -80,10 +80,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_infoplane(args) -> int:
-    d, cfg, train_fraction = _load_run_config(args.config)
-    cluster_specs = _read_json(args.configs)
+    cluster_specs = _read_json(args.configs)  # checked before the dataset is read
     if not isinstance(cluster_specs, list):
         raise SchemaError(f"{args.configs}: must hold a JSON list of cluster specs")
+    if len(cluster_specs) < 2:
+        raise ParameterError("need at least 2 cluster configs")
+    for spec in cluster_specs:
+        pl.parse_cluster_spec(spec)
+    d, cfg, train_fraction = _load_run_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     points = pl.run_info_plane_experiment(
         d, cluster_specs, cfg, train_fraction=train_fraction,
@@ -185,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--hierarchy", default=None)
     p.add_argument("--source", required=True,
-                   choices=["attributes", "hierarchy", "kmeans", "labels", "instance_id"])
+                   choices=[source for source in pl.SPEC_KEYS if source != "synthetic"])
     p.add_argument("--k", type=int)
     p.add_argument("--level", type=int)
     p.add_argument("--K", type=int)

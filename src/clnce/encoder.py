@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,18 +54,6 @@ class EncoderModel:
         n_enc = len(self.encoder_layers)
         self.encoder_layers, self.projection_layers = views[:n_enc], views[n_enc:]
         self.version = 0
-
-    @property
-    def encoder_dims(self) -> list[int]:
-        dims = [self.encoder_layers[0][0].shape[0]]
-        dims += [w.shape[1] for w, _ in self.encoder_layers]
-        return dims
-
-    @property
-    def projection_dims(self) -> list[int]:
-        dims = [self.projection_layers[0][0].shape[0]]
-        dims += [w.shape[1] for w, _ in self.projection_layers]
-        return dims
 
 
 def init_model(encoder_dims, projection_dims, seed: int = 0) -> EncoderModel:
@@ -253,18 +241,13 @@ def sgd_step(model: EncoderModel, grad: np.ndarray, state: OptimizerState):
 def save_checkpoint(model: EncoderModel, state: OptimizerState, path: str) -> None:
     """JSON header line, then the parameters and the momentum, each as
     little-endian float64 in the layout of ``model.params``."""
+    n_enc = len(model.encoder_layers)
+    dims = [model.shapes[0][0], *(dout for _, dout in model.shapes)]
     header = {
-        "encoder_dims": model.encoder_dims,
-        "projection_dims": model.projection_dims,
+        "encoder_dims": dims[: n_enc + 1],
+        "projection_dims": dims[n_enc:],
         "step_count": state.step_count,
-        "hyper": {
-            "peak_lr": state.hyper.peak_lr,
-            "momentum": state.hyper.momentum,
-            "weight_decay": state.hyper.weight_decay,
-            "warmup_steps": state.hyper.warmup_steps,
-            "total_steps": state.hyper.total_steps,
-            "decay_biases": state.hyper.decay_biases,
-        },
+        "hyper": asdict(state.hyper),
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))

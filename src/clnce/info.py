@@ -36,21 +36,15 @@ class DiscreteJointModel:
     p_y_given_z: np.ndarray
 
     def __post_init__(self):
-        pz = np.asarray(self.p_z, dtype=np.float64)
-        px = np.asarray(self.p_x_given_z, dtype=np.float64)
-        py = np.asarray(self.p_y_given_z, dtype=np.float64)
+        pz = _check_distribution(self.p_z)
         object.__setattr__(self, "p_z", pz)
-        object.__setattr__(self, "p_x_given_z", px)
-        object.__setattr__(self, "p_y_given_z", py)
-        if (pz < 0).any() or (px < 0).any() or (py < 0).any():
-            raise DistributionError("negative probability entry")
-        if abs(pz.sum() - 1.0) > _ATOL:
-            raise DistributionError("p_z does not sum to 1")
-        for name, mat in (("p_x_given_z", px), ("p_y_given_z", py)):
+        for name in ("p_x_given_z", "p_y_given_z"):
+            mat = np.asarray(getattr(self, name), dtype=np.float64)
             if mat.ndim != 2 or mat.shape[0] != pz.size:
                 raise DistributionError(f"{name} must have one row per z state")
-            if np.abs(mat.sum(axis=1) - 1.0).max() > _ATOL:
-                raise DistributionError(f"{name} rows must sum to 1")
+            for row in mat:
+                _check_distribution(row)
+            object.__setattr__(self, name, mat)
 
     @classmethod
     def random(cls, nz: int, nx: int, ny: int, seed: int) -> "DiscreteJointModel":
@@ -63,21 +57,24 @@ class DiscreteJointModel:
 
 def empirical_joint(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Plug-in joint count table, normalized to sum to one."""
-    z = np.asarray(z, dtype=np.int64)
-    t = np.asarray(t, dtype=np.int64)
+    z, t = np.asarray(z), np.asarray(t)
     if z.shape != t.shape or z.ndim != 1:
         raise SizeError("z and t must be equal-length vectors")
     if z.size == 0:
         raise SizeError("empty input")
-    table = np.zeros((int(z.max()) + 1, int(t.max()) + 1))
-    np.add.at(table, (z, t), 1.0)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+        zi, ti = z.astype(np.int64, copy=False), t.astype(np.int64, copy=False)
+    if (zi != z).any() or (ti != t).any() or min(zi.min(), ti.min()) < 0:
+        raise ParameterError("z and t must hold non-negative integer ids")
+    table = np.zeros((int(zi.max()) + 1, int(ti.max()) + 1))
+    np.add.at(table, (zi, ti), 1.0)
     return table / z.size
 
 
 def _check_distribution(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
-    if (p < 0).any():
-        raise DistributionError("negative probability entry")
+    if not (p >= 0).all():
+        raise DistributionError("negative or NaN probability entry")
     if abs(p.sum() - 1.0) > _ATOL:
         raise DistributionError(f"probabilities sum to {p.sum()}, not 1")
     return p
@@ -98,6 +95,8 @@ def mutual_information(joint: np.ndarray) -> float:
     pb = joint.sum(axis=0)
     mask = joint > 0
     outer = pa[:, None] * pb[None, :]
+    if (outer[mask] == 0).any():  # the product of the marginals underflowed
+        raise DistributionError("support escapes the product of marginals")
     return float((joint[mask] * np.log(joint[mask] / outer[mask])).sum())
 
 
@@ -119,23 +118,9 @@ def mixture_table(m: DiscreteJointModel) -> np.ndarray:
 
 
 def exact_mixture_kl(m: DiscreteJointModel) -> float:
-    """KL between the cluster-conditional mixture and the product of marginals."""
-    mix = mixture_table(m)
-    px = mix.sum(axis=1)
-    py = mix.sum(axis=0)
-    outer = px[:, None] * py[None, :]
-    mask = mix > 0
-    if (outer[mask] == 0).any():
-        raise DistributionError("mixture support escapes the product of marginals")
-    return float((mix[mask] * np.log(mix[mask] / outer[mask])).sum())
-
-
-def model_mi_zx(m: DiscreteJointModel) -> float:
-    return mutual_information(m.p_z[:, None] * m.p_x_given_z)
-
-
-def model_mi_zy(m: DiscreteJointModel) -> float:
-    return mutual_information(m.p_z[:, None] * m.p_y_given_z)
+    """KL between the cluster-conditional mixture and the product of its
+    marginals: the mutual information of the mixture table."""
+    return mutual_information(mixture_table(m))
 
 
 def finite_batch_objective(m: DiscreteJointModel, n: int) -> float:
@@ -189,8 +174,8 @@ def verify_bound_chain(m: DiscreteJointModel, n: int = 3) -> BoundChainReport:
         raise SizeError("alphabets larger than 5 exceed the enumeration budget")
     obj = finite_batch_objective(m, n)
     kl = exact_mixture_kl(m)
-    mi_x = model_mi_zx(m)
-    mi_y = model_mi_zy(m)
+    mi_x = mutual_information(m.p_z[:, None] * m.p_x_given_z)
+    mi_y = mutual_information(m.p_z[:, None] * m.p_y_given_z)
     h_z = entropy(m.p_z)
     ok = (
         obj <= kl + _ATOL

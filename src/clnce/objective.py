@@ -33,10 +33,6 @@ class PairBatch:
     y_indices: np.ndarray
     cluster_ids: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.x_indices.size
-
 
 def sample_pair_batch(
     clusters: ClusterAssignment, n: int, rng: np.random.Generator

@@ -210,26 +210,6 @@ def build_clusters(d: Dataset, spec: dict):
     return cl.permute_clusters(d.labels, refined, spec["fixed_class_set"], spec["seed"])
 
 
-def _init_run(d: Dataset, cfg: TrainConfig):
-    critic = obj.CriticConfig(temperature=cfg.temperature)
-    aug = AugmentConfig(noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob)
-    encoder_dims = [d.feature_dim, *cfg.encoder_widths]
-    projection_dims = [encoder_dims[-1], *cfg.projection_widths]
-    model = enc.init_model(encoder_dims, projection_dims, seed=cfg.seed)
-    steps_per_epoch = max(1, d.num_samples // cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
-    warmup = cfg.warmup_steps if cfg.warmup_steps is not None else max(1, total_steps // 10)
-    hyper = enc.OptimizerHyper(
-        peak_lr=cfg.peak_lr,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        warmup_steps=min(warmup, total_steps),
-        total_steps=total_steps,
-    )
-    state = enc.OptimizerState.for_model(model, hyper)
-    return critic, aug, model, state, steps_per_epoch
-
-
 def train(
     d: Dataset,
     cfg: TrainConfig,
@@ -246,7 +226,21 @@ def train(
     """
     spec = parse_cluster_spec(cfg.cluster_source, cfg.seed)
     refresh = spec["source"] == "kmeans"
-    critic, aug, model, state, steps_per_epoch = _init_run(d, cfg)
+    critic = obj.CriticConfig(temperature=cfg.temperature)
+    aug = AugmentConfig(noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob)
+    encoder_dims = [d.feature_dim, *cfg.encoder_widths]
+    projection_dims = [encoder_dims[-1], *cfg.projection_widths]
+    model = enc.init_model(encoder_dims, projection_dims, seed=cfg.seed)
+    steps_per_epoch = max(1, d.num_samples // cfg.batch_size)
+    total_steps = cfg.epochs * steps_per_epoch
+    warmup = cfg.warmup_steps if cfg.warmup_steps is not None else max(1, total_steps // 10)
+    state = enc.OptimizerState.for_model(model, enc.OptimizerHyper(
+        peak_lr=cfg.peak_lr,
+        momentum=cfg.momentum,
+        weight_decay=cfg.weight_decay,
+        warmup_steps=min(warmup, total_steps),
+        total_steps=total_steps,
+    ))
     rng = np.random.default_rng(cfg.seed)
     trace = []
     info_curve = []
@@ -276,23 +270,16 @@ def train(
                       "inertia_history": list(result.inertia_history)})
         return result.assignment
 
-    if refresh:
-        clusters = recluster()
-    else:
-        clusters = build_clusters(d, spec)
-        if d.labels is not None:
-            info_curve.append(im.info_plane_point(
-                clusters.assignment, d.labels, config_label=clusters.provenance
-            ))
+    clusters = recluster() if refresh else build_clusters(d, spec)
     loss_curve = []
     for epoch in range(1, cfg.epochs + 1):
+        if d.labels is not None and (refresh or epoch == 1):  # once per clustering
+            info_curve.append(im.info_plane_point(
+                clusters.assignment, d.labels,
+                config_label=clusters.provenance + (f"@epoch{epoch}" if refresh else ""),
+            ))
         loss_curve.append(train_epoch(clusters))
         if refresh:
-            if d.labels is not None:
-                info_curve.append(im.info_plane_point(
-                    clusters.assignment, d.labels,
-                    config_label=f"{clusters.provenance}@epoch{epoch}",
-                ))
             clusters = recluster()
     accuracy = None
     if eval_data is not None and d.labels is not None and eval_data.labels is not None:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import clnce
-from clnce.cli import main
+from clnce.cli import build_parser, main
 from clnce.data import Dataset, save_dataset, save_hierarchy
 from clnce.datagen import make_mixture_dataset
+from clnce.pipeline import SPEC_KEYS
 
 
 @pytest.fixture()
@@ -497,6 +498,24 @@ class TestBadInput:
         assert f"key {key} must be" in err
         assert not os.path.exists(str(tmp_path / "x"))
 
+    @pytest.mark.parametrize("configs, category", [
+        (5, "SchemaError"),
+        ([{"source": "labels"}], "ParameterError"),
+        ([{"source": "labels"}, {"source": "nope"}], "ParameterError"),
+    ])
+    def test_infoplane_configs_checked_before_data_is_read(self, workspace, capsys,
+                                                           configs, category):
+        tmp_path, data_path, _, cfg_path = workspace
+        os.remove(data_path)  # reading the dataset first would exit 3
+        specs_path = str(tmp_path / "specs.json")
+        with open(specs_path, "w") as fh:
+            json.dump(configs, fh)
+        self.run_bad(
+            ["infoplane", "--config", cfg_path, "--configs", specs_path,
+             "--out", str(tmp_path / "sweep")],
+            capsys, category,
+        )
+
     @pytest.mark.parametrize("configs", [5, {"source": "labels"}, "labels", None])
     def test_infoplane_configs_not_a_list(self, workspace, capsys, configs):
         tmp_path, _, _, cfg_path = workspace
@@ -583,6 +602,12 @@ class TestMakeClusters:
             "--source", "hierarchy", "--level", "2", "--out", out,
         ])
         assert rc == 0
+
+    def test_source_choices_are_the_non_synthetic_spec_sources(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        source = next(a for a in sub.choices["make-clusters"]._actions
+                      if a.dest == "source")
+        assert sorted(source.choices) == sorted(SPEC_KEYS.keys() - {"synthetic"})
 
     def test_bad_k_exits_nonzero(self, workspace, capsys):
         tmp_path, data_path, _, _ = workspace

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clnce.errors import DistributionError, SizeError
+from clnce.errors import DistributionError, ParameterError, SizeError
 from clnce.info import (
     DiscreteJointModel,
     InfoPlanePoint,
@@ -12,8 +12,6 @@ from clnce.info import (
     finite_batch_objective,
     info_plane_point,
     mixture_table,
-    model_mi_zx,
-    model_mi_zy,
     mutual_information,
     save_info_plane_csv,
     selection_score,
@@ -39,6 +37,22 @@ class TestEmpiricalJoint:
     def test_length_mismatch(self):
         with pytest.raises(SizeError):
             empirical_joint(np.array([0, 1]), np.array([0]))
+
+    @pytest.mark.parametrize("z, t", [
+        ([-1, 0, 1], [0, 0, 1]),    # np.add.at would wrap -1 onto id 1
+        ([0, 1, 2], [0, -1, 0]),
+        ([0.7, 1.2], [0, 1]),       # a cast would truncate to ids 0 and 1
+        ([0, 1], [0.0, np.nan]),
+    ])
+    def test_rejects_ids_that_are_not_non_negative_integers(self, z, t):
+        with pytest.raises(ParameterError):
+            empirical_joint(z, t)
+        with pytest.raises(ParameterError):
+            info_plane_point(z, t)
+
+    def test_integral_float_and_bool_ids_count_as_their_integers(self):
+        expected = empirical_joint([0, 1, 1], [1, 0, 1])
+        assert (empirical_joint([0.0, 1.0, 1.0], [True, False, True]) == expected).all()
 
 
 class TestEntropyAndMi:
@@ -73,9 +87,19 @@ class TestEntropyAndMi:
             merged = np.vstack([joint[0] + joint[1], joint[2:]])
             assert mutual_information(merged) <= mutual_information(joint) + 1e-12
 
+    def test_support_outside_the_underflowed_product_of_marginals(self):
+        # 1e-170 * 1e-170 underflows to 0, where the joint has mass
+        with pytest.raises(DistributionError, match="product of marginals"):
+            mutual_information([[1e-170, 0.0], [0.0, 1.0 - 1e-170]])
+        m = DiscreteJointModel([1e-170, 1.0 - 1e-170], np.eye(2), np.eye(2))
+        with pytest.raises(DistributionError, match="product of marginals"):
+            exact_mixture_kl(m)
+
     def test_bad_distribution(self):
         with pytest.raises(DistributionError):
             entropy(np.array([0.5, 0.6]))
+        with pytest.raises(DistributionError):
+            entropy(np.array([np.nan, 1.0]))
         with pytest.raises(DistributionError):
             mutual_information(np.array([[0.5, -0.1], [0.3, 0.3]]))
 
@@ -90,6 +114,20 @@ def deterministic_model(nz=3, seed=0):
         px[z, z] = 1.0
         py[z, z] = 1.0
     return DiscreteJointModel(pz, px, py)
+
+
+class TestDiscreteJointModel:
+    @pytest.mark.parametrize("p_z, p_x, p_y", [
+        ([1.0, 0.0], np.eye(2), [[1.5, -0.5], [0.0, 1.0]]),   # negative entry
+        ([np.nan, 1.0], np.eye(2), np.eye(2)),                # NaN entry
+        ([0.5, 0.5 + 1e-6], np.eye(2), np.eye(2)),            # p_z sums to 1 + 1e-6
+        ([0.5, 0.5 - 1e-6], np.eye(2), np.eye(2)),            # p_z sums to 1 - 1e-6
+        ([0.5, 0.5], [[0.5, 0.5], [0.5, 0.4]], np.eye(2)),    # a row sums to 0.9
+        ([0.5, 0.5], np.eye(2), [[0.5, 0.5]]),                # one row for two z states
+    ], ids=["negative", "nan", "pz-high", "pz-low", "row-sum", "row-count"])
+    def test_rejects(self, p_z, p_x, p_y):
+        with pytest.raises(DistributionError):
+            DiscreteJointModel(p_z, p_x, p_y)
 
 
 class TestMixtureKl:
@@ -159,8 +197,10 @@ class TestBoundChain:
     def test_mi_ordering(self):
         m = DiscreteJointModel.random(3, 4, 4, seed=11)
         r = verify_bound_chain(m, n=2)
-        assert r.mi_zx == pytest.approx(model_mi_zx(m), abs=1e-15)
-        assert r.mi_zy == pytest.approx(model_mi_zy(m), abs=1e-15)
+        joint_zx = m.p_z[:, None] * m.p_x_given_z
+        joint_zy = m.p_z[:, None] * m.p_y_given_z
+        assert r.mi_zx == pytest.approx(mutual_information(joint_zx), abs=1e-15)
+        assert r.mi_zy == pytest.approx(mutual_information(joint_zy), abs=1e-15)
         assert min(r.mi_zx, r.mi_zy) <= r.h_z + 1e-12
 
 

@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import re
+import types
 
 import clnce
 from clnce import pipeline
@@ -11,9 +12,16 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = pathlib.Path(clnce.__file__).resolve().parent
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in clnce.__all__ if not hasattr(clnce, name)]
-    assert missing == []
+def test_all_is_the_names_the_package_imports():
+    """``__all__`` is every name that ``__init__.py`` binds with a
+    ``from .x import ...`` statement, and ``__version__``; no submodule."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert sorted(clnce.__all__) == sorted([*imported, "__version__"])
+    assert not [name for name in clnce.__all__
+                if isinstance(getattr(clnce, name), types.ModuleType)]
 
 
 def test_readme_library_example_runs(capsys):
