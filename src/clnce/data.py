@@ -11,13 +11,20 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import math
+import os
+import re
+import stat
+import tempfile
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    ClnceError,
     DimensionError,
     DomainError,
     GraphError,
@@ -207,9 +214,104 @@ def _first_bad_row(path: str, dim: int, num_attrs: int, has_label: bool):
     return None
 
 
+CACHE_DIR = "__clnce_cache__"
+# Stored in every cache entry; an entry with another tag is a miss. numpy's
+# version is part of it, because numpy's parser decides what a file holds.
+_CACHE_FORMAT = f"clnce dataset csv 1, numpy {np.__version__}"
+# Reading or writing an entry may fail in these ways, ClnceError for arrays
+# that fail the Dataset checks; each falls back to the parse.
+_CACHE_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, ClnceError)
+
+
 @_utf8
 def load_dataset(path: str) -> Dataset:
     """Load and validate a dataset CSV whose header follows HEADER_GRAMMAR.
+
+    A parse is cached next to the file, in
+    ``CACHE_DIR/<basename>.<sha256 of the bytes>.npz``, and a later call on
+    the same bytes reads the arrays back bit for bit. Cache I/O never
+    changes a result or an error: any failure of it falls back to the parse.
+    """
+    digest = _digest(path)
+    if digest is None:
+        return _parse_dataset(path)
+    folder, name = os.path.split(path)
+    entry = os.path.join(folder, CACHE_DIR, f"{name}.{digest}.npz")
+    d = _read_entry(entry)
+    if d is None:
+        d = _parse_dataset(path)
+        if _digest(path) == digest:  # the parse read the bytes that were hashed
+            _write_entry(entry, d)
+    return d
+
+
+def _digest(path: str) -> str | None:
+    """The sha256 hex digest of the regular file ``path``; None for anything
+    else, such as a pipe, or a file that cannot be read."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, "rb") as fh:
+            return hashlib.file_digest(fh, "sha256").hexdigest()
+    except OSError:
+        return None
+
+
+def _read_entry(entry: str) -> Dataset | None:
+    """The Dataset stored at ``entry``; None when there is none to read."""
+    try:
+        with np.load(entry, allow_pickle=False) as z:
+            if str(z["format"]) != _CACHE_FORMAT:
+                return None
+            # ids as UTF-8 bytes and the end of each in the decoded text: a
+            # numpy str array would drop trailing NULs
+            text = z["ids"].tobytes().decode("utf-8")
+            ends = z["id_ends"].tolist()
+            return Dataset(
+                features=z["features"],
+                ids=tuple(text[a:b] for a, b in zip([0, *ends], ends)),
+                attributes=z["attributes"] if "attributes" in z else None,
+                labels=z["labels"] if "labels" in z else None,
+            )
+    except _CACHE_ERRORS:
+        return None
+
+
+def _write_entry(entry: str, d: Dataset) -> None:
+    """Store ``d`` at ``entry`` through a temporary file and ``os.replace``,
+    then remove the entries of other contents under the same file name. On
+    any failure the cache is left as it is."""
+    folder, name = os.path.split(entry)
+    same_file = re.compile(re.escape(name.rsplit(".", 2)[0]) + r"\.[0-9a-f]{64}\.npz")
+    try:
+        arrays = {
+            "format": np.array(_CACHE_FORMAT),
+            "features": d.features,
+            "ids": np.frombuffer("".join(d.ids).encode("utf-8"), dtype=np.uint8),
+            "id_ends": np.cumsum([len(s) for s in d.ids], dtype=np.int64),
+        }
+        if d.attributes is not None:
+            arrays["attributes"] = d.attributes
+        if d.labels is not None:
+            arrays["labels"] = d.labels
+        os.makedirs(folder, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=folder, prefix=name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, **arrays)
+            os.replace(tmp, entry)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        for other in os.listdir(folder):
+            if other != name and same_file.fullmatch(other):
+                os.remove(os.path.join(folder, other))
+    except _CACHE_ERRORS:
+        pass
+
+
+def _parse_dataset(path: str) -> Dataset:
+    """The dataset CSV at ``path``, parsed and checked.
 
     The data rows are parsed by one ``np.loadtxt`` call into a structured
     array, so no row or cell becomes a Python object (the ids are one str

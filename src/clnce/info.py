@@ -14,6 +14,8 @@ import numpy as np
 from .errors import DistributionError, ParameterError, SizeError
 
 _ATOL = 1e-9
+# The most cells of a dense table indexed by ids: 2**27 float64 cells, 1 GiB.
+MAX_TABLE_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,14 @@ class DiscreteJointModel:
         return cls(pz, px, py)
 
 
+def check_table_size(shape: tuple[int, int], largest_id: int) -> None:
+    """SizeError if a dense table of ``shape``, indexed by ids up to
+    ``largest_id``, has more than MAX_TABLE_CELLS cells."""
+    if shape[0] * shape[1] > MAX_TABLE_CELLS:
+        raise SizeError(f"ids up to {largest_id} need a dense {shape} table, "
+                        f"more than {MAX_TABLE_CELLS} cells")
+
+
 def empirical_joint(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Plug-in joint count table, normalized to sum to one."""
     z, t = np.asarray(z), np.asarray(t)
@@ -66,7 +76,9 @@ def empirical_joint(z: np.ndarray, t: np.ndarray) -> np.ndarray:
         zi, ti = z.astype(np.int64, copy=False), t.astype(np.int64, copy=False)
     if (zi != z).any() or (ti != t).any() or min(zi.min(), ti.min()) < 0:
         raise ParameterError("z and t must hold non-negative integer ids")
-    table = np.zeros((int(zi.max()) + 1, int(ti.max()) + 1))
+    shape = (int(zi.max()) + 1, int(ti.max()) + 1)
+    check_table_size(shape, max(shape) - 1)
+    table = np.zeros(shape)
     np.add.at(table, (zi, ti), 1.0)
     return table / z.size
 

@@ -306,14 +306,19 @@ def linear_evaluate(
     """
     if train_data.labels is None or eval_data.labels is None:
         raise DataError("linear evaluation needs labeled train and eval sets")
-    xt = np.empty((model.encoder_layers[-1][0].shape[1], train_data.num_samples))
+    width = model.encoder_layers[-1][0].shape[1]
+    num_classes = max(train_data.num_classes, eval_data.num_classes)
+    # the largest per-class array: weights (C, D), or logits (C, n) of either set
+    im.check_table_size(
+        (num_classes, max(width, train_data.num_samples, eval_data.num_samples)),
+        num_classes - 1)
+    xt = np.empty((width, train_data.num_samples))
     x = enc.embed(model, train_data.features, out=xt.T)
     # standardize with train statistics for a well-conditioned probe
     mu, sd = _mean_std(x)
     sd[sd == 0] = 1.0
     x -= mu
     x /= sd
-    num_classes = max(train_data.num_classes, eval_data.num_classes)
     w, b = _fit_probe(xt, train_data.labels, num_classes, epochs, lr)
     del x, xt
     x = enc.embed(model, eval_data.features)

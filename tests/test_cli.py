@@ -318,6 +318,29 @@ class TestBadInput:
             "error [NumericError]: linear probe diverged to non-finite weights at lr 1e+308"
         ]
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_huge_label(self, workspace, capsys, command):
+        # label 2**40 would lay out dense tables of 2**40 + 1 columns or rows
+        tmp_path, data_path, _, cfg_path = workspace
+        out = str(tmp_path / "run")
+        if command == "eval":
+            assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        d = make_mixture_dataset(num_classes=3, dim=6, num_samples=40, seed=1)
+        labels = d.labels.copy()
+        labels[0] = 2**40
+        save_dataset(Dataset(features=d.features, labels=labels), data_path)
+        if command == "eval":
+            argv = ["eval", "--checkpoint", os.path.join(out, "checkpoint.bin"),
+                    "--train-data", data_path, "--eval-data", data_path]
+            shape = "(1099511627777, 40)"
+        else:
+            update_train_config(cfg_path, encoder_widths=[4], projection_widths=[3])
+            argv = ["train", "--config", cfg_path, "--out", out]
+            shape = ", 1099511627777)"
+        err = self.run_bad(argv, capsys, "SizeError")
+        assert "ids up to 1099511627776 need a dense (" in err
+        assert shape in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("key, value", [("data", None), ("data", 5), ("hierarchy", 5)])
     def test_bad_run_config_path(self, workspace, capsys, key, value):
         tmp_path, _, _, cfg_path = workspace

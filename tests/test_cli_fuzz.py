@@ -141,7 +141,7 @@ def test_hierarchy_tsv(paths, keep, extra, level):
 
 
 CELLS = ["0", "1", "-1", "2.5", "nan", "inf", "1e400", "1e160", "-1e160", "x", "", '"q"',
-         "0,1", "\udcff", None]
+         "0,1", "\udcff", "1099511627776", None]
 # finite features whose squared distances overflow to inf
 OVERFLOW_ROWS = [CSV_ROWS[0][:3] + ["label"]] + [
     [str(i), f"{s * 1e160 * (1 + i / 8)!r}", f"{-s * 1e160!r}", str(i % 2)]
@@ -156,6 +156,7 @@ OVERFLOW_ROWS = [CSV_ROWS[0][:3] + ["label"]] + [
        sep=st.sampled_from(["\n", "\r\n"]))
 @example(base=CSV_ROWS, edits=[(0, 0, "\udcff\udcfeid")], rows=len(CSV_ROWS), sep="\n")
 @example(base=CSV_ROWS, edits=[], rows=0, sep="\n")
+@example(base=CSV_ROWS, edits=[(5, 6, "1099511627776")], rows=len(CSV_ROWS), sep="\n")
 @example(base=OVERFLOW_ROWS, edits=[], rows=len(OVERFLOW_ROWS), sep="\n")
 def test_dataset_csv(paths, base, edits, rows, sep):
     table = [list(r) for r in base[:rows]]

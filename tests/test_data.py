@@ -1,14 +1,19 @@
 import csv
+import hashlib
 import os
 import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from clnce import data
 from clnce.data import (
+    CACHE_DIR,
     AugmentConfig,
     Dataset,
     HierarchyGraph,
@@ -259,6 +264,18 @@ def load_both(rows):
         return results
 
 
+def assert_same_dataset(got, want):
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.features.shape == want.features.shape
+    assert got.ids == want.ids
+    for field in ("attributes", "labels"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype == np.int64
+            assert a.tobytes() == b.tobytes()
+
+
 class TestLoadDatasetProperties:
     """``load_dataset`` (one loadtxt call) against the row-loop oracle."""
 
@@ -266,16 +283,10 @@ class TestLoadDatasetProperties:
     @given(csv_datasets())
     def test_same_dataset_as_oracle(self, d):
         got, want = load_both(dataset_rows(d))
-        assert got.features.tobytes() == want.features.tobytes()
-        assert got.features.shape == want.features.shape == d.features.shape
+        assert_same_dataset(got, want)
+        assert got.features.shape == d.features.shape
         assert got.features.flags.c_contiguous
-        assert got.ids == want.ids == d.ids
-        for field in ("attributes", "labels"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.dtype == b.dtype == np.int64
-                np.testing.assert_array_equal(a, b)
+        assert got.ids == d.ids
 
     @settings(max_examples=200, deadline=None)
     @given(csv_datasets(), st.data())
@@ -344,3 +355,101 @@ class TestHeaderGrammar:
         path = write(tmp_path, "d.csv", "id,f0\nr0,1.0\nr1,1_0\n")
         with pytest.raises(SchemaError, match="1_0"):
             load_dataset(path)
+
+
+def not_parsed():
+    """Inside it, a load that would parse the CSV fails the test."""
+    return mock.patch.object(data, "_parse_dataset", side_effect=AssertionError("parsed"))
+
+
+class TestLoadCache:
+    """``load_dataset`` keeps each parse in CACHE_DIR under the sha256 of
+    the file's bytes; a hit gives the parse's dataset bit for bit."""
+
+    @staticmethod
+    def entries(folder):
+        cache = os.path.join(folder, CACHE_DIR)
+        return sorted(os.listdir(cache)) if os.path.isdir(cache) else []
+
+    @settings(max_examples=100, deadline=None)
+    @given(csv_datasets())
+    @example(Dataset(features=np.array([[1.0], [2.0]]), ids=("a\x00", "\x00")))
+    @example(Dataset(features=np.array([[1.0], [2.0], [3.0]]), ids=('q"\r', "a,b\r\n", "\r"),
+                     labels=np.array([0, 2**63 - 1, 5])))
+    def test_hit_is_the_parse(self, d):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            save_dataset(d, path)
+            miss = load_dataset(path)
+            assert len(self.entries(tmp)) == 1
+            with not_parsed():
+                hit = load_dataset(path)
+            oracle = load_dataset_reference(path)
+        assert miss.ids == d.ids
+        assert_same_dataset(miss, oracle)
+        assert_same_dataset(hit, oracle)
+
+    def test_entry_is_named_by_the_sha256_of_the_bytes(self, tmp_path):
+        path = write(tmp_path, "d.csv", "id,f0\nr0,1.0\n")
+        load_dataset(path)
+        digest = hashlib.sha256(b"id,f0\nr0,1.0\n").hexdigest()
+        assert self.entries(tmp_path) == [f"d.csv.{digest}.npz"]
+
+    def test_same_size_rewrite_with_old_mtime_is_parsed_again(self, tmp_path):
+        path = write(tmp_path, "d.csv", "id,f0\nr0,1.0\n")
+        load_dataset(path)
+        stamp = os.stat(path)
+        write(tmp_path, "d.csv", "id,f0\nr0,2.0\n")
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert os.stat(path).st_size == stamp.st_size
+        assert load_dataset(path).features.tolist() == [[2.0]]
+
+    @pytest.mark.parametrize("damage", ["truncate", "garbage", "empty"])
+    def test_damaged_entry_is_parsed_and_rewritten(self, tmp_path, damage):
+        path = write(tmp_path, "d.csv", "id,f0,a0,label\nr0,1.5,1,3\nr1,-2.0,0,0\n")
+        first = load_dataset(path)
+        [name] = self.entries(tmp_path)
+        entry = tmp_path / CACHE_DIR / name
+        blob = entry.read_bytes()
+        entry.write_bytes({"truncate": blob[: len(blob) // 2], "garbage": b"garbage" * 9,
+                           "empty": b""}[damage])
+        assert_same_dataset(load_dataset(path), first)
+        with not_parsed():
+            assert_same_dataset(load_dataset(path), first)
+
+    def test_entry_of_another_format_is_a_miss(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "d.csv", "id,f0\nr0,1.0\n")
+        load_dataset(path)
+        monkeypatch.setattr(data, "_CACHE_FORMAT", "another loader")
+        with pytest.raises(AssertionError, match="parsed"), not_parsed():
+            load_dataset(path)
+
+    def test_unwritable_cache_is_silent(self, tmp_path):
+        # a file where the cache directory would go; chmod does not stop root
+        (tmp_path / CACHE_DIR).write_text("not a directory")
+        path = write(tmp_path, "d.csv", "id,f0,label\nr0,1.0,0\nr1,2.0,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                assert_same_dataset(load_dataset(path), load_dataset_reference(path))
+        assert (tmp_path / CACHE_DIR).read_text() == "not a directory"
+
+    def test_failed_parse_leaves_no_entry(self, tmp_path):
+        path = write(tmp_path, "d.csv", "id,f0,label\nr0,1.0,0\nr1,2.0,-1\n")
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"d\.csv:3: negative label"):
+                load_dataset(path)
+        assert self.entries(tmp_path) == []
+
+    def test_one_entry_per_file_name(self, tmp_path):
+        other = write(tmp_path, "d.csv.2", "id,f0\nr0,0.0\n")
+        load_dataset(other)
+        for value in ("1.0", "2.0", "3.0"):
+            path = write(tmp_path, "d.csv", f"id,f0\nr0,{value}\n")
+            load_dataset(path)
+        digests = [hashlib.sha256(f"id,f0\nr0,{v}\n".encode()).hexdigest() for v in ("0.0", "3.0")]
+        assert self.entries(tmp_path) == sorted([f"d.csv.2.{digests[0]}.npz",
+                                                 f"d.csv.{digests[1]}.npz"])
+        with not_parsed():
+            assert load_dataset(path).features.tolist() == [[3.0]]
+            assert load_dataset(other).features.tolist() == [[0.0]]

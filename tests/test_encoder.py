@@ -351,6 +351,21 @@ class TestSgdStep:
         # weights do decay
         assert _views(state.momentum, model.shapes)[0][0].any()
 
+    @pytest.mark.parametrize("decay_biases", [False, True])
+    def test_step_matches_the_formula(self, decay_biases):
+        model, state = self.make(weight_decay=0.25, momentum=0.5, decay_biases=decay_biases)
+        rng = np.random.default_rng(4)
+        state.momentum[...] = rng.normal(size=model.params.size)
+        grad = rng.normal(size=model.params.size)
+        decay = np.full(model.params.size, 0.25)
+        for _, b in _views(decay, model.shapes):
+            b[...] *= decay_biases
+        buffer = 0.5 * state.momentum + (grad + decay * model.params)
+        expected = model.params - lr_at(0, state.hyper) * buffer
+        sgd_step(model, grad, state)
+        assert state.momentum.tobytes() == buffer.tobytes()
+        assert model.params.tobytes() == expected.tobytes()
+
     def test_shape_mismatch(self):
         model, state = self.make()
         bad = np.ones(model.params.size + 1)
@@ -374,6 +389,7 @@ class TestCheckpoint:
         assert state2.step_count == 1
         assert state2.hyper == hyper
         np.testing.assert_array_equal(model.params, model2.params)
+        assert state2.decay.tobytes() == state.decay.tobytes()
 
     @pytest.mark.parametrize("cut", ["header", "blocks", "trailing"])
     def test_damaged_file_raises_state_error(self, tmp_path, cut):

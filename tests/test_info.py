@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clnce.errors import DistributionError, ParameterError, SizeError
 from clnce.info import (
@@ -49,6 +51,13 @@ class TestEmpiricalJoint:
             empirical_joint(z, t)
         with pytest.raises(ParameterError):
             info_plane_point(z, t)
+
+    def test_table_too_large_for_the_ids(self):
+        with pytest.raises(SizeError, match=r"ids up to 1099511627776 need a dense "
+                                            r"\(2, 1099511627777\) table"):
+            empirical_joint([0, 1], [0, 2**40])
+        with pytest.raises(SizeError):
+            info_plane_point([2**40, 0], [0, 1])
 
     def test_integral_float_and_bool_ids_count_as_their_integers(self):
         expected = empirical_joint([0, 1, 1], [1, 0, 1])
@@ -246,3 +255,37 @@ class TestInfoPlane:
         assert lines[0] == "config_label,mi_zt,h_z_given_t,h_z,accuracy"
         assert lines[1].startswith("a,0.5")
         assert lines[2].endswith(",")
+
+
+@st.composite
+def id_vectors(draw):
+    """Equal-length cluster ids z and label ids t, and an injective
+    relabelling of the values of each."""
+    n = draw(st.integers(1, 30))
+    kz, kt = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    z = np.array(draw(st.lists(st.integers(0, kz - 1), min_size=n, max_size=n)))
+    t = np.array(draw(st.lists(st.integers(0, kt - 1), min_size=n, max_size=n)))
+    new_z = np.array(draw(st.permutations(range(12)))[:kz])
+    new_t = np.array(draw(st.permutations(range(12)))[:kt])
+    return z, t, new_z, new_t
+
+
+class TestInfoPlaneProperties:
+    """The plug-in information plane on drawn id vectors."""
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(id_vectors())
+    def test_contracts(self, ids):
+        z, t, new_z, new_t = ids
+        p = info_plane_point(z, t)
+        assert abs(p.mi_zt + p.h_z_given_t - p.h_z) <= 1e-12
+        h_t = entropy(empirical_joint(t, t).sum(axis=1))
+        assert -1e-12 <= p.mi_zt <= min(p.h_z, h_t) + 1e-12
+        # symmetry
+        joint = empirical_joint(z, t)
+        assert abs(mutual_information(joint) - mutual_information(joint.T)) <= 1e-12
+        assert abs(p.mi_zt - info_plane_point(t, z).mi_zt) <= 1e-12
+        # relabelling the values of z and of t changes no coordinate
+        q = info_plane_point(new_z[z], new_t[t])
+        for field in ("mi_zt", "h_z_given_t", "h_z"):
+            assert abs(getattr(p, field) - getattr(q, field)) <= 1e-12, field
