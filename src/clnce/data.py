@@ -17,6 +17,7 @@ import os
 import re
 import stat
 import tempfile
+import time
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -215,9 +216,9 @@ def _first_bad_row(path: str, dim: int, num_attrs: int, has_label: bool):
 
 
 CACHE_DIR = "__clnce_cache__"
-# Stored in every cache entry; an entry with another tag is a miss. numpy's
-# version is part of it, because numpy's parser decides what a file holds.
-_CACHE_FORMAT = f"clnce dataset csv 1, numpy {np.__version__}"
+# A temporary file in CACHE_DIR this much older than its last write was left
+# by a killed write; the next write under its file name removes it.
+_STALE_TMP_S = 60.0
 # Reading or writing an entry may fail in these ways, ClnceError for arrays
 # that fail the Dataset checks; each falls back to the parse.
 _CACHE_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, ClnceError)
@@ -232,7 +233,7 @@ def load_dataset(path: str) -> Dataset:
     the same bytes reads the arrays back bit for bit. Cache I/O never
     changes a result or an error: any failure of it falls back to the parse.
     """
-    digest = _digest(path)
+    digest = _digest(path) if _CACHE_FORMAT else None
     if digest is None:
         return _parse_dataset(path)
     folder, name = os.path.split(path)
@@ -251,10 +252,23 @@ def _digest(path: str) -> str | None:
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None
+        h = hashlib.sha256()
         with open(path, "rb") as fh:
-            return hashlib.file_digest(fh, "sha256").hexdigest()
+            while chunk := fh.read(1 << 18):
+                h.update(chunk)
+        return h.hexdigest()
     except OSError:
         return None
+
+
+# Stored in every cache entry; an entry with another tag is a miss. The tag
+# holds the sha256 of this file, which holds every parse rule, so that any
+# edit to the loader orphans the entries it wrote, as a .pyc's magic number
+# does; and numpy's version, because numpy's parser decides what a file
+# holds. When this file cannot be read there is no tag, and no cache.
+_LOADER_DIGEST = _digest(__file__)
+_CACHE_FORMAT = (None if _LOADER_DIGEST is None
+                 else f"clnce data.py {_LOADER_DIGEST}, numpy {np.__version__}")
 
 
 def _read_entry(entry: str) -> Dataset | None:
@@ -279,10 +293,10 @@ def _read_entry(entry: str) -> Dataset | None:
 
 def _write_entry(entry: str, d: Dataset) -> None:
     """Store ``d`` at ``entry`` through a temporary file and ``os.replace``,
-    then remove the entries of other contents under the same file name. On
-    any failure the cache is left as it is."""
+    then remove the entries of other contents under the same file name, and
+    its stale temporary files. On any failure the cache is left as it is."""
     folder, name = os.path.split(entry)
-    same_file = re.compile(re.escape(name.rsplit(".", 2)[0]) + r"\.[0-9a-f]{64}\.npz")
+    same_file = re.compile(re.escape(name.rsplit(".", 2)[0]) + r"\.[0-9a-f]{64}\.npz(\w+\.tmp)?")
     try:
         arrays = {
             "format": np.array(_CACHE_FORMAT),
@@ -303,9 +317,14 @@ def _write_entry(entry: str, d: Dataset) -> None:
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        now = time.time()
         for other in os.listdir(folder):
-            if other != name and same_file.fullmatch(other):
-                os.remove(os.path.join(folder, other))
+            match = same_file.fullmatch(other)
+            if other == name or match is None:
+                continue
+            other = os.path.join(folder, other)
+            if match[1] is None or now - os.stat(other).st_mtime > _STALE_TMP_S:
+                os.remove(other)
     except _CACHE_ERRORS:
         pass
 

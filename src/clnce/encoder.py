@@ -48,6 +48,9 @@ class EncoderModel:
         for (w, b), (vw, vb) in zip(layers, views):
             vw[...] = w
             vb[...] = b
+        self.bias_mask = np.zeros(self.params.size, dtype=bool)
+        for _, b in _views(self.bias_mask, self.shapes):
+            b[...] = True
         n_enc = len(self.encoder_layers)
         self.encoder_layers, self.projection_layers = views[:n_enc], views[n_enc:]
         self.version = 0
@@ -192,19 +195,10 @@ class OptimizerState:
     momentum: np.ndarray            # one buffer in the layout of model.params
     step_count: int
     hyper: OptimizerHyper
-    decay: np.ndarray               # each parameter's weight decay, in that layout
 
     @classmethod
-    def for_model(cls, model: EncoderModel, hyper: OptimizerHyper,
-                  momentum: np.ndarray | None = None, step_count: int = 0) -> "OptimizerState":
-        """The state of ``model`` at ``step_count``, zero momentum by default."""
-        decay = np.full_like(model.params, hyper.weight_decay)
-        if not hyper.decay_biases:
-            for _, b in _views(decay, model.shapes):
-                b[...] = 0.0
-        if momentum is None:
-            momentum = np.zeros_like(model.params)
-        return cls(momentum, step_count, hyper, decay)
+    def for_model(cls, model: EncoderModel, hyper: OptimizerHyper) -> "OptimizerState":
+        return cls(np.zeros_like(model.params), 0, hyper)
 
 
 def lr_at(step: int, hyper: OptimizerHyper) -> float:
@@ -232,7 +226,8 @@ def sgd_step(model: EncoderModel, grad: np.ndarray, state: OptimizerState):
     h = state.hyper
     # one temporary, in place; buffer*momentum + (grad + decay*param) rounds
     # as the formula above does
-    step = np.multiply(state.decay, model.params)
+    step = np.where(model.bias_mask, h.weight_decay * h.decay_biases, h.weight_decay)
+    step *= model.params
     step += grad
     state.momentum *= h.momentum
     state.momentum += step
@@ -296,4 +291,4 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
         raise StateError(f"{path}: non-finite parameters")
     layers = _views(params, layer_shapes)
     model = EncoderModel(layers[:n_enc], layers[n_enc:])
-    return model, OptimizerState.for_model(model, hyper, momentum.astype(np.float64), step_count)
+    return model, OptimizerState(momentum.astype(np.float64), step_count, hyper)

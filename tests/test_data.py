@@ -424,6 +424,35 @@ class TestLoadCache:
         with pytest.raises(AssertionError, match="parsed"), not_parsed():
             load_dataset(path)
 
+    def test_format_names_the_loader_source(self):
+        # an edit to any parse rule changes the tag, so old entries are misses
+        with open(data.__file__, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() in data._CACHE_FORMAT
+
+    def test_hashing_needs_no_file_digest(self, tmp_path, monkeypatch):
+        # hashlib.file_digest is Python 3.11+; the package supports 3.10
+        monkeypatch.delattr(hashlib, "file_digest", raising=False)
+        path = write(tmp_path, "d.csv", "id,f0\nr0,1.0\n")
+        load_dataset(path)
+        with not_parsed():
+            assert load_dataset(path).features.tolist() == [[1.0]]
+
+    def test_write_removes_stale_temporary_files(self, tmp_path):
+        # left by writes that were killed between mkstemp and os.replace
+        load_dataset(write(tmp_path, "d.csv", "id,f0\nr0,1.0\n"))
+        cache = tmp_path / CACHE_DIR
+        stale, fresh = (cache / f"d.csv.{'0' * 64}.npz{s}.tmp" for s in ("abc_123x", "def_456y"))
+        stale.write_bytes(b"partial")
+        fresh.write_bytes(b"partial")
+        old = os.stat(stale).st_mtime - 2 * data._STALE_TMP_S
+        os.utime(stale, (old, old))
+        other = cache / f"e.csv.{'0' * 64}.npzabc_123x.tmp"
+        other.write_bytes(b"partial")
+        os.utime(other, (old, old))
+        load_dataset(write(tmp_path, "d.csv", "id,f0\nr0,2.0\n"))
+        assert not stale.exists()
+        assert fresh.exists() and other.exists()
+
     def test_unwritable_cache_is_silent(self, tmp_path):
         # a file where the cache directory would go; chmod does not stop root
         (tmp_path / CACHE_DIR).write_text("not a directory")
