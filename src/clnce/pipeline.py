@@ -264,8 +264,15 @@ def train(
             losses.append(loss)
         return float(np.mean(losses))
 
+    # Every recluster embeds into this one (n, D) array, held until the
+    # probe. An array per recluster is freed during each epoch, and whether
+    # the next one fits back into its memory or grows the heap depends on
+    # where the training steps' allocations land, so the peak RSS would
+    # differ from run to run.
+    embedded = np.empty((d.num_samples, encoder_dims[-1])) if refresh else None
+
     def recluster():
-        result = _run_kmeans(enc.embed(model, d.features), spec)
+        result = _run_kmeans(enc.embed(model, d.features, out=embedded), spec)
         trace.append({"epoch": len(trace), "encoder_step_count": state.step_count,
                       "inertia_history": list(result.inertia_history)})
         return result.assignment
@@ -281,6 +288,7 @@ def train(
         loss_curve.append(train_epoch(clusters))
         if refresh:
             clusters = recluster()
+    embedded = None  # the probe's own (n, D) array takes its place
     accuracy = None
     if eval_data is not None and d.labels is not None and eval_data.labels is not None:
         accuracy = linear_evaluate(model, d, eval_data, epochs=cfg.eval_epochs, lr=cfg.eval_lr)

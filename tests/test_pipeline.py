@@ -280,6 +280,23 @@ class TestKmeansLoop:
             expected.assignment, d.labels, config_label="kmeans(4)@epoch1"
         )
 
+    def test_every_recluster_embeds_into_one_array(self, monkeypatch):
+        # an (n, D) array per recluster makes the heap's growth, and so the
+        # peak RSS, depend on where the allocator places it from run to run
+        d = small_dataset()
+        cfg = small_config(epochs=3, cluster_source={"source": "kmeans", "K": 4})
+        outs = []
+        real_embed = pipeline.enc.embed
+
+        def recording_embed(model, x, out=None):
+            outs.append(out)
+            return real_embed(model, x, out=out)
+
+        monkeypatch.setattr(pipeline.enc, "embed", recording_embed)
+        train(d, cfg)
+        assert len(outs) == cfg.epochs + 1
+        assert outs[0] is not None and all(o is outs[0] for o in outs)
+
     def test_default_max_iters(self):
         # tol < 0 never stops early, so every recluster runs the default cap
         d = small_dataset()
