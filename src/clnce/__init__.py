@@ -14,7 +14,6 @@ from .clusters import (
     clusters_from_labels,
     clusters_instance_id,
     kmeans,
-    prune_to_tree,
 )
 from .data import (
     AugmentConfig,

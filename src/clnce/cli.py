@@ -32,14 +32,17 @@ def _read_json(path: str):
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def _load_data(data: str, hierarchy: str | None):
+    """The dataset at ``data``, with the hierarchy at ``hierarchy`` if one is given."""
+    d = load_dataset(data)
+    return dataclasses.replace(d, hierarchy=load_hierarchy(hierarchy)) if hierarchy else d
+
+
 def _load_run_config(path: str):
     """Dataset, TrainConfig and train fraction of a run config, parsed before any file is read."""
     run = pl.parse_object(_read_json(path), pl.RUN_KEYS, "run config")
     cfg = pl.TrainConfig.from_dict(run["train"])
-    d = load_dataset(run["data"])
-    if run["hierarchy"]:
-        d = dataclasses.replace(d, hierarchy=load_hierarchy(run["hierarchy"]))
-    return d, cfg, float(run["train_fraction"])
+    return _load_data(run["data"], run["hierarchy"]), cfg, float(run["train_fraction"])
 
 
 def _cmd_train(args) -> int:
@@ -126,9 +129,7 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_make_clusters(args) -> int:
-    d = load_dataset(args.data)
-    if args.hierarchy:
-        d = dataclasses.replace(d, hierarchy=load_hierarchy(args.hierarchy))
+    d = _load_data(args.data, args.hierarchy)
     spec = {"source": args.source}  # with the flags its source has keys for
     spec.update((key, getattr(args, key)) for key in pl.SPEC_KEYS[args.source]
                 if getattr(args, key, None) is not None)
@@ -169,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--train-data", required=True)
     p.add_argument("--eval-data", required=True)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.5)
+    p.add_argument("--epochs", type=int, default=pl.TrainConfig.eval_epochs)
+    p.add_argument("--lr", type=float, default=pl.TrainConfig.eval_lr)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("infoplane", help="sweep synthetic cluster configs")

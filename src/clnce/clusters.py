@@ -1,7 +1,9 @@
 """Cluster construction: attributes, hierarchy levels, k-means, synthetic modes.
 
-All cluster ids are assigned in first-occurrence order so the same inputs
-always produce the same assignment vector.
+Every assignment is a function of its inputs, seed included. Attribute and
+hierarchy cluster ids are in order of first occurrence, label clusters in
+sorted label order, k-means clusters by centroid index, and refine,
+coarsen and permute clusters by class or merge-group order.
 """
 
 from __future__ import annotations
@@ -139,36 +141,22 @@ def _longest_paths(g: HierarchyGraph) -> tuple[dict[str, int], dict[str, str]]:
     return depth, kept
 
 
-def prune_to_tree(g: HierarchyGraph) -> HierarchyGraph:
-    """Drop extra parents so every node keeps one path to the single root.
-
-    The retained parent is the one on the longest root-to-node path; ties
-    keep the lexicographically smallest parent id.
-    """
-    _, kept = _longest_paths(g)
-    return HierarchyGraph(
-        nodes=g.nodes,
-        edges=tuple((p, c) for c, p in kept.items()),
-        leaf_label_map=dict(g.leaf_label_map),
-    )
-
-
 def clusters_from_hierarchy(
-    tree: HierarchyGraph, level: int, d: Dataset
+    g: HierarchyGraph, level: int, d: Dataset
 ) -> ClusterAssignment:
     """Assign each sample the ancestor of its label's leaf at the given depth.
 
-    Root is depth 1; a leaf shallower than the requested level stands in for
-    its missing ancestor.
+    Root is depth 1, and a node's depth and ancestors follow its longest
+    path from the root: of several parents, the one on the longest root
+    path is kept, and ties go to the smallest id. A leaf shallower than the
+    requested level stands in for its missing ancestor.
     """
+    depth, parent = _longest_paths(g)
     if level < 1:
         raise ParameterError("level must be >= 1")
     if d.labels is None:
         raise DataError("dataset has no labels to map onto the hierarchy")
-    if len({c for _, c in tree.edges}) != len(tree.edges):
-        raise GraphError("tree has a multi-parent node; prune first")
-    depth, parent = _longest_paths(tree)
-    max_leaf_depth = max((depth[leaf] for leaf in tree.leaf_label_map), default=0)
+    max_leaf_depth = max((depth[leaf] for leaf in g.leaf_label_map), default=0)
     if level > max_leaf_depth:
         raise ParameterError(f"level {level} exceeds max leaf depth {max_leaf_depth}")
 
@@ -177,7 +165,7 @@ def clusters_from_hierarchy(
             node = parent[node]
         return node
 
-    leaf_by_label = {lab: leaf for leaf, lab in tree.leaf_label_map.items()}
+    leaf_by_label = {lab: leaf for leaf, lab in g.leaf_label_map.items()}
     keys = []
     for lab in d.labels:
         if int(lab) not in leaf_by_label:

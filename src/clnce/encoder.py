@@ -174,11 +174,11 @@ def backward(model: EncoderModel, cache: ForwardCache, grad_wrt_projection: np.n
 
 @dataclass(frozen=True)
 class OptimizerHyper:
-    peak_lr: float = 0.1
-    momentum: float = 0.95
-    weight_decay: float = 1e-4
-    warmup_steps: int = 10
-    total_steps: int = 100
+    peak_lr: float
+    momentum: float
+    weight_decay: float
+    warmup_steps: int
+    total_steps: int
     decay_biases: bool = False
 
     def __post_init__(self):

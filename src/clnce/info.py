@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +58,12 @@ class DiscreteJointModel:
         return cls(pz, px, py)
 
 
-def check_table_size(shape: tuple[int, int], largest_id: int) -> None:
-    """SizeError if a dense table of ``shape``, indexed by ids up to
-    ``largest_id``, has more than MAX_TABLE_CELLS cells."""
-    if shape[0] * shape[1] > MAX_TABLE_CELLS:
-        raise SizeError(f"ids up to {largest_id} need a dense {shape} table, "
-                        f"more than {MAX_TABLE_CELLS} cells")
+def check_table_size(shape: tuple[int, ...], cause: str) -> None:
+    """SizeError, naming ``cause``, if a dense array of ``shape`` has more
+    than MAX_TABLE_CELLS cells."""
+    if math.prod(shape) > MAX_TABLE_CELLS:
+        raise SizeError(f"{cause}: a dense {shape} array has more than "
+                        f"{MAX_TABLE_CELLS} cells")
 
 
 def empirical_joint(z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -77,7 +78,7 @@ def empirical_joint(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     if (zi != z).any() or (ti != t).any() or min(zi.min(), ti.min()) < 0:
         raise ParameterError("z and t must hold non-negative integer ids")
     shape = (int(zi.max()) + 1, int(ti.max()) + 1)
-    check_table_size(shape, max(shape) - 1)
+    check_table_size(shape, f"ids up to {max(shape) - 1}")
     table = np.zeros(shape)
     np.add.at(table, (zi, ti), 1.0)
     return table / z.size
@@ -176,7 +177,7 @@ class BoundChainReport:
     all_inequalities_hold: bool
 
 
-def verify_bound_chain(m: DiscreteJointModel, n: int = 3) -> BoundChainReport:
+def verify_bound_chain(m: DiscreteJointModel, n: int) -> BoundChainReport:
     """Check objective <= KL <= min(MI(Z;X), MI(Z;Y)) <= H(Z) exactly."""
     if n > 4:
         raise SizeError("n > 4 exceeds the enumeration budget")

@@ -18,7 +18,7 @@ from .errors import NumericError, ParameterError, ShapeError
 
 @dataclass(frozen=True)
 class CriticConfig:
-    temperature: float = 0.1
+    temperature: float
 
     def __post_init__(self):
         if self.temperature <= 0:

@@ -196,8 +196,7 @@ def build_clusters(d: Dataset, spec: dict):
     if source == "hierarchy":
         if d.hierarchy is None:
             raise DataError("hierarchy cluster source needs a hierarchy")
-        tree = cl.prune_to_tree(d.hierarchy)
-        return cl.clusters_from_hierarchy(tree, spec["level"], d)
+        return cl.clusters_from_hierarchy(d.hierarchy, spec["level"], d)
     if source == "kmeans":
         return _run_kmeans(d.features, spec).assignment
     if d.labels is None:
@@ -230,6 +229,12 @@ def train(
     aug = AugmentConfig(noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob)
     encoder_dims = [d.feature_dim, *cfg.encoder_widths]
     projection_dims = [encoder_dims[-1], *cfg.projection_widths]
+    # the (B, B) critic scores and the parameter vector, before either exists
+    im.check_table_size((cfg.batch_size,) * 2, f"batch_size {cfg.batch_size}")
+    dims = [*encoder_dims, *cfg.projection_widths]
+    im.check_table_size((sum(a * b + b for a, b in zip(dims, dims[1:])),),
+                        f"encoder_widths {list(cfg.encoder_widths)} and "
+                        f"projection_widths {list(cfg.projection_widths)}")
     model = enc.init_model(encoder_dims, projection_dims, seed=cfg.seed)
     steps_per_epoch = max(1, d.num_samples // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -301,8 +306,8 @@ def linear_evaluate(
     model: enc.EncoderModel,
     train_data: Dataset,
     eval_data: Dataset,
-    epochs: int = 200,
-    lr: float = 0.5,
+    epochs: int = TrainConfig.eval_epochs,
+    lr: float = TrainConfig.eval_lr,
 ) -> float:
     """Top-1 accuracy of a multinomial-logistic probe on frozen encoder output.
 
@@ -319,7 +324,7 @@ def linear_evaluate(
     # the largest per-class array: weights (C, D), or logits (C, n) of either set
     im.check_table_size(
         (num_classes, max(width, train_data.num_samples, eval_data.num_samples)),
-        num_classes - 1)
+        f"ids up to {num_classes - 1}")
     xt = np.empty((width, train_data.num_samples))
     x = enc.embed(model, train_data.features, out=xt.T)
     # standardize with train statistics for a well-conditioned probe
@@ -395,7 +400,7 @@ def run_info_plane_experiment(
     d: Dataset,
     configs: list,
     cfg: TrainConfig,
-    train_fraction: float = 0.7,
+    train_fraction: float = RUN_KEYS["train_fraction"],
     csv_path: str | None = None,
 ) -> list:
     """Train once per cluster config and emit an InfoPlanePoint per config."""

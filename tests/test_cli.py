@@ -268,6 +268,37 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert not os.path.exists(str(tmp_path / "x"))
 
+    @pytest.mark.parametrize("values, category, message", [
+        pytest.param(*case, id=json.dumps(case[0])) for case in [
+            ({"momentum": 1.0}, "ParameterError", "momentum must lie in [0, 1)"),
+            ({"weight_decay": -1}, "ParameterError", "weight_decay must be >= 0"),
+            ({"warmup_steps": -1}, "ParameterError", "need 0 <= warmup_steps <= total_steps"),
+            ({"cluster_source": {"source": "hierarchy", "level": 9}}, "ParameterError",
+             "level 9 exceeds max leaf depth 3"),
+            ({"cluster_source": {"source": "synthetic", "mode": "refine", "splits_per_class": 0}},
+             "ParameterError", "splits_per_class must be >= 1"),
+            ({"cluster_source": {"source": "synthetic", "mode": "refine",
+                                 "splits_per_class": 10**6}},
+             "ParameterError", "cannot split into 1000000"),
+            ({"cluster_source": {"source": "kmeans", "K": 3, "max_iters": 0}}, "ParameterError",
+             "max_iters must be >= 1"),
+            # sizes that would allocate TiBs: refused before anything is allocated
+            ({"batch_size": 2**40}, "SizeError",
+             "batch_size 1099511627776: a dense (1099511627776, 1099511627776) array"),
+            ({"encoder_widths": [2**40]}, "SizeError",
+             "encoder_widths [1099511627776] and projection_widths [4]: a dense ("),
+        ]
+    ])
+    def test_value_out_of_range_for_its_use(self, workspace, capsys, values, category, message):
+        # checked where the value is used, so after --out is made
+        tmp_path, _, _, cfg_path = workspace
+        update_train_config(cfg_path, **values)
+        err = self.run_bad(
+            ["train", "--config", cfg_path, "--out", str(tmp_path / "x")], capsys, category,
+        )
+        assert message in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("key, value", [pytest.param(*kv, id=kv[0]) for kv in [
         ("peak_lr", 10**400), ("temperature", float("inf")), ("momentum", -10**400),
         ("weight_decay", 10**400), ("noise_sigma", float("nan")), ("mask_prob", 10**400),
@@ -338,7 +369,7 @@ class TestBadInput:
             argv = ["train", "--config", cfg_path, "--out", out]
             shape = ", 1099511627777)"
         err = self.run_bad(argv, capsys, "SizeError")
-        assert "ids up to 1099511627776 need a dense (" in err
+        assert "ids up to 1099511627776: a dense (" in err
         assert shape in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("key, value", [("data", None), ("data", 5), ("hierarchy", 5)])

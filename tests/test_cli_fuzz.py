@@ -19,7 +19,7 @@ from clnce.datagen import make_mixture_dataset
 from clnce.encoder import OptimizerHyper, OptimizerState, init_model, save_checkpoint
 from clnce.pipeline import TrainConfig
 
-FUZZ = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+FUZZ = settings(max_examples=60)
 
 DATA = make_mixture_dataset(num_classes=3, dim=3, num_samples=24, num_attributes=2, seed=0)
 
@@ -177,7 +177,9 @@ def checkpoint(paths):
     """The header (a dict) and the parameter blocks of a valid checkpoint for
     DATA's three features."""
     model = init_model([3, 4], [4, 3], seed=0)
-    save_checkpoint(model, OptimizerState.for_model(model, OptimizerHyper()), paths["ckpt.bin"])
+    hyper = OptimizerHyper(peak_lr=0.1, momentum=0.95, weight_decay=1e-4,
+                           warmup_steps=10, total_steps=100)
+    save_checkpoint(model, OptimizerState.for_model(model, hyper), paths["ckpt.bin"])
     with open(paths["ckpt.bin"], "rb") as fh:
         return json.loads(fh.readline()), fh.read()
 

@@ -19,7 +19,6 @@ from clnce.clusters import (
     coarsen_clusters,
     kmeans,
     permute_clusters,
-    prune_to_tree,
     refine_clusters,
     save_assignment,
 )
@@ -110,53 +109,6 @@ class TestAttributeClusters:
             assert is_refinement(fine, coarse)
 
 
-def diamond():
-    return HierarchyGraph(
-        nodes=("A", "B", "L", "root"),
-        edges=(("root", "A"), ("root", "B"), ("A", "L"), ("B", "L")),
-        leaf_label_map={"L": 0},
-    )
-
-
-class TestPruneToTree:
-    def test_tree_unchanged(self):
-        g = HierarchyGraph(
-            nodes=("root", "a", "l0", "l1"),
-            edges=(("root", "a"), ("a", "l0"), ("a", "l1")),
-            leaf_label_map={"l0": 0, "l1": 1},
-        )
-        pruned = prune_to_tree(g)
-        assert set(pruned.edges) == set(g.edges)
-
-    def test_diamond_tie_lexicographic(self):
-        pruned = prune_to_tree(diamond())
-        parents_of_l = [p for p, c in pruned.edges if c == "L"]
-        assert parents_of_l == ["A"]
-
-    def test_longest_path_parent_kept(self):
-        # L has parents at depth 2 (s) and depth 4 (d3); keep the deeper one
-        g = HierarchyGraph(
-            nodes=("L", "d2", "d3", "root", "s"),
-            edges=(
-                ("root", "s"), ("root", "d2"), ("d2", "d3"),
-                ("s", "L"), ("d3", "L"),
-            ),
-            leaf_label_map={"L": 0},
-        )
-        pruned = prune_to_tree(g)
-        assert ("d3", "L") in pruned.edges
-        assert ("s", "L") not in pruned.edges
-
-    def test_cycle_detected(self):
-        g = HierarchyGraph(
-            nodes=("a", "b", "root"),
-            edges=(("root", "a"), ("a", "b"), ("b", "a")),
-            leaf_label_map={},
-        )
-        with pytest.raises(GraphError):
-            prune_to_tree(g)
-
-
 def three_level_tree():
     # root -> g0, g1; g0 -> l0, l1; g1 -> l2, l3
     return HierarchyGraph(
@@ -204,11 +156,41 @@ class TestHierarchyClusters:
         with pytest.raises(ParameterError):
             clusters_from_hierarchy(self.tree, 0, self.d)
 
-    @pytest.mark.parametrize("shape", ["diamond", "two_roots", "cycle"])
+    def test_longest_path_parent_kept(self):
+        # L has parents s (depth 2) and d3 (depth 3); its ancestors are read
+        # along root -> d2 -> d3 -> L, so at level 2 it leaves s's leaf M
+        g = HierarchyGraph(
+            nodes=("L", "M", "d2", "d3", "root", "s"),
+            edges=(
+                ("root", "s"), ("root", "d2"), ("d2", "d3"),
+                ("s", "L"), ("d3", "L"), ("s", "M"),
+            ),
+            leaf_label_map={"L": 0, "M": 1},
+        )
+        d = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]))
+        for level in (2, 3):
+            assert clusters_from_hierarchy(g, level, d).assignment.tolist() == [0, 1]
+        assert clusters_from_hierarchy(g, 4, d).num_clusters == 2
+        with pytest.raises(ParameterError, match="max leaf depth 4"):
+            clusters_from_hierarchy(g, 5, d)
+
+    def test_tied_parents_keep_the_smallest_id(self):
+        # L's parents A and B are both at depth 2: L joins A's leaf N, not B's M
+        g = HierarchyGraph(
+            nodes=("A", "B", "L", "M", "N", "root"),
+            edges=(
+                ("root", "A"), ("root", "B"), ("A", "L"), ("B", "L"),
+                ("B", "M"), ("A", "N"),
+            ),
+            leaf_label_map={"L": 0, "M": 1, "N": 2},
+        )
+        d = Dataset(features=np.zeros((3, 1)), labels=np.array([0, 1, 2]))
+        assert clusters_from_hierarchy(g, 2, d).assignment.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("shape", ["two_roots", "cycle", "cycle_below_root"])
     def test_not_a_tree(self, shape):
         d = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 0]))
         g = {
-            "diamond": diamond(),
             "two_roots": HierarchyGraph(
                 nodes=("L", "M", "r1", "r2"),
                 edges=(("r1", "L"), ("r2", "M")),
@@ -220,9 +202,15 @@ class TestHierarchyClusters:
                 edges=(("root", "L"), ("a", "b"), ("b", "a")),
                 leaf_label_map={"L": 0},
             ),
+            # a reaches b and b reaches a, both below the root
+            "cycle_below_root": HierarchyGraph(
+                nodes=("a", "b", "root"),
+                edges=(("root", "a"), ("a", "b"), ("b", "a")),
+                leaf_label_map={},
+            ),
         }[shape]
         with pytest.raises(GraphError, match={
-            "diamond": "multi-parent", "two_roots": "one root", "cycle": "cycle",
+            "two_roots": "one root", "cycle": "cycle", "cycle_below_root": "cycle",
         }[shape]):
             clusters_from_hierarchy(g, 1, d)
 
@@ -327,7 +315,7 @@ def lloyd_inputs(draw):
 
 
 class TestKMeansProperties:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(lloyd_inputs(), st.sampled_from([1, 3, 30]))
     def test_bit_identical_to_broadcast_oracle(self, inputs, max_iters):
         pts, K, seed = inputs
@@ -338,7 +326,7 @@ class TestKMeansProperties:
         assert got.inertia_history == want.inertia_history
         assert got.iterations_run == want.iterations_run
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(lloyd_inputs(), st.data())
     def test_seeding_bit_identical_to_direct_oracle(self, inputs, data):
         pts, _, seed = inputs
@@ -350,7 +338,7 @@ class TestKMeansProperties:
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(lloyd_inputs(), st.data())
     def test_seeding_nearest_is_the_lloyd_search_on_its_centroids(self, inputs, data):
         # kmeans takes the seeding's (nearest, d2) as its first iteration's
@@ -363,7 +351,7 @@ class TestKMeansProperties:
         assert nearest.tolist() == assign.tolist()
         assert d2.tobytes() == dist.tobytes()
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(lloyd_inputs(), st.sampled_from([1e-162, 3e-160, 1e-155]))
     def test_underflowing_products_stay_exact(self, inputs, scale):
         # squares near the subnormal range round with an absolute error
@@ -376,7 +364,7 @@ class TestKMeansProperties:
         assert got.centroids.tobytes() == want.centroids.tobytes()
         assert got.inertia_history == want.inertia_history
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(lloyd_inputs(), st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_nearest_breaks_ties_to_lowest_index(self, inputs, K, seed):
         pts = inputs[0]
@@ -390,7 +378,7 @@ class TestKMeansProperties:
         assert assign.tolist() == lowest
         assert dist.tobytes() == d2[np.arange(pts.shape[0]), assign].tobytes()
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(lloyd_inputs())
     def test_inertia_never_increases(self, inputs):
         pts, K, seed = inputs

@@ -279,7 +279,7 @@ def assert_same_dataset(got, want):
 class TestLoadDatasetProperties:
     """``load_dataset`` (one loadtxt call) against the row-loop oracle."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(csv_datasets())
     def test_same_dataset_as_oracle(self, d):
         got, want = load_both(dataset_rows(d))
@@ -288,7 +288,7 @@ class TestLoadDatasetProperties:
         assert got.features.flags.c_contiguous
         assert got.ids == d.ids
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(csv_datasets(), st.data())
     def test_same_error_and_line_as_oracle(self, d, data):
         rows = dataset_rows(d)
@@ -371,7 +371,7 @@ class TestLoadCache:
         cache = os.path.join(folder, CACHE_DIR)
         return sorted(os.listdir(cache)) if os.path.isdir(cache) else []
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(csv_datasets())
     @example(Dataset(features=np.array([[1.0], [2.0]]), ids=("a\x00", "\x00")))
     @example(Dataset(features=np.array([[1.0], [2.0], [3.0]]), ids=('q"\r', "a,b\r\n", "\r"),

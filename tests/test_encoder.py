@@ -21,6 +21,9 @@ from clnce.encoder import (
 from clnce.errors import ParameterError, ShapeError, StateError
 from oracles import backward_reference, forward_reference
 
+# an optimizer for tests that do not depend on its values
+HYPER = dict(peak_lr=0.1, momentum=0.95, weight_decay=1e-4, warmup_steps=10, total_steps=100)
+
 
 def straight_line_forward(model, x):
     """Independent re-implementation used as an oracle for forward()."""
@@ -99,7 +102,7 @@ class TestTwoLoopOracle:
     """The one-loop forward and the cache-reading backward give the bits of
     the original two-loop forward and renormalising backward."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         encoder_widths=st.lists(st.integers(1, 9), min_size=2, max_size=4),
         projection_widths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
@@ -148,7 +151,7 @@ class TestTwoLoopOracle:
 
 
 class TestEmbed:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         widths=st.lists(st.integers(1, 9), min_size=2, max_size=4),
         # within one block, and across blocks with every kind of tail,
@@ -393,7 +396,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("cut", ["header", "blocks", "trailing"])
     def test_damaged_file_raises_state_error(self, tmp_path, cut):
         model = init_model([3, 5, 4], [4, 2], seed=9)
-        state = OptimizerState.for_model(model, OptimizerHyper())
+        state = OptimizerState.for_model(model, OptimizerHyper(**HYPER))
         path = str(tmp_path / "c.bin")
         save_checkpoint(model, state, path)
         blob = open(path, "rb").read()
@@ -410,7 +413,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("damage", ["nan_weight", "inf_bias", "unchained"])
     def test_invalid_parameters_raise_state_error(self, tmp_path, damage):
         model = init_model([2, 3], [3, 2], seed=9)
-        state = OptimizerState.for_model(model, OptimizerHyper())
+        state = OptimizerState.for_model(model, OptimizerHyper(**HYPER))
         path = str(tmp_path / "c.bin")
         save_checkpoint(model, state, path)
         blob = bytearray(open(path, "rb").read())
@@ -428,10 +431,20 @@ class TestCheckpoint:
         with pytest.raises(StateError, match="non-finite|do not chain"):
             load_checkpoint(path)
 
+    def test_hyper_without_a_field_raises_state_error(self, tmp_path):
+        model = init_model([2, 3], [3, 2], seed=9)
+        path = str(tmp_path / "c.bin")
+        save_checkpoint(model, OptimizerState.for_model(model, OptimizerHyper(**HYPER)), path)
+        blob = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(blob.replace(b'"momentum": 0.95, ', b""))
+        with pytest.raises(StateError, match="momentum"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("dims", [b"[2.0, 3.0]", b"[true, 3]", b"[2]"])
     def test_ill_typed_layer_widths_raise_state_error(self, tmp_path, dims):
         model = init_model([2, 3], [3, 2], seed=9)
-        state = OptimizerState.for_model(model, OptimizerHyper())
+        state = OptimizerState.for_model(model, OptimizerHyper(**HYPER))
         path = str(tmp_path / "c.bin")
         save_checkpoint(model, state, path)
         blob = open(path, "rb").read()
@@ -453,7 +466,7 @@ class TestParameterArena:
 
     def test_checkpoint_body_is_params_then_momentum(self, tmp_path):
         model = init_model([3, 5, 4], [4, 2], seed=9)
-        state = OptimizerState.for_model(model, OptimizerHyper(momentum=0.9))
+        state = OptimizerState.for_model(model, OptimizerHyper(**{**HYPER, "momentum": 0.9}))
         grad = np.random.default_rng(0).normal(size=model.params.size)
         sgd_step(model, grad, state)
         path = str(tmp_path / "c.bin")
@@ -485,7 +498,7 @@ class TestParameterArena:
 
     def test_cache_from_before_sgd_step_is_stale(self):
         model = init_model([3, 5], [5, 2], seed=1)
-        state = OptimizerState.for_model(model, OptimizerHyper())
+        state = OptimizerState.for_model(model, OptimizerHyper(**HYPER))
         _, proj, cache = forward(model, np.ones((2, 3)))
         sgd_step(model, backward(model, cache, np.ones_like(proj)), state)
         with pytest.raises(StateError):
@@ -499,7 +512,7 @@ class TestDeterminism:
         trajectories = []
         for _ in range(2):
             model = init_model([3, 4], [4, 2], seed=5)
-            hyper = OptimizerHyper(warmup_steps=2, total_steps=20)
+            hyper = OptimizerHyper(**{**HYPER, "warmup_steps": 2, "total_steps": 20})
             state = OptimizerState.for_model(model, hyper)
             rng = np.random.default_rng(0)
             for _ in range(5):

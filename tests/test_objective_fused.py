@@ -1,15 +1,22 @@
 """The training step's fused loss-and-gradient pass against the separate
-loss and gradient it replaced."""
+loss and gradient it replaced, and its reduction to two-view InfoNCE."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clnce.clusters import clusters_instance_id
 from clnce.errors import NumericError, ShapeError
-from clnce.objective import cl_infonce_grad, cl_infonce_loss
+from clnce.objective import (
+    CriticConfig,
+    cl_infonce_grad,
+    cl_infonce_loss,
+    critic_matrix,
+    sample_pair_batch,
+)
 
-from oracles import cl_infonce_grad_reference, cl_infonce_loss_reference
+from oracles import cl_infonce_grad_reference, cl_infonce_loss_reference, infonce_loss_reference
 
 
 @st.composite
@@ -30,7 +37,7 @@ def score_matrices(draw):
     return s + draw(st.sampled_from([0.0, 1e3, -1e6]))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(score_matrices())
 def test_fused_pass_bit_identical_to_separate_oracles(scores):
     assert cl_infonce_loss(scores) == cl_infonce_loss_reference(scores)
@@ -45,3 +52,26 @@ def test_fused_pass_validates_like_the_oracles(fn):
         fn(bad)
     with pytest.raises(ShapeError):
         fn(np.zeros((3, 4)))
+
+
+@settings(max_examples=100)
+@given(
+    pool=st.integers(2, 40),
+    n=st.integers(2, 24),
+    width=st.integers(1, 8),
+    temperature=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_instance_id_clusters_reduce_to_two_view_infonce(pool, n, width, temperature, seed):
+    # singleton clusters pair each drawn instance with itself: the two views
+    rng = np.random.default_rng(seed)
+    batch = sample_pair_batch(clusters_instance_id(pool), n, rng)
+    assert (batch.x_indices == batch.y_indices).all()
+    raw = rng.normal(size=(pool, width))
+    base = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    jitter = raw + 0.1 * rng.normal(size=raw.shape)
+    other = jitter / np.linalg.norm(jitter, axis=1, keepdims=True)
+    px, py = base[batch.x_indices], other[batch.y_indices]
+    cfg = CriticConfig(temperature=temperature)
+    ref = infonce_loss_reference(px, py, cfg)
+    assert abs(cl_infonce_loss(critic_matrix(px, py, cfg)) - ref) <= 1e-12 * max(1.0, abs(ref))
