@@ -129,10 +129,8 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_make_clusters(args) -> int:
+    spec = pl.parse_cluster_spec(_read_json(args.spec))  # before the dataset is read
     d = _load_data(args.data, args.hierarchy)
-    spec = {"source": args.source}  # with the flags its source has keys for
-    spec.update((key, getattr(args, key)) for key in pl.SPEC_KEYS[args.source]
-                if getattr(args, key, None) is not None)
     clusters = pl.build_clusters(d, spec)
     cl.save_assignment(clusters, d.ids, args.out)
     print(f"{clusters.num_clusters} clusters ({clusters.provenance}) -> {args.out}")
@@ -189,12 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-clusters", help="export a cluster assignment CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--hierarchy", default=None)
-    p.add_argument("--source", required=True,
-                   choices=[source for source in pl.SPEC_KEYS if source != "synthetic"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--level", type=int)
-    p.add_argument("--K", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--spec", required=True, help="JSON cluster spec")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_clusters)
 

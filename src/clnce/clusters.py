@@ -175,9 +175,8 @@ def clusters_from_hierarchy(
     return ClusterAssignment(assignment, n_clusters, provenance=f"hierarchy({level})")
 
 
-# element budgets of one block of (rows, K, D) broadcast terms, and of one
-# block of gathered rows (256 KB, within a core's L2 cache)
-_BROADCAST_BLOCK, _GATHER_BLOCK = 1 << 18, 1 << 15
+# the element budget of one block of gathered rows (256 KB, within a core's L2 cache)
+_GATHER_BLOCK = 1 << 15
 
 
 def _sq_dist(points: np.ndarray, rows: np.ndarray, centers) -> np.ndarray:
@@ -275,7 +274,7 @@ def _nearest(
     ``_slack``, with max ||c||) of the exact distance, so a row whose GEMM
     gap between best and second-best exceeds ``4 * err`` has the same argmin
     under both; every other row (near and exact ties, large offsets,
-    underflow, overflow) is recomputed with the broadcast in blocks.
+    underflow, overflow) is recomputed centroid by centroid with ``_sq_dist``.
     """
     n, dim = pts.shape
     c_sq = (centroids**2).sum(axis=1)
@@ -290,11 +289,10 @@ def _nearest(
     g[rows, assign] = np.inf
     gap = g.min(axis=1) - best
     redo = np.flatnonzero(~(gap > _slack(dim, np.sqrt(pts_sq) + np.sqrt(c_sq.max()))))
-    step = max(1, _BROADCAST_BLOCK // max(1, centroids.size))
-    for s in range(0, redo.size, step):
-        idx = redo[s : s + step]
-        d2 = ((pts[idx, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign[idx] = d2.argmin(axis=1)
+    d2 = np.empty((redo.size, centroids.shape[0]))
+    for k, c in enumerate(centroids):
+        d2[:, k] = _sq_dist(pts, redo, c)
+    assign[redo] = d2.argmin(axis=1)
     # (c - x)^2 has the bits of (x - c)^2
     return assign, _sq_dist(centroids, assign, pts)
 
@@ -320,13 +318,12 @@ def kmeans(
     inertia history are bit-identical to Lloyd's step on the full (n, K, D)
     broadcast of squared differences. The nearest-centroid search is one
     ``points @ centroids.T`` GEMM whose argmin is kept only where a rounding
-    error bound certifies it; uncertified rows fall back to the broadcast.
+    error bound certifies it; uncertified rows are recomputed exactly.
     The seeding's nearest centroids serve as the first iteration's. Inertia
     is summed from the exact assigned distances, and centroid means add the
     same rows in the same order. Beyond the input, memory is O(nK) plus one
-    block of ``_BROADCAST_BLOCK`` broadcast terms, one of ``_GATHER_BLOCK``
-    gathered rows, and the rows of one cluster at a time in the centroid
-    update; no (n, D) temporary is formed.
+    block of ``_GATHER_BLOCK`` gathered rows, and the rows of one cluster at
+    a time in the centroid update; no (n, D) temporary is formed.
     """
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():

@@ -20,7 +20,7 @@ import tempfile
 import time
 import warnings
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,15 +39,13 @@ from .errors import (
 class HierarchyGraph:
     """A label hierarchy as a parent->child edge list with a leaf-label map."""
 
-    nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     leaf_label_map: dict[str, int]
+    nodes: tuple[str, ...] = field(init=False)  # sorted, every node that the edges name
 
     def __post_init__(self):
-        node_set = set(self.nodes)
-        for p, c in self.edges:
-            if p not in node_set or c not in node_set:
-                raise GraphError(f"edge ({p!r}, {c!r}) references unknown node")
+        node_set = {n for e in self.edges for n in e}
+        object.__setattr__(self, "nodes", tuple(sorted(node_set)))
         children = {p for p, _ in self.edges}
         leaves = node_set - children
         seen_labels: dict[int, str] = {}
@@ -421,8 +419,7 @@ def load_hierarchy(path: str) -> HierarchyGraph:
         raise SchemaError(f"{path}: no edges")
     if not leaf_label_map:
         raise SchemaError(f"{path}: no leaf<TAB>label lines after '#labels'")
-    nodes = tuple(sorted({n for e in edges for n in e}))
-    return HierarchyGraph(nodes=nodes, edges=tuple(edges), leaf_label_map=leaf_label_map)
+    return HierarchyGraph(edges=tuple(edges), leaf_label_map=leaf_label_map)
 
 
 def save_hierarchy(g: HierarchyGraph, path: str) -> None:

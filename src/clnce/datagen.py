@@ -69,8 +69,7 @@ def make_balanced_hierarchy(num_classes: int) -> HierarchyGraph:
         leaf = f"leaf{c}"
         edges.append((f"g{g}", leaf))
         leaf_label_map[leaf] = c
-    nodes = tuple(sorted({n for e in edges for n in e}))
-    return HierarchyGraph(nodes=nodes, edges=tuple(edges), leaf_label_map=leaf_label_map)
+    return HierarchyGraph(edges=tuple(edges), leaf_label_map=leaf_label_map)
 
 
 def make_blob_dataset(

@@ -229,12 +229,15 @@ def train(
     aug = AugmentConfig(noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob)
     encoder_dims = [d.feature_dim, *cfg.encoder_widths]
     projection_dims = [encoder_dims[-1], *cfg.projection_widths]
-    # the (B, B) critic scores and the parameter vector, before either exists
+    # the (B, B) critic scores, the parameter vector and the (n, D) embedding
+    # that reclusters and the probe fill, before any of them exists
     im.check_table_size((cfg.batch_size,) * 2, f"batch_size {cfg.batch_size}")
     dims = [*encoder_dims, *cfg.projection_widths]
     im.check_table_size((sum(a * b + b for a, b in zip(dims, dims[1:])),),
                         f"encoder_widths {list(cfg.encoder_widths)} and "
                         f"projection_widths {list(cfg.projection_widths)}")
+    im.check_table_size((d.num_samples, encoder_dims[-1]),
+                        f"encoder_widths {list(cfg.encoder_widths)} on {d.num_samples} rows")
     model = enc.init_model(encoder_dims, projection_dims, seed=cfg.seed)
     steps_per_epoch = max(1, d.num_samples // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -321,10 +324,11 @@ def linear_evaluate(
         raise DataError("linear evaluation needs labeled train and eval sets")
     width = model.encoder_layers[-1][0].shape[1]
     num_classes = max(train_data.num_classes, eval_data.num_classes)
+    n = max(train_data.num_samples, eval_data.num_samples)
     # the largest per-class array: weights (C, D), or logits (C, n) of either set
-    im.check_table_size(
-        (num_classes, max(width, train_data.num_samples, eval_data.num_samples)),
-        f"ids up to {num_classes - 1}")
+    im.check_table_size((num_classes, max(width, n)), f"ids up to {num_classes - 1}")
+    # the embedding of either set, (D, n) or (n, D)
+    im.check_table_size((width, n), f"encoder width {width} on {n} rows")
     xt = np.empty((width, train_data.num_samples))
     x = enc.embed(model, train_data.features, out=xt.T)
     # standardize with train statistics for a well-conditioned probe

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import clnce
-from clnce.cli import build_parser, main
+from clnce.cli import main
 from clnce.data import Dataset, save_dataset, save_hierarchy
 from clnce.datagen import make_mixture_dataset
-from clnce.pipeline import SPEC_KEYS
+from clnce.encoder import OptimizerHyper, OptimizerState, init_model, save_checkpoint
 
 
 @pytest.fixture()
@@ -39,6 +39,13 @@ def workspace(tmp_path):
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
     return tmp_path, data_path, hier_path, cfg_path
+
+
+def write_spec(tmp_path, spec):
+    path = str(tmp_path / "spec.json")
+    with open(path, "w") as fh:
+        json.dump(spec, fh)
+    return path
 
 
 def update_train_config(cfg_path, **values):
@@ -164,8 +171,9 @@ class TestBadInput:
         data_path = str(tmp_path / "huge.csv")
         save_dataset(Dataset(features=features, labels=np.arange(8) % 2), data_path)
         if command == "make-clusters":
-            argv = ["make-clusters", "--data", data_path, "--source", "kmeans",
-                    "--K", "3", "--out", str(tmp_path / "c.csv")]
+            argv = ["make-clusters", "--data", data_path, "--spec",
+                    write_spec(tmp_path, {"source": "kmeans", "K": 3}),
+                    "--out", str(tmp_path / "c.csv")]
         else:
             with open(cfg_path) as fh:
                 cfg = json.load(fh)
@@ -184,6 +192,50 @@ class TestBadInput:
         assert proc.stderr.splitlines() == [
             "error [NumericError]: squared distances overflow in k-means++ seeding"
         ]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_embedding_too_wide(self, workspace, command):
+        # an (n, D) embedding of 2000 or 1400 rows at width 2^17 takes 1.4 GB
+        # or more; the child runs under a 1.2 GB address-space limit, so a
+        # missing check ends in a MemoryError, not in that allocation
+        tmp_path, _, _, cfg_path = workspace
+        width = 2**17
+        data_path = str(tmp_path / "rows.csv")
+        features = np.random.default_rng(0).normal(size=(2000, 1))
+        save_dataset(Dataset(features=features, labels=np.arange(2000) % 2), data_path)
+        if command == "train":
+            with open(cfg_path) as fh:
+                cfg = json.load(fh)
+            cfg["data"] = data_path
+            del cfg["hierarchy"]
+            cfg["train"].update(encoder_widths=[width],
+                                cluster_source={"source": "kmeans", "K": 5})
+            with open(cfg_path, "w") as fh:
+                json.dump(cfg, fh)
+            argv = ["train", "--config", cfg_path, "--out", str(tmp_path / "x")]
+            cause, shape = f"encoder_widths [{width}] on 1400 rows", (1400, width)
+        else:
+            ckpt = str(tmp_path / "wide.bin")
+            model = init_model([1, width], [width, 4])
+            hyper = OptimizerHyper(peak_lr=0.1, momentum=0.9, weight_decay=0.0,
+                                   warmup_steps=1, total_steps=1)
+            save_checkpoint(model, OptimizerState.for_model(model, hyper), ckpt)
+            argv = ["eval", "--checkpoint", ckpt, "--train-data", data_path,
+                    "--eval-data", data_path]
+            cause, shape = f"encoder width {width} on 2000 rows", (width, 2000)
+        limit = 1_200_000_000
+        child = ("import resource, runpy; "
+                 f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                 "runpy.run_module('clnce.cli', run_name='__main__')")
+        src = str(pathlib.Path(clnce.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stderr.splitlines() == [
+            f"error [SizeError]: {cause}: a dense {shape} array has more than 134217728 cells"
+        ]
+        assert proc.returncode == 2
 
     def test_malformed_run_config(self, workspace, capsys):
         tmp_path, _, _, cfg_path = workspace
@@ -394,10 +446,12 @@ class TestBadInput:
             "make-data": ["make-data", "--out", out],
             "verify-bounds": ["verify-bounds", "--models", "1"],
             "train": ["train", "--config", cfg_path, "--out", out],
-            "make-clusters": ["make-clusters", "--data", data_path, "--source", "kmeans",
-                              "--K", "2", "--out", out],
+            "make-clusters": ["make-clusters", "--data", data_path, "--spec",
+                              write_spec(tmp_path, {"source": "kmeans", "K": 2, "seed": -1}),
+                              "--out", out],
         }[command]
-        err = self.run_bad(argv + ["--seed", "-1"], capsys, "ParameterError")
+        seed_flag = [] if command == "make-clusters" else ["--seed", "-1"]
+        err = self.run_bad(argv + seed_flag, capsys, "ParameterError")
         assert "'seed' must be an int >= 0, got -1" in err
         assert not os.path.exists(out)
 
@@ -408,7 +462,8 @@ class TestBadInput:
             fh.write("root\ta\n")
         if command == "make-clusters":
             argv = ["make-clusters", "--data", data_path, "--hierarchy", hier_path,
-                    "--source", "hierarchy", "--level", "1", "--out", str(tmp_path / "c.csv")]
+                    "--spec", write_spec(tmp_path, {"source": "hierarchy", "level": 1}),
+                    "--out", str(tmp_path / "c.csv")]
         else:
             update_train_config(cfg_path, cluster_source={"source": "hierarchy", "level": 1})
             argv = ["train", "--config", cfg_path, "--out", str(tmp_path / "x")]
@@ -640,8 +695,8 @@ class TestMakeClusters:
         tmp_path, data_path, _, _ = workspace
         out = str(tmp_path / "clusters.csv")
         rc = main([
-            "make-clusters", "--data", data_path, "--source", "kmeans",
-            "--K", "5", "--out", out,
+            "make-clusters", "--data", data_path,
+            "--spec", write_spec(tmp_path, {"source": "kmeans", "K": 5}), "--out", out,
         ])
         assert rc == 0
         assert os.path.exists(out)
@@ -653,21 +708,16 @@ class TestMakeClusters:
         out = str(tmp_path / "hclusters.csv")
         rc = main([
             "make-clusters", "--data", data_path, "--hierarchy", hier_path,
-            "--source", "hierarchy", "--level", "2", "--out", out,
+            "--spec", write_spec(tmp_path, {"source": "hierarchy", "level": 2}), "--out", out,
         ])
         assert rc == 0
-
-    def test_source_choices_are_the_non_synthetic_spec_sources(self):
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
-        source = next(a for a in sub.choices["make-clusters"]._actions
-                      if a.dest == "source")
-        assert sorted(source.choices) == sorted(SPEC_KEYS.keys() - {"synthetic"})
 
     def test_bad_k_exits_nonzero(self, workspace, capsys):
         tmp_path, data_path, _, _ = workspace
         rc = main([
-            "make-clusters", "--data", data_path, "--source", "attributes",
-            "--k", "0", "--out", str(tmp_path / "c.csv"),
+            "make-clusters", "--data", data_path,
+            "--spec", write_spec(tmp_path, {"source": "attributes", "k": 0}),
+            "--out", str(tmp_path / "c.csv"),
         ])
         assert rc == 2
         assert "error [" in capsys.readouterr().err

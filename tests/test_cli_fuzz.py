@@ -51,7 +51,7 @@ BASE_TRAIN = {"epochs": 1, "batch_size": 4, "encoder_widths": [4], "projection_w
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    names = ("data.csv", "hier.tsv", "run.json", "out", "clusters.csv", "ckpt.bin")
+    names = ("data.csv", "hier.tsv", "run.json", "spec.json", "out", "clusters.csv", "ckpt.bin")
     return {name: str(root / name) for name in names}
 
 
@@ -135,8 +135,9 @@ def test_hierarchy_tsv(paths, keep, extra, level):
         lines.insert(at, line)
     write(paths["data.csv"], [",".join(r) for r in CSV_ROWS])
     write(paths["hier.tsv"], lines)
+    write(paths["spec.json"], [json.dumps({"source": "hierarchy", "level": level})])
     assert_clean_outcome(["make-clusters", "--data", paths["data.csv"], "--hierarchy",
-                          paths["hier.tsv"], "--source", "hierarchy", "--level", str(level),
+                          paths["hier.tsv"], "--spec", paths["spec.json"],
                           "--out", paths["clusters.csv"]])
 
 

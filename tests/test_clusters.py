@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clnce.clusters import (
+    ClusterAssignment,
     _kmeans_pp_init,
     _nearest,
     attribute_entropy,
@@ -112,7 +113,6 @@ class TestAttributeClusters:
 def three_level_tree():
     # root -> g0, g1; g0 -> l0, l1; g1 -> l2, l3
     return HierarchyGraph(
-        nodes=("g0", "g1", "l0", "l1", "l2", "l3", "root"),
         edges=(
             ("root", "g0"), ("root", "g1"),
             ("g0", "l0"), ("g0", "l1"), ("g1", "l2"), ("g1", "l3"),
@@ -160,7 +160,6 @@ class TestHierarchyClusters:
         # L has parents s (depth 2) and d3 (depth 3); its ancestors are read
         # along root -> d2 -> d3 -> L, so at level 2 it leaves s's leaf M
         g = HierarchyGraph(
-            nodes=("L", "M", "d2", "d3", "root", "s"),
             edges=(
                 ("root", "s"), ("root", "d2"), ("d2", "d3"),
                 ("s", "L"), ("d3", "L"), ("s", "M"),
@@ -177,7 +176,6 @@ class TestHierarchyClusters:
     def test_tied_parents_keep_the_smallest_id(self):
         # L's parents A and B are both at depth 2: L joins A's leaf N, not B's M
         g = HierarchyGraph(
-            nodes=("A", "B", "L", "M", "N", "root"),
             edges=(
                 ("root", "A"), ("root", "B"), ("A", "L"), ("B", "L"),
                 ("B", "M"), ("A", "N"),
@@ -192,19 +190,16 @@ class TestHierarchyClusters:
         d = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 0]))
         g = {
             "two_roots": HierarchyGraph(
-                nodes=("L", "M", "r1", "r2"),
                 edges=(("r1", "L"), ("r2", "M")),
                 leaf_label_map={"L": 0, "M": 1},
             ),
             # one root, one parent per node, and a cycle beside the root
             "cycle": HierarchyGraph(
-                nodes=("L", "a", "b", "root"),
                 edges=(("root", "L"), ("a", "b"), ("b", "a")),
                 leaf_label_map={"L": 0},
             ),
             # a reaches b and b reaches a, both below the root
             "cycle_below_root": HierarchyGraph(
-                nodes=("a", "b", "root"),
                 edges=(("root", "a"), ("a", "b"), ("b", "a")),
                 leaf_label_map={},
             ),
@@ -408,6 +403,17 @@ class TestLabelAndInstanceClusters:
         ca = clusters_from_labels(np.array([2, 2, 2]))
         assert ca.num_clusters == 1
         assert ca.assignment.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("assignment, num_clusters, provenance, message", [
+        ([[0, 1]], 2, "labels", "assignment must be a vector"),
+        ([0, 2], 2, "labels", r"cluster id outside \[0, num_clusters\)"),
+        ([0, 1], 3, "labels", "num_clusters exceeds num_samples"),
+        ([0, 0], 2, "instance_id", "instance_id assignment must be a bijection"),
+    ], ids=["not_a_vector", "id_out_of_range", "more_clusters_than_samples",
+            "instance_id_not_a_bijection"])
+    def test_invalid_assignment(self, assignment, num_clusters, provenance, message):
+        with pytest.raises(ParameterError, match=message):
+            ClusterAssignment(np.array(assignment), num_clusters, provenance)
 
 
 class TestSynthesize:

@@ -109,7 +109,6 @@ class TestLoadDataset:
 class TestHierarchyFile:
     def test_round_trip(self, tmp_path):
         g = HierarchyGraph(
-            nodes=("root", "a", "b", "l0", "l1"),
             edges=(("root", "a"), ("root", "b"), ("a", "l0"), ("b", "l1")),
             leaf_label_map={"l0": 0, "l1": 1},
         )
@@ -122,7 +121,6 @@ class TestHierarchyFile:
     def test_duplicate_label_rejected(self):
         with pytest.raises(Exception):
             HierarchyGraph(
-                nodes=("root", "l0", "l1"),
                 edges=(("root", "l0"), ("root", "l1")),
                 leaf_label_map={"l0": 0, "l1": 0},
             )
@@ -200,6 +198,19 @@ class TestDatasetInvariants:
     def test_attribute_domain(self):
         with pytest.raises(DomainError):
             Dataset(features=np.zeros((2, 2)), attributes=np.array([[0, 2], [1, 0]]))
+
+    @pytest.mark.parametrize("fields, error, message", [
+        (dict(features=np.zeros(3)), DimensionError, "features must be a 2-D matrix"),
+        (dict(features=np.zeros((3, 1)), ids=("a", "b")), DimensionError,
+         "2 ids for 3 feature rows"),
+        (dict(features=np.zeros((3, 1)), attributes=np.zeros((2, 1))), DimensionError,
+         "attribute matrix row count mismatch"),
+        (dict(features=np.zeros((3, 1)), labels=np.array([0, -1, 0])), DomainError,
+         "labels must be non-negative"),
+    ], ids=["features_not_2d", "id_count", "attribute_rows", "negative_label"])
+    def test_invalid_fields(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            Dataset(**fields)
 
     def test_default_ids_are_row_indices(self):
         d = Dataset(features=np.zeros((3, 1)))

@@ -139,6 +139,20 @@ class TestDiscreteJointModel:
             DiscreteJointModel(p_z, p_x, p_y)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: verify_bound_chain(DiscreteJointModel.random(2, 3, 3, seed=0), n=5),
+     SizeError, "n > 4 exceeds the enumeration budget"),
+    (lambda: verify_bound_chain(DiscreteJointModel.random(2, 3, 6, seed=0), n=2),
+     SizeError, "alphabets larger than 5 exceed the enumeration budget"),
+    (lambda: conditional_entropy(np.full((2, 2), 0.25), given=2),
+     ParameterError, "given must be 0 or 1"),
+    (lambda: mutual_information(np.full(4, 0.25)), ParameterError, "joint must be a 2-D table"),
+], ids=["batch_too_large", "alphabet_too_large", "given_not_an_axis", "one_dimensional_joint"])
+def test_out_of_contract_call(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestMixtureKl:
     def test_single_cluster_zero(self):
         m = DiscreteJointModel.random(1, 3, 4, seed=0)

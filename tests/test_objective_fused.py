@@ -1,17 +1,22 @@
 """The training step's fused loss-and-gradient pass against the separate
-loss and gradient it replaced, and its reduction to two-view InfoNCE."""
+loss and gradient it replaced, its reduction to two-view InfoNCE, the
+step's parameter gradient against central differences, and the critic's
+shape check."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clnce.clusters import clusters_instance_id
+from clnce.encoder import backward, forward, init_model
 from clnce.errors import NumericError, ShapeError
 from clnce.objective import (
     CriticConfig,
+    _loss_and_grad,
     cl_infonce_grad,
     cl_infonce_loss,
+    critic_backward,
     critic_matrix,
     sample_pair_batch,
 )
@@ -54,6 +59,12 @@ def test_fused_pass_validates_like_the_oracles(fn):
         fn(np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("shape_x, shape_y", [((3, 2), (3, 4)), ((3, 2), (4, 2)), ((3,), (3,))])
+def test_critic_matrix_shape_mismatch(shape_x, shape_y):
+    with pytest.raises(ShapeError, match="projection shapes"):
+        critic_matrix(np.ones(shape_x), np.ones(shape_y), CriticConfig(temperature=1.0))
+
+
 @settings(max_examples=100)
 @given(
     pool=st.integers(2, 40),
@@ -75,3 +86,50 @@ def test_instance_id_clusters_reduce_to_two_view_infonce(pool, n, width, tempera
     cfg = CriticConfig(temperature=temperature)
     ref = infonce_loss_reference(px, py, cfg)
     assert abs(cl_infonce_loss(critic_matrix(px, py, cfg)) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@settings(max_examples=40)
+@given(
+    input_width=st.integers(1, 4),
+    encoder_widths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    projection_widths=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+    n=st.integers(2, 6),
+    temperature=st.sampled_from([0.1, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(input_width=1, encoder_widths=[1, 1], projection_widths=[1, 2], n=3,
+         temperature=0.1, seed=0)
+def test_step_gradient_matches_central_differences(
+    input_width, encoder_widths, projection_widths, n, temperature, seed
+):
+    # the training step's gradient: forward both views, the fused pass on
+    # their scores, then critic_backward and backward
+    rng = np.random.default_rng(seed)
+    cfg = CriticConfig(temperature=temperature)
+    model = init_model([input_width, *encoder_widths], [encoder_widths[-1], *projection_widths])
+    # Random biases as well as weights, so that a dead width-1 ReLU passes a
+    # nonzero value on. Redraw until every pre-activation and row norm sits
+    # off its kink, as acceptance criterion 1 does, so that a central
+    # difference stays on one smooth piece.
+    for _ in range(100):
+        model.params[...] = rng.normal(size=model.params.size)
+        x, y = rng.normal(size=(2, n, input_width))
+        (_, px, cache_x), (_, py, cache_y) = forward(model, x), forward(model, y)
+        if all(min(np.abs(z).min() for z in c.pre_acts) > 1e-3 and c.norms.min() > 1e-2
+               for c in (cache_x, cache_y)):
+            break
+    _, g_scores = _loss_and_grad(critic_matrix(px, py, cfg))
+    g_px, g_py = critic_backward(g_scores, px, py, cfg)
+    analytic = backward(model, cache_x, g_px) + backward(model, cache_y, g_py)
+    base = model.params.copy()
+
+    def loss_at(i, step):
+        model.params[...] = base
+        model.params[i] += step
+        return _loss_and_grad(critic_matrix(forward(model, x)[1], forward(model, y)[1], cfg))[0]
+
+    eps = 1e-6
+    for i in rng.choice(base.size, size=min(base.size, 12), replace=False):
+        fd = (loss_at(i, eps) - loss_at(i, -eps)) / (2 * eps)
+        # relative error 1e-5 as criterion 1; below 1e-7 both are rounding noise
+        assert abs(fd - analytic[i]) <= 1e-5 * max(abs(fd), abs(analytic[i]), 1e-2), i

@@ -3,10 +3,12 @@
 import ast
 import pathlib
 import re
+import shlex
 import types
 
 import clnce
 from clnce import pipeline
+from clnce.cli import build_parser
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = pathlib.Path(clnce.__file__).resolve().parent
@@ -33,6 +35,18 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     accuracy = float(capsys.readouterr().out.strip())
     assert 0.0 <= accuracy <= 1.0
+
+
+def test_readme_command_lines_parse():
+    """Every ``clnce ...`` line of the README's ``sh`` blocks, with its
+    backslash continuations joined, parses under the CLI's parser, and every
+    subcommand has one."""
+    text = README.read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+             for line in block.replace("\\\n", " ").splitlines() if line.startswith("clnce ")]
+    commands = [build_parser().parse_args(shlex.split(line)[1:]).command for line in lines]
+    assert sorted(set(commands)) == sorted(
+        ["train", "eval", "infoplane", "verify-bounds", "make-clusters", "make-data"])
 
 
 def test_readme_cluster_spec_table_matches_spec_keys():
