@@ -448,6 +448,8 @@ def permute_clusters(
     if base.num_samples != labs.size:
         raise ParameterError("base assignment length mismatch")
     fixed = set(int(c) for c in fixed_class_set)
+    if not fixed <= set(labs.tolist()):
+        raise ParameterError(f"fixed_class_set {sorted(fixed)} names labels the data lacks")
     rng = np.random.default_rng(seed)
     assign = base.assignment.copy()
     free = np.flatnonzero(~np.isin(labs, sorted(fixed)))

@@ -17,6 +17,8 @@ from .errors import DistributionError, ParameterError, SizeError
 _ATOL = 1e-9
 # The most cells of a dense table indexed by ids: 2**27 float64 cells, 1 GiB.
 MAX_TABLE_CELLS = 1 << 27
+# The most count-vector work of one batch objective, in cells: 2**22.
+MAX_BATCH_WORK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -137,34 +139,34 @@ def exact_mixture_kl(m: DiscreteJointModel) -> float:
 
 
 def finite_batch_objective(m: DiscreteJointModel, n: int) -> float:
-    """Exact value of the n-pair batch objective at the density-ratio critic.
-
-    Enumerates pair 1 over the mixture support and the remaining n-1
-    negatives over the marginal of y; the critic is
-    f(x, y) = log(mixture(x, y) / (p(x) p(y))).
-    """
+    """Exact n-pair batch objective at the critic f(x, y) = log(mixture(x, y)
+    / (p(x) p(y))). Pair 1 runs over the mixture support; the n-1 negatives
+    count only through how many land on each y with p(y) > 0, so they run
+    over those count vectors, at their multinomial probabilities. SizeError,
+    before any is built, if max(count vectors, n) * (support pairs + |Y|)
+    exceeds MAX_BATCH_WORK."""
     if n < 1:
         raise ParameterError("n must be >= 1")
     mix = mixture_table(m)
-    px = mix.sum(axis=1)
-    py = mix.sum(axis=0)
-    # exp(f*) with zero-density pairs contributing exp(-inf) = 0
-    outer = px[:, None] * py[None, :]
-    ratio = np.zeros_like(mix)
-    np.divide(mix, outer, out=ratio, where=mix > 0)
-    ny = py.size
-    total = 0.0
-    support = [(x, y) for x in range(px.size) for y in range(ny) if mix[x, y] > 0]
-    for x1, y1 in support:
-        f1 = np.log(ratio[x1, y1])
-        e1 = ratio[x1, y1]
-        for rest in itertools.product(range(ny), repeat=n - 1):
-            w = mix[x1, y1] * float(np.prod([py[yj] for yj in rest]))
-            if w == 0.0:
-                continue
-            denom = (e1 + sum(ratio[x1, yj] for yj in rest)) / n
-            total += w * (f1 - np.log(denom))
-    return float(total)
+    px, py = mix.sum(axis=1), mix.sum(axis=0)
+    ratio = np.divide(mix, np.outer(px, py), out=np.zeros_like(mix), where=mix > 0)  # exp(f*)
+    xs, ys = np.nonzero(mix)
+    pos = np.flatnonzero(py > 0)
+    k = pos.size
+    num = math.comb(n + k - 2, k - 1)  # count vectors: n-1 stars and k-1 bars in a row
+    work = max(num, n) * (xs.size + py.size)  # k = 1 has one count vector for any n
+    if work > MAX_BATCH_WORK:
+        raise SizeError(f"n={n} over {k} states of y: {work} cells of count vectors "
+                        f"exceed the budget of {MAX_BATCH_WORK}")
+    slots = range(n + k - 2) if k > 1 else ()  # combinations copies its whole pool
+    bars = itertools.chain.from_iterable(itertools.combinations(slots, k - 1))
+    bars = np.fromiter(bars, np.int64, num * (k - 1)).reshape(num, k - 1)
+    counts = np.diff(bars, prepend=-1, append=n + k - 2, axis=1) - 1
+    log_fact = np.array([math.lgamma(c + 1) for c in range(n)])  # log c! for c < n
+    w = np.exp(log_fact[n - 1] - log_fact[counts].sum(axis=1) + counts @ np.log(py[pos]))
+    e1 = ratio[xs, ys]
+    f1_minus_log_mean = np.log(e1) - np.log((counts @ ratio[np.ix_(xs, pos)].T + e1) / n)
+    return float(mix[xs, ys] @ (w @ f1_minus_log_mean))
 
 
 @dataclass(frozen=True)
@@ -179,12 +181,6 @@ class BoundChainReport:
 
 def verify_bound_chain(m: DiscreteJointModel, n: int) -> BoundChainReport:
     """Check objective <= KL <= min(MI(Z;X), MI(Z;Y)) <= H(Z) exactly."""
-    if n > 4:
-        raise SizeError("n > 4 exceeds the enumeration budget")
-    nx = m.p_x_given_z.shape[1]
-    ny = m.p_y_given_z.shape[1]
-    if nx > 5 or ny > 5:
-        raise SizeError("alphabets larger than 5 exceed the enumeration budget")
     obj = finite_batch_objective(m, n)
     kl = exact_mixture_kl(m)
     mi_x = mutual_information(m.p_z[:, None] * m.p_x_given_z)

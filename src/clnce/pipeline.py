@@ -329,6 +329,7 @@ def linear_evaluate(
     im.check_table_size((num_classes, max(width, n)), f"ids up to {num_classes - 1}")
     # the embedding of either set, (D, n) or (n, D)
     im.check_table_size((width, n), f"encoder width {width} on {n} rows")
+    enc._as_input(model, eval_data.features)  # its width, before the fit
     xt = np.empty((width, train_data.num_samples))
     x = enc.embed(model, train_data.features, out=xt.T)
     # standardize with train statistics for a well-conditioned probe

@@ -1,6 +1,7 @@
 """Independently coded reference implementations the tests check against."""
 
 import csv
+import itertools
 
 import numpy as np
 
@@ -16,7 +17,41 @@ from clnce.errors import (
     SchemaError,
     ShapeError,
 )
+from clnce.info import DiscreteJointModel, mixture_table
 from clnce.objective import CriticConfig, PairBatch
+
+
+def finite_batch_objective_reference(m: DiscreteJointModel, n: int) -> float:
+    """The n-pair batch objective at the density-ratio critic by enumeration.
+
+    The original ``info.finite_batch_objective``: pair 1 runs over the
+    mixture support and the remaining n-1 negatives over every tuple of y
+    values, |Y|^(n-1) of them; the critic is
+    f(x, y) = log(mixture(x, y) / (p(x) p(y))). The count-vector version
+    must agree with it.
+    """
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    mix = mixture_table(m)
+    px = mix.sum(axis=1)
+    py = mix.sum(axis=0)
+    # exp(f*) with zero-density pairs contributing exp(-inf) = 0
+    outer = px[:, None] * py[None, :]
+    ratio = np.zeros_like(mix)
+    np.divide(mix, outer, out=ratio, where=mix > 0)
+    ny = py.size
+    total = 0.0
+    support = [(x, y) for x in range(px.size) for y in range(ny) if mix[x, y] > 0]
+    for x1, y1 in support:
+        f1 = np.log(ratio[x1, y1])
+        e1 = ratio[x1, y1]
+        for rest in itertools.product(range(ny), repeat=n - 1):
+            w = mix[x1, y1] * float(np.prod([py[yj] for yj in rest]))
+            if w == 0.0:
+                continue
+            denom = (e1 + sum(ratio[x1, yj] for yj in rest)) / n
+            total += w * (f1 - np.log(denom))
+    return float(total)
 
 
 def infonce_loss_reference(projections_x, projections_y, cfg: CriticConfig) -> float:

@@ -588,6 +588,45 @@ class TestBadInput:
         assert "--models must be an int >= 1" in err
         assert "all chains hold" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n, category, message", [
+        ("0", "ParameterError", "n must be >= 1"),
+        # over the budget on every drawn model: at least 10**7 count vectors
+        ("10000000", "SizeError", "cells of count vectors exceed the budget of 4194304"),
+    ])
+    def test_verify_bounds_bad_batch_size(self, capsys, n, category, message):
+        assert main(["verify-bounds", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no model was evaluated
+        assert captured.err.startswith(f"error [{category}]: ") and message in captured.err
+
+    def test_eval_data_width_checked_before_the_probe_fit(self, workspace, capsys,
+                                                          monkeypatch):
+        tmp_path, data_path, _, cfg_path = workspace
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        narrow = str(tmp_path / "narrow.csv")
+        save_dataset(make_mixture_dataset(num_classes=3, dim=3, num_samples=30, seed=1), narrow)
+
+        def unreachable(*args):
+            raise AssertionError("the probe was fit before the eval width was checked")
+
+        monkeypatch.setattr("clnce.pipeline._fit_probe", unreachable)
+        capsys.readouterr()
+        err = self.run_bad(["eval", "--checkpoint", os.path.join(out, "checkpoint.bin"),
+                            "--train-data", data_path, "--eval-data", narrow],
+                           capsys, "ShapeError")
+        assert err == "error [ShapeError]: input width 3 != layer width 6\n"
+
+    def test_permute_fixed_class_missing_from_the_data(self, workspace, capsys):
+        tmp_path, data_path, _, _ = workspace
+        out = str(tmp_path / "c.csv")
+        spec = write_spec(tmp_path, {"source": "synthetic", "mode": "permute",
+                                     "splits_per_class": 2, "fixed_class_set": [99]})
+        err = self.run_bad(["make-clusters", "--data", data_path, "--spec", spec, "--out", out],
+                           capsys, "ParameterError")
+        assert "fixed_class_set [99] names labels the data lacks" in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("spec, key", [
         ({"source": "kmeans", "K": "x"}, "'K'"),
         ({"source": "kmeans", "K": 3, "max_iters": 2.5}, "'max_iters'"),
@@ -688,6 +727,11 @@ class TestVerifyBounds:
         rc = main(["verify-bounds", "--models", "10", "--seed", "3", "--n", "2"])
         assert rc == 0
         assert "all chains hold" in capsys.readouterr().out
+
+    def test_batch_of_16(self, capsys):
+        assert main(["verify-bounds", "--models", "3", "--n", "16"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and lines[-1] == "all chains hold"
 
 
 class TestMakeClusters:

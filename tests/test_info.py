@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from clnce.info import (
     selection_score,
     verify_bound_chain,
 )
+from oracles import finite_batch_objective_reference
 
 
 class TestEmpiricalJoint:
@@ -140,14 +143,14 @@ class TestDiscreteJointModel:
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: verify_bound_chain(DiscreteJointModel.random(2, 3, 3, seed=0), n=5),
-     SizeError, "n > 4 exceeds the enumeration budget"),
-    (lambda: verify_bound_chain(DiscreteJointModel.random(2, 3, 6, seed=0), n=2),
-     SizeError, "alphabets larger than 5 exceed the enumeration budget"),
+    # 25 support pairs and 5 states of y: C(45, 4) count vectors * 30 > 2**22
+    (lambda: verify_bound_chain(DiscreteJointModel.random(2, 5, 5, seed=0), n=42),
+     SizeError, r"n=42 over 5 states of y: 4469850 cells of count vectors exceed "
+                r"the budget of 4194304"),
     (lambda: conditional_entropy(np.full((2, 2), 0.25), given=2),
      ParameterError, "given must be 0 or 1"),
     (lambda: mutual_information(np.full(4, 0.25)), ParameterError, "joint must be a 2-D table"),
-], ids=["batch_too_large", "alphabet_too_large", "given_not_an_axis", "one_dimensional_joint"])
+], ids=["batch_too_large", "given_not_an_axis", "one_dimensional_joint"])
 def test_out_of_contract_call(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -187,6 +190,22 @@ class TestMixtureKl:
         assert exact_mixture_kl(m) == pytest.approx(expected, abs=1e-12)
 
 
+@st.composite
+def sparse_models(draw, max_n=4):
+    """Tabular models whose rows have zero entries, point masses among them,
+    over alphabets of up to 5 states, and a batch size n up to ``max_n``."""
+
+    def distribution(size):
+        weights = draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=size,
+                                max_size=size).filter(any))
+        return np.array(weights, dtype=float) / sum(weights)
+
+    nz, nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    m = DiscreteJointModel(distribution(nz), np.array([distribution(nx) for _ in range(nz)]),
+                           np.array([distribution(ny) for _ in range(nz)]))
+    return m, draw(st.integers(1, max_n))
+
+
 class TestBoundChain:
     def test_single_cluster_all_zero(self):
         m = DiscreteJointModel.random(1, 3, 3, seed=1)
@@ -211,11 +230,12 @@ class TestBoundChain:
             r = verify_bound_chain(m, n=3)
             assert r.all_inequalities_hold, (nz, nx, ny, r)
 
-    def test_objective_monotone_in_n(self):
-        for seed in range(10):
-            m = DiscreteJointModel.random(2, 3, 3, seed=seed)
-            values = [finite_batch_objective(m, n) for n in (1, 2, 3, 4)]
-            assert all(a <= b + 1e-12 for a, b in zip(values, values[1:])), values
+    @settings(max_examples=15)
+    @given(sparse_models())
+    def test_objective_monotone_in_n(self, model):
+        m, _ = model
+        values = [finite_batch_objective(m, n) for n in range(1, 33)]
+        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:])), (m, values)
 
     def test_mi_ordering(self):
         m = DiscreteJointModel.random(3, 4, 4, seed=11)
@@ -305,22 +325,6 @@ class TestInfoPlaneProperties:
             assert abs(getattr(p, field) - getattr(q, field)) <= 1e-12, field
 
 
-@st.composite
-def sparse_models(draw):
-    """Tabular models whose rows have zero entries, point masses among them,
-    over alphabets up to the enumeration budget, and a batch size n."""
-
-    def distribution(size):
-        weights = draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=size,
-                                max_size=size).filter(any))
-        return np.array(weights, dtype=float) / sum(weights)
-
-    nz, nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    m = DiscreteJointModel(distribution(nz), np.array([distribution(nx) for _ in range(nz)]),
-                           np.array([distribution(ny) for _ in range(nz)]))
-    return m, draw(st.integers(1, 4))
-
-
 class TestBoundChainProperties:
     @settings(max_examples=60)
     @given(sparse_models())
@@ -330,3 +334,38 @@ class TestBoundChainProperties:
         assert r.all_inequalities_hold, r
         # an n-sample InfoNCE-type objective cannot exceed log n (arXiv 1807.03748)
         assert r.objective_at_fstar <= np.log(n) + 1e-9, r
+
+    @settings(max_examples=60)
+    @given(sparse_models())
+    def test_count_form_equals_the_enumeration(self, model):
+        m, n = model
+        with np.errstate(all="raise"):  # no 0 * log 0, no division by zero
+            value = finite_batch_objective(m, n)
+        assert abs(value - finite_batch_objective_reference(m, n)) <= 1e-12, (m, n, value)
+
+    @settings(max_examples=30)
+    @given(sparse_models(max_n=32))
+    def test_objective_at_most_kl_and_log_n(self, model):
+        m, n = model
+        value = finite_batch_objective(m, n)
+        assert value <= min(exact_mixture_kl(m), np.log(n)) + 1e-9, (m, n, value)
+
+    @settings(max_examples=20)
+    @given(sparse_models())
+    def test_one_pair_batch_is_zero(self, model):
+        assert finite_batch_objective(model[0], 1) == 0.0
+
+
+def test_batch_budget_is_checked_before_any_count_vector(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("count vectors built over the budget")
+
+    m = DiscreteJointModel.random(2, 5, 5, seed=0)
+    assert finite_batch_objective(m, 41) <= exact_mixture_kl(m)  # the largest n in budget
+    # one state of y gives one count vector for any n, so n itself is held to the budget
+    one_y = DiscreteJointModel([1.0], [[0.5, 0.5]], [[1.0, 0.0]])
+    assert finite_batch_objective(one_y, 1000) == 0.0
+    monkeypatch.setattr(itertools, "combinations", unreachable)
+    for model, n in [(m, 42), (m, 10**30), (one_y, 10**30)]:
+        with pytest.raises(SizeError):
+            finite_batch_objective(model, n)

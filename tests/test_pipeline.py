@@ -186,6 +186,12 @@ class TestBuildClusters:
         assert pipeline.parse_cluster_spec(spec, seed=7) == {
             **spec, "fixed_class_set": (), "seed": 0}
 
+    def test_permute_fixed_class_missing_from_the_data(self):
+        spec = {"source": "synthetic", "mode": "permute", "splits_per_class": 2,
+                "fixed_class_set": [99]}
+        with pytest.raises(ParameterError, match=r"fixed_class_set \[99\] names labels"):
+            build_clusters(self.d, spec)
+
     def test_int_tol_accepted(self):
         c = build_clusters(self.d, {"source": "kmeans", "K": 5, "seed": 1, "tol": 0})
         assert c.num_clusters == 5
