@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import math
 import os
 import re
@@ -181,14 +182,21 @@ def _parse_header(header: list[str], path: str) -> tuple[int, int, bool]:
     raise SchemaError(f"{path}:1: {problem}; the header must be {HEADER_GRAMMAR}")
 
 
-def _first_bad_row(path: str, dim: int, num_attrs: int, has_label: bool):
-    """The error for the first data record that fails the row checks, read
-    with csv and counted from 2 after the header record; None if none fails.
+def _text(raw: bytes) -> io.TextIOWrapper:
+    """``raw`` as UTF-8 text read as ``open(path, newline="")`` reads a file:
+    decoded a chunk at a time, with no second copy of the whole file."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+
+
+def _first_bad_row(raw: bytes, path: str, dim: int, num_attrs: int, has_label: bool):
+    """The error for the first data record of the CSV bytes ``raw`` read
+    from ``path`` that fails the row checks, read with csv and counted from
+    2 after the header record; None if none fails.
 
     Only the error path of ``load_dataset`` runs this scan.
     """
     width = 1 + dim + num_attrs + has_label
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _text(raw) as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
@@ -226,37 +234,23 @@ _CACHE_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, Cl
 def load_dataset(path: str) -> Dataset:
     """Load and validate a dataset CSV whose header follows HEADER_GRAMMAR.
 
-    A parse is cached next to the file, in
-    ``CACHE_DIR/<basename>.<sha256 of the bytes>.npz``, and a later call on
-    the same bytes reads the arrays back bit for bit. Cache I/O never
+    The file is read once. A parse of a regular file is cached next to it,
+    in ``CACHE_DIR/<basename>.<sha256 of the bytes>.npz``, and a later call
+    on the same bytes reads the arrays back bit for bit. Cache I/O never
     changes a result or an error: any failure of it falls back to the parse.
     """
-    digest = _digest(path) if _CACHE_FORMAT else None
-    if digest is None:
-        return _parse_dataset(path)
+    with open(path, "rb") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        raw = fh.read()
+    if not regular or _CACHE_FORMAT is None:
+        return _parse_dataset(raw, path)
     folder, name = os.path.split(path)
-    entry = os.path.join(folder, CACHE_DIR, f"{name}.{digest}.npz")
+    entry = os.path.join(folder, CACHE_DIR, f"{name}.{hashlib.sha256(raw).hexdigest()}.npz")
     d = _read_entry(entry)
     if d is None:
-        d = _parse_dataset(path)
-        if _digest(path) == digest:  # the parse read the bytes that were hashed
-            _write_entry(entry, d)
+        d = _parse_dataset(raw, path)
+        _write_entry(entry, d)
     return d
-
-
-def _digest(path: str) -> str | None:
-    """The sha256 hex digest of the regular file ``path``; None for anything
-    else, such as a pipe, or a file that cannot be read."""
-    try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
-        h = hashlib.sha256()
-        with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 18):
-                h.update(chunk)
-        return h.hexdigest()
-    except OSError:
-        return None
 
 
 # Stored in every cache entry; an entry with another tag is a miss. The tag
@@ -264,9 +258,12 @@ def _digest(path: str) -> str | None:
 # edit to the loader orphans the entries it wrote, as a .pyc's magic number
 # does; and numpy's version, because numpy's parser decides what a file
 # holds. When this file cannot be read there is no tag, and no cache.
-_LOADER_DIGEST = _digest(__file__)
-_CACHE_FORMAT = (None if _LOADER_DIGEST is None
-                 else f"clnce data.py {_LOADER_DIGEST}, numpy {np.__version__}")
+try:
+    with open(__file__, "rb") as _fh:
+        _CACHE_FORMAT = (f"clnce data.py {hashlib.sha256(_fh.read()).hexdigest()}, "
+                         f"numpy {np.__version__}")
+except OSError:
+    _CACHE_FORMAT = None
 
 
 def _read_entry(entry: str) -> Dataset | None:
@@ -327,15 +324,15 @@ def _write_entry(entry: str, d: Dataset) -> None:
         pass
 
 
-def _parse_dataset(path: str) -> Dataset:
-    """The dataset CSV at ``path``, parsed and checked.
+def _parse_dataset(raw: bytes, path: str) -> Dataset:
+    """The dataset CSV bytes ``raw`` read from ``path``, parsed and checked.
 
     The data rows are parsed by one ``np.loadtxt`` call into a structured
     array, so no row or cell becomes a Python object (the ids are one str
     per row). When that parse, the attribute check or the label sign check
     fails, a csv scan names the first bad record as ``path:line``.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _text(raw) as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise SchemaError(f"{path}: empty file")
@@ -364,7 +361,7 @@ def _parse_dataset(path: str) -> Dataset:
         elif has_label and rows["label"].min() < 0:
             problem = DomainError(f"{path}: labels must be non-negative")
     if problem is not None:
-        raise _first_bad_row(path, dim, num_attrs, has_label) or problem
+        raise _first_bad_row(raw, path, dim, num_attrs, has_label) or problem
     return Dataset(
         features=np.ascontiguousarray(rows["f"]),
         ids=tuple(rows["id"]),

@@ -99,7 +99,7 @@ def entropy(p: np.ndarray) -> float:
     """Shannon entropy in nats with 0*ln(0) = 0."""
     p = _check_distribution(p).ravel()
     nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(0.0 - (nz * np.log(nz)).sum())  # +0.0 for a point mass
 
 
 def mutual_information(joint: np.ndarray) -> float:
@@ -124,7 +124,7 @@ def conditional_entropy(joint: np.ndarray, given: int = 1) -> float:
     mask = joint > 0
     denom = cond[:, None] if given == 0 else cond[None, :]
     denom = np.broadcast_to(denom, joint.shape)
-    return float(-(joint[mask] * np.log(joint[mask] / denom[mask])).sum())
+    return float(0.0 - (joint[mask] * np.log(joint[mask] / denom[mask])).sum())
 
 
 def mixture_table(m: DiscreteJointModel) -> np.ndarray:

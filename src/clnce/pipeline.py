@@ -331,44 +331,21 @@ def linear_evaluate(
     im.check_table_size((width, n), f"encoder width {width} on {n} rows")
     enc._as_input(model, eval_data.features)  # its width, before the fit
     xt = np.empty((width, train_data.num_samples))
-    x = enc.embed(model, train_data.features, out=xt.T)
-    # standardize with train statistics for a well-conditioned probe
-    mu, sd = _mean_std(x)
+    enc.embed(model, train_data.features, out=xt.T)
+    # standardize with train statistics for a well-conditioned probe, along
+    # the contiguous rows of xt
+    mu = xt.mean(axis=1)
+    xt -= mu[:, None]
+    sd = np.sqrt(np.einsum("ij,ij->i", xt, xt) / xt.shape[1])
     sd[sd == 0] = 1.0
-    x -= mu
-    x /= sd
+    xt /= sd[:, None]
     w, b = _fit_probe(xt, train_data.labels, num_classes, epochs, lr)
-    del x, xt
+    del xt
     x = enc.embed(model, eval_data.features)
     x -= mu
     x /= sd
     preds = (w @ x.T + b).argmax(axis=0)
     return float((preds == eval_data.labels).mean())
-
-
-def _mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x.mean(axis=0)`` and ``x.std(axis=0)`` of a row-major copy of ``x``,
-    bit for bit, with no (n, D) temporary. For D >= 2 numpy sums such an
-    array's rows in order from 0.0, which blocks summed under a carry row
-    repeat; a column is contiguous in any layout, and numpy sums it pairwise."""
-    n, dim = x.shape
-    if dim == 1:
-        return x.mean(axis=0), x.std(axis=0)
-    buf = np.empty((enc.ROW_BLOCK + 1, dim))
-
-    def column_sum(shift, square):
-        carry = np.zeros(dim)
-        for lo in range(0, n, enc.ROW_BLOCK):
-            block = buf[: 1 + min(enc.ROW_BLOCK, n - lo)]
-            block[0] = carry
-            rows = np.subtract(x[lo : lo + enc.ROW_BLOCK], shift, out=block[1:])
-            if square:
-                np.multiply(rows, rows, out=rows)
-            block.sum(axis=0, out=carry)
-        return carry
-
-    mu = column_sum(0.0, False) / n  # x - 0.0 has the bits of x
-    return mu, np.sqrt(column_sum(mu, True) / n)
 
 
 def _fit_probe(xt, labels, num_classes: int, epochs: int, lr: float):

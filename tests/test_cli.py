@@ -733,6 +733,12 @@ class TestVerifyBounds:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4 and lines[-1] == "all chains hold"
 
+    def test_no_negative_zero_entropy(self, capsys):
+        # 22 of these models have one state of z with p_z exactly 1.0
+        assert main(["verify-bounds", "--models", "100", "--seed", "0", "--n", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("H(Z)=0.000000") >= 22 and "H(Z)=-0" not in out
+
 
 class TestMakeClusters:
     def test_kmeans_export(self, workspace, capsys):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import os
 import tempfile
+import threading
 import warnings
 from unittest import mock
 
@@ -405,6 +406,67 @@ class TestLoadCache:
         load_dataset(path)
         digest = hashlib.sha256(b"id,f0\nr0,1.0\n").hexdigest()
         assert self.entries(tmp_path) == [f"d.csv.{digest}.npz"]
+
+    @pytest.mark.parametrize("hit", [False, True])
+    def test_file_opened_once_per_load(self, tmp_path, monkeypatch, hit):
+        good = write(tmp_path, "d.csv", "id,f0,label\nr0,1.0,0\nr1,2.0,1\n")
+        bad = write(tmp_path, "e.csv", "id,f0,label\nr0,1.0,0\nr1,2.0,-1\n")
+        if hit:
+            load_dataset(good)
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        load_dataset(good)
+        with pytest.raises(DomainError, match=r"e\.csv:3: negative label"):
+            load_dataset(bad)
+        assert opened.count(good) == opened.count(bad) == 1
+
+    def test_rewrite_during_the_parse_keys_the_entry_to_the_parsed_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        old, new = "id,f0\nr0,1.0\n", "id,f0\nr0,2.0\n"
+        path = write(tmp_path, "d.csv", old)
+        parse = data._parse_dataset
+
+        def rewriting_parse(raw, path):
+            write(tmp_path, "d.csv", new)
+            return parse(raw, path)
+
+        monkeypatch.setattr(data, "_parse_dataset", rewriting_parse)
+        assert load_dataset(path).features.tolist() == [[1.0]]
+        monkeypatch.undo()
+        assert self.entries(tmp_path) == [f"d.csv.{hashlib.sha256(old.encode()).hexdigest()}.npz"]
+        assert load_dataset(path).features.tolist() == [[2.0]]
+
+    def test_pipe_is_parsed_each_time_and_never_cached(self, tmp_path):
+        text = "id,f0,a0,label\nr0,1.5,1,3\nr1,-2.0,0,0\n"
+        oracle = load_dataset_reference(write(tmp_path, "ref.csv", text))
+        fifo = str(tmp_path / "d.csv")
+        os.mkfifo(fifo)
+
+        def load_through_the_pipe(text):
+            writer = threading.Thread(target=write, args=(tmp_path, "d.csv", text), daemon=True)
+            writer.start()
+            try:
+                return load_dataset(fifo)
+            finally:
+                writer.join(timeout=10)
+                assert not writer.is_alive()
+
+        with mock.patch.object(data, "_parse_dataset", wraps=data._parse_dataset) as parse:
+            for _ in range(2):
+                assert_same_dataset(load_through_the_pipe(text), oracle)
+        assert parse.call_count == 2
+        # the bad record is found in the bytes that were read: the pipe is not
+        # opened again, which would wait for a writer that never comes
+        with pytest.raises(DomainError, match=r"d\.csv:3: negative label"):
+            load_through_the_pipe("id,f0,label\nr0,1.0,0\nr1,2.0,-1\n")
+        assert not (tmp_path / CACHE_DIR).exists()
 
     def test_same_size_rewrite_with_old_mtime_is_parsed_again(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,f0\nr0,1.0\n")

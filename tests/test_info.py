@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clnce.errors import DistributionError, ParameterError, SizeError
@@ -369,3 +370,31 @@ def test_batch_budget_is_checked_before_any_count_vector(monkeypatch):
     for model, n in [(m, 42), (m, 10**30), (one_y, 10**30)]:
         with pytest.raises(SizeError):
             finite_batch_objective(model, n)
+
+
+def positive_sign(h: float) -> bool:
+    """True for +0.0 and positive values; False for -0.0 and negatives."""
+    return math.copysign(1.0, h) == 1.0
+
+
+class TestEntropySign:
+    """Entropies are +0.0 where they vanish, never -0.0."""
+
+    @settings(max_examples=60)
+    @given(sparse_models())
+    @example((DiscreteJointModel([1.0], [[1.0]], [[0.0, 1.0]]), 1))  # point masses
+    def test_model_tables(self, model):
+        m, _ = model
+        joint = m.p_z[:, None] * m.p_x_given_z
+        for h in (entropy(m.p_z), entropy(m.p_x_given_z[0]), entropy(joint),
+                  conditional_entropy(joint, given=0), conditional_entropy(joint, given=1)):
+            assert positive_sign(h), (m, h)
+
+    @settings(max_examples=60)
+    @given(id_vectors())
+    @example((np.array([0, 1, 1]), np.array([0, 1, 1]), np.arange(2), np.arange(2)))  # z = t
+    @example((np.zeros(4, dtype=int), np.array([0, 1, 0, 1]), np.arange(1), np.arange(2)))
+    def test_info_plane_points(self, ids):
+        z, t, _, _ = ids
+        p = info_plane_point(z, t)
+        assert positive_sign(p.h_z) and positive_sign(p.h_z_given_t), p
