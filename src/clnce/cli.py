@@ -28,7 +28,7 @@ def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -116,14 +116,14 @@ def _longest_paths(g: HierarchyGraph) -> tuple[dict[str, int], dict[str, str]]:
     """Each node's depth on its longest path from the single root, which is at
     depth 1, and each other node's parent on that path, both in topological
     order; ties keep the lexicographically smallest parent id."""
-    frontier = g.roots()
-    if len(frontier) != 1:
-        raise GraphError(f"expected one root, found {frontier}")
     parents = {n: [] for n in g.nodes}
     children = {n: [] for n in g.nodes}
     for p, c in g.edges:
         parents[c].append(p)
         children[p].append(c)
+    frontier = [n for n in g.nodes if not parents[n]]
+    if len(frontier) != 1:
+        raise GraphError(f"expected one root, found {frontier}")
     waiting = {n: len(ps) for n, ps in parents.items()}
     depth, kept = {}, {}
     while frontier:  # a node is taken once all its parents have been

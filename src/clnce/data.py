@@ -10,7 +10,6 @@ by ``leaf<TAB>label`` lines.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import math
@@ -60,10 +59,6 @@ class HierarchyGraph:
                     f"label {lab} mapped to both {seen_labels[lab]!r} and {leaf!r}"
                 )
             seen_labels[lab] = leaf
-
-    def roots(self) -> list[str]:
-        has_parent = {c for _, c in self.edges}
-        return sorted(n for n in self.nodes if n not in has_parent)
 
 
 @dataclass(frozen=True)
@@ -137,8 +132,8 @@ class Dataset:
 class AugmentConfig:
     """Gaussian-noise + coordinate-masking augmentation settings."""
 
-    noise_sigma: float = 0.0
-    mask_prob: float = 0.0
+    noise_sigma: float
+    mask_prob: float
 
     def __post_init__(self):
         if self.noise_sigma < 0:
@@ -150,15 +145,13 @@ class AugmentConfig:
 HEADER_GRAMMAR = "id,f0..f{D-1}[,a0..a{A-1}][,label]"
 
 
-def _utf8(load):
-    """``load(path)``, with a file that is not UTF-8 text a SchemaError."""
-    @functools.wraps(load)
-    def wrapped(path: str):
-        try:
-            return load(path)
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
-    return wrapped
+def _utf8(raw: bytes, path: str) -> str:
+    """The bytes ``raw`` read from ``path``, decoded whole; bytes that are
+    not UTF-8 text are a SchemaError that names the offset of the bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _parse_header(header: list[str], path: str) -> tuple[int, int, bool]:
@@ -230,7 +223,6 @@ _STALE_TMP_S = 60.0
 _CACHE_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, ClnceError)
 
 
-@_utf8
 def load_dataset(path: str) -> Dataset:
     """Load and validate a dataset CSV whose header follows HEADER_GRAMMAR.
 
@@ -332,36 +324,45 @@ def _parse_dataset(raw: bytes, path: str) -> Dataset:
     per row). When that parse, the attribute check or the label sign check
     fails, a csv scan names the first bad record as ``path:line``.
     """
-    with _text(raw) as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file")
-        dim, num_attrs, has_label = _parse_header(header, path)
-        fields = [("id", object), ("f", np.float64, (dim,))]
-        if num_attrs:
-            # two characters, so that no longer cell truncates to "0" or "1"
-            fields.append(("a", "U2", (num_attrs,)))
-        if has_label:
-            fields.append(("label", np.int64))
-        try:
-            with warnings.catch_warnings():
-                # loadtxt warns on a file without data rows; that is raised below
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(
-                    fh, dtype=fields, delimiter=",", quotechar='"', comments=None, ndmin=1
-                )
-            problem = None
-        except ValueError as exc:
-            problem = SchemaError(f"{path}: {exc}")
-    if problem is None:
-        if not rows.size:
-            raise SchemaError(f"{path}: no data rows")
-        if num_attrs and not ((rows["a"] == "1") | (rows["a"] == "0")).all():
-            problem = DomainError(f"{path}: attribute value not in {{0,1}}")
-        elif has_label and rows["label"].min() < 0:
-            problem = DomainError(f"{path}: labels must be non-negative")
-    if problem is not None:
-        raise _first_bad_row(raw, path, dim, num_attrs, has_label) or problem
+    # loadtxt has no field size limit; csv's, which is process-wide, is the
+    # file's length until the parse ends
+    limit = csv.field_size_limit(len(raw))
+    try:
+        with _text(raw) as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            dim, num_attrs, has_label = _parse_header(header, path)
+            fields = [("id", object), ("f", np.float64, (dim,))]
+            if num_attrs:
+                # two characters, so that no longer cell truncates to "0" or "1"
+                fields.append(("a", "U2", (num_attrs,)))
+            if has_label:
+                fields.append(("label", np.int64))
+            try:
+                with warnings.catch_warnings():
+                    # loadtxt warns on a file without data rows; that is raised below
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(
+                        fh, dtype=fields, delimiter=",", quotechar='"', comments=None, ndmin=1
+                    )
+                problem = None
+            except ValueError as exc:
+                problem = SchemaError(f"{path}: {exc}")
+        if problem is None:
+            if not rows.size:
+                raise SchemaError(f"{path}: no data rows")
+            if num_attrs and not ((rows["a"] == "1") | (rows["a"] == "0")).all():
+                problem = DomainError(f"{path}: attribute value not in {{0,1}}")
+            elif has_label and rows["label"].min() < 0:
+                problem = DomainError(f"{path}: labels must be non-negative")
+        if problem is not None:
+            raise _first_bad_row(raw, path, dim, num_attrs, has_label) or problem
+    except UnicodeDecodeError:  # it counts from its decode chunk; _utf8 gives the file offset
+        _utf8(raw, path)
+        raise
+    finally:
+        csv.field_size_limit(limit)
     return Dataset(
         features=np.ascontiguousarray(rows["f"]),
         ids=tuple(rows["id"]),
@@ -389,29 +390,29 @@ def save_dataset(d: Dataset, path: str) -> None:
             writer.writerow(row)
 
 
-@_utf8
 def load_hierarchy(path: str) -> HierarchyGraph:
     edges: list[tuple[str, str]] = []
     leaf_label_map: dict[str, int] = {}
     in_labels = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line == "#labels":
-                in_labels = True
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise SchemaError(f"{path}:{lineno}: expected two tab-separated fields")
-            if in_labels:
-                try:
-                    leaf_label_map[parts[0]] = int(parts[1])
-                except ValueError:
-                    raise SchemaError(f"{path}:{lineno}: bad label int") from None
-            else:
-                edges.append((parts[0], parts[1]))
+    with open(path, "rb") as fh:
+        text = _utf8(fh.read(), path)
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if line == "#labels":
+            in_labels = True
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise SchemaError(f"{path}:{lineno}: expected two tab-separated fields")
+        if in_labels:
+            try:
+                leaf_label_map[parts[0]] = int(parts[1])
+            except ValueError:
+                raise SchemaError(f"{path}:{lineno}: bad label int") from None
+        else:
+            edges.append((parts[0], parts[1]))
     if not edges:
         raise SchemaError(f"{path}: no edges")
     if not leaf_label_map:

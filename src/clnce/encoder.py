@@ -214,7 +214,7 @@ def lr_at(step: int, hyper: OptimizerHyper) -> float:
     return hyper.peak_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def sgd_step(model: EncoderModel, grad: np.ndarray, state: OptimizerState):
+def sgd_step(model: EncoderModel, grad: np.ndarray, state: OptimizerState) -> None:
     """One SGD+momentum step with decoupled-from-bias weight decay.
 
     buffer <- momentum*buffer + grad + weight_decay*param (weights only
@@ -235,7 +235,6 @@ def sgd_step(model: EncoderModel, grad: np.ndarray, state: OptimizerState):
     model.params -= step
     model.version += 1
     state.step_count += 1
-    return model, state
 
 
 def save_checkpoint(model: EncoderModel, state: OptimizerState, path: str) -> None:
@@ -280,7 +279,7 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
             raise ValueError(f"step_count {step_count!r} is not an int >= 0")
         # the parameters, then the momentum in the same layout
         expected = 2 * 8 * sum(din * dout + dout for din, dout in layer_shapes)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise StateError(f"{path}: unreadable checkpoint header ({exc})") from exc
     if len(blob) != expected:
         raise StateError(

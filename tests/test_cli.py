@@ -484,6 +484,25 @@ class TestBadInput:
         )
         assert f"{path}: not UTF-8" in err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "make-clusters", "infoplane"])
+    def test_deeply_nested_json(self, workspace, capsys, command):
+        tmp_path, data_path, _, cfg_path = workspace
+        deep = tmp_path / "deep"
+        deep.write_bytes(b"[" * 200_000 + b"\n")  # past the JSON decoder's recursion limit
+        deep, out = str(deep), str(tmp_path / "x")
+        argv, category, message = {
+            "train": (["train", "--config", deep, "--out", out],
+                      "SchemaError", "not valid JSON"),
+            "eval": (["eval", "--checkpoint", deep, "--train-data", data_path,
+                      "--eval-data", data_path], "StateError", "unreadable checkpoint header"),
+            "make-clusters": (["make-clusters", "--data", data_path, "--spec", deep,
+                               "--out", out], "SchemaError", "not valid JSON"),
+            "infoplane": (["infoplane", "--config", cfg_path, "--configs", deep, "--out", out],
+                          "SchemaError", "not valid JSON"),
+        }[command]
+        err = self.run_bad(argv, capsys, category)
+        assert f"{deep}: {message} (maximum recursion depth exceeded" in err
+
     def test_missing_key_in_infoplane_spec(self, workspace, capsys):
         tmp_path, _, _, cfg_path = workspace
         specs_path = str(tmp_path / "specs.json")

@@ -24,7 +24,7 @@ from clnce.clusters import (
     save_assignment,
 )
 from clnce.data import Dataset, HierarchyGraph
-from clnce.errors import GraphError, NumericError, ParameterError, SizeError
+from clnce.errors import DataError, GraphError, NumericError, ParameterError, SizeError
 from clnce.info import conditional_entropy, empirical_joint
 
 from oracles import kmeans_pp_init_reference, kmeans_reference
@@ -414,6 +414,27 @@ class TestLabelAndInstanceClusters:
     def test_invalid_assignment(self, assignment, num_clusters, provenance, message):
         with pytest.raises(ParameterError, match=message):
             ClusterAssignment(np.array(assignment), num_clusters, provenance)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: clusters_from_labels(np.array([], dtype=np.int64)),
+     ParameterError, "labels must be a non-empty vector"),
+    (lambda: clusters_from_labels(np.array([0, -1])),
+     ParameterError, "labels must be non-negative"),
+    (lambda: clusters_instance_id(0), ParameterError, "n must be >= 1"),
+    (lambda: attribute_entropy(np.array([0, 2])),
+     ParameterError, "attribute entries must be 0 or 1"),
+    (lambda: clusters_from_attributes(np.array([0, 1]), 1),
+     ParameterError, "attribute matrix must be 2-D"),
+    (lambda: clusters_from_hierarchy(three_level_tree(), 1, Dataset(features=np.zeros((2, 1)))),
+     DataError, "dataset has no labels"),
+    (lambda: permute_clusters(np.array([0, 1, 0]), clusters_from_labels(np.array([0, 1])), [], 0),
+     ParameterError, "base assignment length mismatch"),
+], ids=["labels_empty", "labels_negative", "instance_id_zero", "entropy_not_binary",
+        "attributes_1d", "hierarchy_unlabeled", "permute_length_mismatch"])
+def test_rejected_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestSynthesize:

@@ -106,6 +106,38 @@ class TestLoadDataset:
         np.testing.assert_array_equal(d.labels, d2.labels)
         assert d.ids == d2.ids
 
+    # one field past csv's default field size limit of 131072 characters
+    LONG = "x" * 200_000
+
+    @pytest.mark.parametrize("text, error, message", [
+        (f"id,f0\n{LONG},1.0\nb,2.0\n", None, None),
+        (f"id,f0,{LONG}\nr0,1.0,2.0\n", SchemaError, r"d\.csv:1: unexpected column 3"),
+        (f"id,f0\n{LONG},1.0\nb,zz\n", SchemaError, r"d\.csv:3: bad float"),
+    ], ids=["long_id_loads", "long_header_field", "bad_row_after_a_long_id"])
+    def test_long_field(self, tmp_path, text, error, message):
+        path = write(tmp_path, "d.csv", text)
+        limit = csv.field_size_limit()
+        if error is None:
+            assert load_dataset(path).ids == (self.LONG, "b")
+        else:
+            with pytest.raises(error, match=message):
+                load_dataset(path)
+        assert csv.field_size_limit() == limit
+
+    @pytest.mark.parametrize("loader, lines", [
+        (load_dataset, ["id,f0,label"] + [f"r{i},{i}.5,{i % 3}" for i in range(3000)]),
+        (load_hierarchy, ["root\tn0"] * 4000),
+    ], ids=["csv", "tsv"])
+    def test_not_utf8_names_the_offset_in_the_file(self, tmp_path, loader, lines):
+        # past the first 8 KB chunk that a text stream decodes
+        blob = "\n".join(lines).encode("utf-8")
+        at = 28_898
+        assert len(blob) > at
+        path = tmp_path / "bad"
+        path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+        with pytest.raises(SchemaError, match=f"byte 0xff in position {at}: invalid start"):
+            loader(str(path))
+
 
 class TestHierarchyFile:
     def test_round_trip(self, tmp_path):
@@ -186,9 +218,9 @@ class TestAugment:
 
     def test_bad_config(self):
         with pytest.raises(ParameterError):
-            AugmentConfig(noise_sigma=-1.0)
+            AugmentConfig(noise_sigma=-1.0, mask_prob=0.0)
         with pytest.raises(ParameterError):
-            AugmentConfig(mask_prob=1.5)
+            AugmentConfig(noise_sigma=0.0, mask_prob=1.5)
 
 
 class TestDatasetInvariants:
@@ -216,6 +248,10 @@ class TestDatasetInvariants:
     def test_default_ids_are_row_indices(self):
         d = Dataset(features=np.zeros((3, 1)))
         assert d.ids == ("0", "1", "2")
+
+    def test_num_classes(self):
+        assert Dataset(features=np.zeros((0, 1)), labels=np.zeros(0)).num_classes == 0
+        assert Dataset(features=np.zeros((2, 1)), labels=np.array([0, 4])).num_classes == 5
 
 
 # Cells of the save_dataset grammar: repr floats (with -0.0, subnormals and

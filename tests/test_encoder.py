@@ -18,7 +18,7 @@ from clnce.encoder import (
     save_checkpoint,
     sgd_step,
 )
-from clnce.errors import ParameterError, ShapeError, StateError
+from clnce.errors import NumericError, ParameterError, ShapeError, StateError
 from oracles import backward_reference, forward_reference
 
 # an optimizer for tests that do not depend on its values
@@ -91,6 +91,11 @@ class TestForward:
         model = init_model([4, 6], [6, 3], seed=2)
         with pytest.raises(ShapeError):
             forward(model, np.zeros((2, 5)))
+
+    def test_non_finite_output(self):
+        model = init_model([4, 6], [6, 3], seed=2)
+        with pytest.raises(NumericError, match="non-finite projection output"):
+            forward(model, np.full((2, 4), np.nan))
 
 
 def assert_same_bits(got, expected):
@@ -224,6 +229,12 @@ class TestBackward:
         with pytest.raises(StateError):
             backward(m2, cache, np.zeros_like(proj))
 
+    def test_gradient_shape_mismatch(self):
+        model = init_model([3, 5], [5, 2], seed=1)
+        _, proj, cache = forward(model, np.ones((2, 3)))
+        with pytest.raises(ShapeError, match="upstream gradient shape mismatch"):
+            backward(model, cache, np.zeros((2, 3)))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
@@ -302,6 +313,12 @@ class TestScheduler:
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
             lr_at(111, self.hyper)
+
+    def test_warmup_to_the_last_step_holds_the_peak(self):
+        hyper = OptimizerHyper(
+            peak_lr=0.4, momentum=0.0, weight_decay=0.0, warmup_steps=10, total_steps=10,
+        )
+        assert lr_at(9, hyper) == lr_at(10, hyper) == 0.4
 
 
 class TestSgdStep:
@@ -495,6 +512,10 @@ class TestParameterArena:
     def test_bias_shape_mismatch(self):
         with pytest.raises(ShapeError, match="weight/bias"):
             EncoderModel([(np.eye(3), np.zeros(2))], [(np.eye(3), np.zeros(3))])
+
+    def test_unchained_dims(self):
+        with pytest.raises(ShapeError, match="projection input dim"):
+            init_model([4, 6], [5, 3], seed=0)
 
     def test_cache_from_before_sgd_step_is_stale(self):
         model = init_model([3, 5], [5, 2], seed=1)

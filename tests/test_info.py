@@ -151,7 +151,8 @@ class TestDiscreteJointModel:
     (lambda: conditional_entropy(np.full((2, 2), 0.25), given=2),
      ParameterError, "given must be 0 or 1"),
     (lambda: mutual_information(np.full(4, 0.25)), ParameterError, "joint must be a 2-D table"),
-], ids=["batch_too_large", "given_not_an_axis", "one_dimensional_joint"])
+    (lambda: empirical_joint([], []), SizeError, "empty input"),
+], ids=["batch_too_large", "given_not_an_axis", "one_dimensional_joint", "empty_joint"])
 def test_out_of_contract_call(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from clnce.clusters import clusters_instance_id
 from clnce.encoder import backward, forward, init_model
-from clnce.errors import NumericError, ShapeError
+from clnce.errors import NumericError, ParameterError, ShapeError
 from clnce.objective import (
     CriticConfig,
     _loss_and_grad,
@@ -57,6 +57,8 @@ def test_fused_pass_validates_like_the_oracles(fn):
         fn(bad)
     with pytest.raises(ShapeError):
         fn(np.zeros((3, 4)))
+    with pytest.raises(ParameterError, match="need n >= 2"):
+        fn(np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("shape_x, shape_y", [((3, 2), (3, 4)), ((3, 2), (4, 2)), ((3,), (3,))])

@@ -11,7 +11,7 @@ from clnce.clusters import kmeans
 from clnce.data import Dataset, split_dataset
 from clnce.datagen import make_balanced_hierarchy, make_blob_dataset, make_mixture_dataset
 from clnce.encoder import ROW_BLOCK, EncoderModel, embed, forward, init_model
-from clnce.errors import DataError, ParameterError
+from clnce.errors import DataError, NumericError, ParameterError
 from clnce.info import info_plane_point
 from clnce.pipeline import (
     TrainConfig,
@@ -101,10 +101,13 @@ class TestBuildClusters:
         assert c.num_clusters <= 4
 
     def test_hierarchy(self):
+        # level 2 of the balanced hierarchy on 3 classes is its 2 groups,
+        # class c in group c % 2
+        assert self.d.hierarchy == make_balanced_hierarchy(3)
         c = build_clusters(self.d, {"source": "hierarchy", "level": 2})
-        groups = len(make_balanced_hierarchy(3).roots())
-        assert c.num_clusters >= 1
+        assert c.num_clusters == 2
         assert c.num_samples == self.d.num_samples
+        assert len(set(zip(self.d.labels % 2, c.assignment))) == 2
 
     def test_kmeans(self):
         c = build_clusters(self.d, {"source": "kmeans", "K": 5, "seed": 1})
@@ -122,6 +125,17 @@ class TestBuildClusters:
         bare = Dataset(features=self.d.features)
         with pytest.raises(DataError):
             build_clusters(bare, {"source": "labels"})
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"source": "attributes", "k": 1}, "attributes cluster source needs an attribute matrix"),
+        ({"source": "hierarchy", "level": 1}, "hierarchy cluster source needs a hierarchy"),
+        ({"source": "synthetic", "mode": "coarsen", "merge_groups": [[0]]},
+         "synthetic cluster source needs labels"),
+    ], ids=["attributes", "hierarchy", "synthetic"])
+    def test_source_without_its_data(self, spec, message):
+        bare = Dataset(features=self.d.features)
+        with pytest.raises(DataError, match=message):
+            build_clusters(bare, spec)
 
     def test_unknown_source(self):
         with pytest.raises(ParameterError):
@@ -235,6 +249,12 @@ class TestTrainPredetermined:
         assert report.checkpoint_path == path
         assert (tmp_path / "model.bin").stat().st_size > 0
 
+    def test_loss_divergence(self):
+        # scores of up to 1e308 (cosines over the temperature) overflow the loss
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match="loss diverged at step 0"):
+            train(small_dataset(), small_config(temperature=1e-308))
+
 
 class TestDeterminismProperties:
     """Two runs of one drawn config give the same bits, for every cluster source."""
@@ -323,23 +343,6 @@ class TestKmeansLoop:
             expected.assignment, d.labels, config_label="kmeans(4)@epoch1"
         )
 
-    def test_every_recluster_embeds_into_one_array(self, monkeypatch):
-        # an (n, D) array per recluster makes the heap's growth, and so the
-        # peak RSS, depend on where the allocator places it from run to run
-        d = small_dataset()
-        cfg = small_config(epochs=3, cluster_source={"source": "kmeans", "K": 4})
-        outs = []
-        real_embed = pipeline.enc.embed
-
-        def recording_embed(model, x, out=None):
-            outs.append(out)
-            return real_embed(model, x, out=out)
-
-        monkeypatch.setattr(pipeline.enc, "embed", recording_embed)
-        train(d, cfg)
-        assert len(outs) == cfg.epochs + 1
-        assert outs[0] is not None and all(o is outs[0] for o in outs)
-
     def test_default_max_iters(self):
         # tol < 0 never stops early, so every recluster runs the default cap
         d = small_dataset()
@@ -393,6 +396,12 @@ class TestLinearEvaluate:
         model = init_model([2, 3], [3, 2], seed=0)
         with pytest.raises(DataError):
             linear_evaluate(model, d, d)
+
+    def test_divergence(self):
+        d = small_dataset()
+        model = init_model([d.feature_dim, 8], [8, 4], seed=0)
+        with pytest.raises(NumericError, match="linear probe diverged to non-finite weights"):
+            linear_evaluate(model, d, d, epochs=5, lr=1e308)
 
     def test_one_train_embedding_held_during_the_fit(self, monkeypatch):
         # the train rows are embedded and standardised in the (D, n) layout
@@ -521,6 +530,11 @@ class TestInfoPlaneExperiment:
         d = small_dataset()
         with pytest.raises(ParameterError):
             run_info_plane_experiment(d, [{"source": "labels"}], small_config())
+
+    def test_needs_labels(self):
+        bare = Dataset(features=small_dataset().features)
+        with pytest.raises(DataError, match="info-plane experiment needs a labeled dataset"):
+            run_info_plane_experiment(bare, [{"source": "instance_id"}] * 2, small_config())
 
     def test_every_spec_parsed_before_training(self, monkeypatch):
         def no_training(*args, **kwargs):
