@@ -16,7 +16,6 @@ from .clusters import (
     kmeans,
 )
 from .data import (
-    AugmentConfig,
     Dataset,
     HierarchyGraph,
     load_dataset,

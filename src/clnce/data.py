@@ -14,7 +14,6 @@ import hashlib
 import io
 import math
 import os
-import re
 import stat
 import tempfile
 import time
@@ -128,20 +127,6 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Gaussian-noise + coordinate-masking augmentation settings."""
-
-    noise_sigma: float
-    mask_prob: float
-
-    def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be >= 0")
-        if not 0.0 <= self.mask_prob <= 1.0:
-            raise ParameterError("mask_prob must lie in [0, 1]")
-
-
 HEADER_GRAMMAR = "id,f0..f{D-1}[,a0..a{A-1}][,label]"
 
 
@@ -169,7 +154,9 @@ def _parse_header(header: list[str], path: str) -> tuple[int, int, bool]:
     if header[:1] != ["id"]:
         problem = "column 1 is not 'id'"
     elif end < len(header):
-        problem = f"unexpected column {end + 1} {header[end]!r}"
+        cell = header[end]  # quoted up to 40 characters, so a long cell stays readable
+        problem = f"unexpected column {end + 1} {cell[:40]!r}" + (
+            f"... ({len(cell)} characters)" if len(cell) > 40 else "")
     else:
         problem = "no feature column f0"
     raise SchemaError(f"{path}:1: {problem}; the header must be {HEADER_GRAMMAR}")
@@ -216,7 +203,7 @@ def _first_bad_row(raw: bytes, path: str, dim: int, num_attrs: int, has_label: b
 
 CACHE_DIR = "__clnce_cache__"
 # A temporary file in CACHE_DIR this much older than its last write was left
-# by a killed write; the next write under its file name removes it.
+# by a killed write; the next write removes it.
 _STALE_TMP_S = 60.0
 # Reading or writing an entry may fail in these ways, ClnceError for arrays
 # that fail the Dataset checks; each falls back to the parse.
@@ -227,9 +214,10 @@ def load_dataset(path: str) -> Dataset:
     """Load and validate a dataset CSV whose header follows HEADER_GRAMMAR.
 
     The file is read once. A parse of a regular file is cached next to it,
-    in ``CACHE_DIR/<basename>.<sha256 of the bytes>.npz``, and a later call
-    on the same bytes reads the arrays back bit for bit. Cache I/O never
-    changes a result or an error: any failure of it falls back to the parse.
+    in ``CACHE_DIR/<basename>.npz``, keyed by the sha256 of the bytes, and a
+    later call on the same bytes reads the arrays back bit for bit. Cache
+    I/O never changes a result or an error: any failure of it falls back to
+    the parse.
     """
     with open(path, "rb") as fh:
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
@@ -237,19 +225,21 @@ def load_dataset(path: str) -> Dataset:
     if not regular or _CACHE_FORMAT is None:
         return _parse_dataset(raw, path)
     folder, name = os.path.split(path)
-    entry = os.path.join(folder, CACHE_DIR, f"{name}.{hashlib.sha256(raw).hexdigest()}.npz")
-    d = _read_entry(entry)
+    entry = os.path.join(folder, CACHE_DIR, f"{name}.npz")
+    key = f"{_CACHE_FORMAT}, sha256 {hashlib.sha256(raw).hexdigest()}"
+    d = _read_entry(entry, key)
     if d is None:
         d = _parse_dataset(raw, path)
-        _write_entry(entry, d)
+        _write_entry(entry, key, d)
     return d
 
 
-# Stored in every cache entry; an entry with another tag is a miss. The tag
-# holds the sha256 of this file, which holds every parse rule, so that any
-# edit to the loader orphans the entries it wrote, as a .pyc's magic number
-# does; and numpy's version, because numpy's parser decides what a file
-# holds. When this file cannot be read there is no tag, and no cache.
+# The start of every cache entry's key, whose end is the sha256 of the CSV
+# bytes; an entry with another key is a miss. The tag holds the sha256 of
+# this file, which holds every parse rule, so that any edit to the loader
+# orphans the entries it wrote, as a .pyc's magic number does; and numpy's
+# version, because numpy's parser decides what a file holds. When this file
+# cannot be read there is no tag, and no cache.
 try:
     with open(__file__, "rb") as _fh:
         _CACHE_FORMAT = (f"clnce data.py {hashlib.sha256(_fh.read()).hexdigest()}, "
@@ -258,11 +248,11 @@ except OSError:
     _CACHE_FORMAT = None
 
 
-def _read_entry(entry: str) -> Dataset | None:
-    """The Dataset stored at ``entry``; None when there is none to read."""
+def _read_entry(entry: str, key: str) -> Dataset | None:
+    """The Dataset stored at ``entry`` under ``key``; None when there is none to read."""
     try:
-        with np.load(entry, allow_pickle=False) as z:
-            if str(z["format"]) != _CACHE_FORMAT:
+        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as z:
+            if str(z["format"]) != key:
                 return None
             # ids as UTF-8 bytes and the end of each in the decoded text: a
             # numpy str array would drop trailing NULs
@@ -278,15 +268,14 @@ def _read_entry(entry: str) -> Dataset | None:
         return None
 
 
-def _write_entry(entry: str, d: Dataset) -> None:
-    """Store ``d`` at ``entry`` through a temporary file and ``os.replace``,
-    then remove the entries of other contents under the same file name, and
-    its stale temporary files. On any failure the cache is left as it is."""
+def _write_entry(entry: str, key: str, d: Dataset) -> None:
+    """Store ``d`` under ``key`` at ``entry`` through a temporary file and
+    ``os.replace``, then remove the stale temporary files of the cache. On
+    any failure the cache is left as it is."""
     folder, name = os.path.split(entry)
-    same_file = re.compile(re.escape(name.rsplit(".", 2)[0]) + r"\.[0-9a-f]{64}\.npz(\w+\.tmp)?")
     try:
         arrays = {
-            "format": np.array(_CACHE_FORMAT),
+            "format": np.array(key),
             "features": d.features,
             "ids": np.frombuffer("".join(d.ids).encode("utf-8"), dtype=np.uint8),
             "id_ends": np.cumsum([len(s) for s in d.ids], dtype=np.int64),
@@ -306,11 +295,8 @@ def _write_entry(entry: str, d: Dataset) -> None:
                 os.remove(tmp)
         now = time.time()
         for other in os.listdir(folder):
-            match = same_file.fullmatch(other)
-            if other == name or match is None:
-                continue
             other = os.path.join(folder, other)
-            if match[1] is None or now - os.stat(other).st_mtime > _STALE_TMP_S:
+            if other.endswith(".tmp") and now - os.stat(other).st_mtime > _STALE_TMP_S:
                 os.remove(other)
     except _CACHE_ERRORS:
         pass
@@ -443,15 +429,18 @@ def split_dataset(
     return d.subset(np.sort(perm[:n_train])), d.subset(np.sort(perm[n_train:]))
 
 
-def augment_rows(features: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """One stochastic view: additive Gaussian noise, then coordinate masking."""
+def augment_rows(
+    features: np.ndarray, noise_sigma: float, mask_prob: float, rng: np.random.Generator
+) -> np.ndarray:
+    """One stochastic view: additive Gaussian noise, then coordinate masking.
+    TrainConfig bounds ``noise_sigma`` (>= 0) and ``mask_prob`` (in [0, 1])."""
     out = np.asarray(features, dtype=np.float64)
-    if cfg.noise_sigma > 0:
-        noise = rng.normal(0.0, cfg.noise_sigma, size=out.shape)
+    if noise_sigma > 0:
+        noise = rng.normal(0.0, noise_sigma, size=out.shape)
         noise += out  # the bits of out + noise, without a second (B, D) array
         out = noise
     else:
         out = out.copy()
-    if cfg.mask_prob > 0:
-        out[rng.random(out.shape) < cfg.mask_prob] = 0.0
+    if mask_prob > 0:
+        out[rng.random(out.shape) < mask_prob] = 0.0
     return out

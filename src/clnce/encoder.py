@@ -129,16 +129,17 @@ def forward(model: EncoderModel, x: np.ndarray):
     """
     h = _as_input(model, x)
     inputs, pre_acts = [], []
-    for w, b in model.encoder_layers + model.projection_layers:
-        if pre_acts:
-            h = np.maximum(h, 0.0)
-        inputs.append(h)
-        h = h @ w
-        h += b
-        pre_acts.append(h)
-    norms = np.linalg.norm(h, axis=1)
-    degenerate = norms == 0.0
-    output = h / np.where(degenerate, 1.0, norms)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        for w, b in model.encoder_layers + model.projection_layers:
+            if pre_acts:
+                h = np.maximum(h, 0.0)
+            inputs.append(h)
+            h = h @ w
+            h += b
+            pre_acts.append(h)
+        norms = np.linalg.norm(h, axis=1)
+        degenerate = norms == 0.0
+        output = h / np.where(degenerate, 1.0, norms)[:, None]
     if not np.isfinite(output).all():
         raise NumericError("non-finite projection output")
     cache = ForwardCache(

@@ -59,7 +59,11 @@ def critic_matrix(
     py = np.asarray(projections_y, dtype=np.float64)
     if px.ndim != 2 or px.shape != py.shape:
         raise ShapeError(f"projection shapes {px.shape} vs {py.shape}")
-    return px @ py.T / cfg.temperature
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        scores = px @ py.T / cfg.temperature
+    if not np.isfinite(scores).all():
+        raise NumericError("non-finite scores")
+    return scores
 
 
 def _loss_and_grad(scores: np.ndarray) -> tuple[float, np.ndarray]:
@@ -78,7 +82,8 @@ def _loss_and_grad(scores: np.ndarray) -> tuple[float, np.ndarray]:
     np.exp(e, out=e)
     rowsum = e.sum(axis=1, keepdims=True)
     log_mean_exp = np.log(rowsum[:, 0] / n) + row_max[:, 0]
-    loss = float(-(np.diag(s) - log_mean_exp).mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the loss
+        loss = float(-(np.diag(s) - log_mean_exp).mean())
     e /= rowsum
     e.flat[:: n + 1] -= 1.0
     e /= n

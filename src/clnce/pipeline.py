@@ -16,7 +16,7 @@ from . import clusters as cl
 from . import encoder as enc
 from . import info as im
 from . import objective as obj
-from .data import AugmentConfig, Dataset, augment_rows, split_dataset
+from .data import Dataset, augment_rows, split_dataset
 from .errors import DataError, NumericError, ParameterError
 
 
@@ -31,12 +31,13 @@ def _ints(v) -> bool:
 # The JSON kind of every value a run config carries, by key: the file paths,
 # train_fraction, the TrainConfig fields and the cluster-spec keys. A kind is
 # a description and a test; bools are never numbers, an int fits in int64 and
-# a number in a finite float64. A kind bounds a value only where nothing
+# a number in a finite float64. A kind bounds a value only where no object
 # checks it before training: the objects that use the other values check
 # them (temperature, momentum, k, K, ...).
 _INT = ("an int", _int)
 _FLOAT = ("a finite number", lambda v: (_int(v) or isinstance(v, float))
           and abs(v) <= sys.float_info.max)
+_NON_NEGATIVE = ("a finite number >= 0", lambda v: _FLOAT[1](v) and v >= 0)
 _COUNT = ("an int >= 0", lambda v: _int(v) and v >= 0)
 _WIDTHS = ("a non-empty list of positive ints", lambda v: _ints(v) and v and min(v) > 0)
 _OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
@@ -44,13 +45,14 @@ _KINDS = {
     "data": ("a path", lambda v: isinstance(v, str)),
     "hierarchy": ("a path or null", lambda v: v is None or isinstance(v, str)),
     **dict.fromkeys(("k", "level", "K", "max_iters", "splits_per_class"), _INT),
-    **dict.fromkeys(("temperature", "momentum", "weight_decay", "noise_sigma",
-                     "mask_prob", "tol", "train_fraction", "eval_lr"), _FLOAT),
+    **dict.fromkeys(("temperature", "momentum", "weight_decay", "tol", "train_fraction",
+                     "eval_lr"), _FLOAT),
     "epochs": ("an int >= 1", lambda v: _int(v) and v >= 1),
     "batch_size": ("an int >= 2", lambda v: _int(v) and v >= 2),
     "seed": _COUNT,
     "eval_epochs": _COUNT,
-    "peak_lr": ("a finite number >= 0", lambda v: _FLOAT[1](v) and v >= 0),
+    **dict.fromkeys(("peak_lr", "noise_sigma"), _NON_NEGATIVE),
+    "mask_prob": ("a number in [0, 1]", lambda v: _FLOAT[1](v) and 0 <= v <= 1),
     "warmup_steps": ("an int or null", lambda v: v is None or _int(v)),
     "train": _OBJECT,
     "cluster_source": _OBJECT,
@@ -226,7 +228,6 @@ def train(
     spec = parse_cluster_spec(cfg.cluster_source, cfg.seed)
     refresh = spec["source"] == "kmeans"
     critic = obj.CriticConfig(temperature=cfg.temperature)
-    aug = AugmentConfig(noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob)
     encoder_dims = [d.feature_dim, *cfg.encoder_widths]
     projection_dims = [encoder_dims[-1], *cfg.projection_widths]
     # the (B, B) critic scores, the parameter vector and the (n, D) embedding
@@ -257,8 +258,8 @@ def train(
         losses = []
         for _ in range(steps_per_epoch):
             batch = obj.sample_pair_batch(clusters, cfg.batch_size, rng)
-            view_x = augment_rows(d.features[batch.x_indices], aug, rng)
-            view_y = augment_rows(d.features[batch.y_indices], aug, rng)
+            view_x = augment_rows(d.features[batch.x_indices], cfg.noise_sigma, cfg.mask_prob, rng)
+            view_y = augment_rows(d.features[batch.y_indices], cfg.noise_sigma, cfg.mask_prob, rng)
             _, px, cache_x = enc.forward(model, view_x)
             _, py, cache_y = enc.forward(model, view_y)
             scores = obj.critic_matrix(px, py, critic)

@@ -193,6 +193,28 @@ class TestBadInput:
             "error [NumericError]: squared distances overflow in k-means++ seeding"
         ]
 
+    @pytest.mark.parametrize("values, message", [
+        pytest.param(*case, id=json.dumps(case[0])) for case in [
+            ({"temperature": 1e-308}, "loss diverged at step 0"),
+            ({"temperature": 5e-324}, "non-finite scores"),
+            ({"temperature": 1e-300}, "non-finite projection output"),
+            ({"peak_lr": 1e300}, "non-finite projection output"),
+        ]
+    ])
+    def test_training_overflow(self, workspace, values, message):
+        # scores, a loss or weights that overflow; run in a child process,
+        # where numpy's warnings reach stderr
+        tmp_path, _, _, cfg_path = workspace
+        update_train_config(cfg_path, **values)
+        src = str(pathlib.Path(clnce.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "clnce.cli", "train", "--config", cfg_path,
+             "--out", str(tmp_path / "x")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error [NumericError]: {message}"]
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_embedding_too_wide(self, workspace, command):
         # an (n, D) embedding of 2000 or 1400 rows at width 2^17 takes 1.4 GB
@@ -309,6 +331,8 @@ class TestBadInput:
         {"peak_lr": -1},
         {"eval_epochs": -1},
         {"cluster_source": {"source": "labels", "K": 3}},
+        {"noise_sigma": -1},
+        {"mask_prob": 1.5},
     ], ids=json.dumps)
     def test_bad_train_value(self, workspace, capsys, values):
         tmp_path, _, _, cfg_path = workspace
