@@ -74,7 +74,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     epochs = pl.parse_value("eval_epochs", args.epochs)
     lr = pl.parse_value("eval_lr", args.lr)
-    model, _ = enc.load_checkpoint(args.checkpoint)
+    model = enc.load_checkpoint(args.checkpoint)
     train_data = load_dataset(args.train_data)
     eval_data = load_dataset(args.eval_data)
     acc = pl.linear_evaluate(model, train_data, eval_data, epochs=epochs, lr=lr)

@@ -66,9 +66,10 @@ class ClusterAssignment:
 
 @dataclass(frozen=True)
 class KMeansResult:
+    """The final inertia is ``inertia_history[-1]``."""
+
     centroids: np.ndarray
     assignment: ClusterAssignment
-    inertia: float
     iterations_run: int
     inertia_history: tuple[float, ...]
 
@@ -368,7 +369,6 @@ def kmeans(
     return KMeansResult(
         centroids=centroids,
         assignment=result,
-        inertia=history[-1],
         iterations_run=it,
         inertia_history=tuple(history),
     )

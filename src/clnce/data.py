@@ -180,6 +180,8 @@ def _first_bad_row(raw: bytes, path: str, dim: int, num_attrs: int, has_label: b
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
+            if not row:  # a blank line, which loadtxt skips too
+                continue
             if len(row) != width:
                 return DimensionError(
                     f"{path}:{lineno}: expected {width} fields, got {len(row)}"
@@ -393,6 +395,8 @@ def load_hierarchy(path: str) -> HierarchyGraph:
         if len(parts) != 2:
             raise SchemaError(f"{path}:{lineno}: expected two tab-separated fields")
         if in_labels:
+            if parts[0] in leaf_label_map:
+                raise SchemaError(f"{path}:{lineno}: leaf {parts[0]!r} already has a label")
             try:
                 leaf_label_map[parts[0]] = int(parts[1])
             except ValueError:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,20 +175,14 @@ def backward(model: EncoderModel, cache: ForwardCache, grad_wrt_projection: np.n
 
 @dataclass(frozen=True)
 class OptimizerHyper:
+    """Built by ``pipeline.train`` from a TrainConfig, whose kinds bound
+    momentum, weight_decay and warmup_steps; nothing checks them here."""
+
     peak_lr: float
     momentum: float
     weight_decay: float
     warmup_steps: int
     total_steps: int
-    decay_biases: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ParameterError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be >= 0")
-        if self.warmup_steps < 0 or self.total_steps < self.warmup_steps:
-            raise ParameterError("need 0 <= warmup_steps <= total_steps")
 
 
 @dataclass
@@ -218,8 +212,8 @@ def lr_at(step: int, hyper: OptimizerHyper) -> float:
 def sgd_step(model: EncoderModel, grad: np.ndarray, state: OptimizerState) -> None:
     """One SGD+momentum step with decoupled-from-bias weight decay.
 
-    buffer <- momentum*buffer + grad + weight_decay*param (weights only
-    unless decay_biases); param <- param - lr_at(step)*buffer.
+    buffer <- momentum*buffer + grad + weight_decay*param (weights only);
+    param <- param - lr_at(step)*buffer.
     """
     if np.shape(grad) != model.params.shape:
         raise ShapeError("gradient does not match the model's parameters")
@@ -227,13 +221,14 @@ def sgd_step(model: EncoderModel, grad: np.ndarray, state: OptimizerState) -> No
     h = state.hyper
     # one temporary, in place; buffer*momentum + (grad + decay*param) rounds
     # as the formula above does
-    step = np.where(model.bias_mask, h.weight_decay * h.decay_biases, h.weight_decay)
-    step *= model.params
-    step += grad
-    state.momentum *= h.momentum
-    state.momentum += step
-    np.multiply(state.momentum, lr, out=step)
-    model.params -= step
+    step = np.where(model.bias_mask, 0.0, h.weight_decay)
+    with np.errstate(over="ignore", invalid="ignore"):  # the next forward raises
+        step *= model.params
+        step += grad
+        state.momentum *= h.momentum
+        state.momentum += step
+        np.multiply(state.momentum, lr, out=step)
+        model.params -= step
     model.version += 1
     state.step_count += 1
 
@@ -247,7 +242,6 @@ def save_checkpoint(model: EncoderModel, state: OptimizerState, path: str) -> No
         "encoder_dims": dims[: n_enc + 1],
         "projection_dims": dims[n_enc:],
         "step_count": state.step_count,
-        "hyper": asdict(state.hyper),
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -256,7 +250,9 @@ def save_checkpoint(model: EncoderModel, state: OptimizerState, path: str) -> No
         fh.write(state.momentum.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
+def load_checkpoint(path: str) -> EncoderModel:
+    """The model alone: the momentum block's length is checked, but no
+    command resumes training, so it is not read."""
     with open(path, "rb") as fh:
         head = fh.readline()
         blob = fh.read()
@@ -274,10 +270,6 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
         if enc[-1] != proj[0]:
             raise ValueError("encoder and projection widths do not chain")
         n_enc = len(enc) - 1
-        hyper = OptimizerHyper(**header["hyper"])
-        step_count = header["step_count"]
-        if not (type(step_count) is int and step_count >= 0):
-            raise ValueError(f"step_count {step_count!r} is not an int >= 0")
         # the parameters, then the momentum in the same layout
         expected = 2 * 8 * sum(din * dout + dout for din, dout in layer_shapes)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -286,9 +278,8 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, OptimizerState]:
         raise StateError(
             f"{path}: {len(blob)} bytes of parameter blocks, header implies {expected}"
         )
-    params, momentum = np.frombuffer(blob, dtype="<f8").reshape(2, -1)
+    params = np.frombuffer(blob, dtype="<f8", count=expected // 16)
     if not np.isfinite(params).all():
         raise StateError(f"{path}: non-finite parameters")
     layers = _views(params, layer_shapes)
-    model = EncoderModel(layers[:n_enc], layers[n_enc:])
-    return model, OptimizerState(momentum.astype(np.float64), step_count, hyper)
+    return EncoderModel(layers[:n_enc], layers[n_enc:])

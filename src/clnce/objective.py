@@ -27,11 +27,10 @@ class CriticConfig:
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Indices of n positively-paired samples and the cluster each pair shares."""
+    """Indices of n positively-paired samples; each x/y pair shares a cluster."""
 
     x_indices: np.ndarray
     y_indices: np.ndarray
-    cluster_ids: np.ndarray
 
 
 def sample_pair_batch(
@@ -48,7 +47,7 @@ def sample_pair_batch(
     # one bounded draw per position in the order x0, y0, x1, y1, ...
     pos = rng.integers(0, np.repeat(sizes[z], 2))
     picks = members[np.repeat(starts[z], 2) + pos]
-    return PairBatch(picks[0::2], picks[1::2], z.astype(np.int64))
+    return PairBatch(picks[0::2], picks[1::2])
 
 
 def critic_matrix(

@@ -31,9 +31,9 @@ def _ints(v) -> bool:
 # The JSON kind of every value a run config carries, by key: the file paths,
 # train_fraction, the TrainConfig fields and the cluster-spec keys. A kind is
 # a description and a test; bools are never numbers, an int fits in int64 and
-# a number in a finite float64. A kind bounds a value only where no object
-# checks it before training: the objects that use the other values check
-# them (temperature, momentum, k, K, ...).
+# a number in a finite float64. The kinds bound every TrainConfig field but
+# temperature, whose one rule CriticConfig keeps and TrainConfig applies;
+# cluster-spec bounds that depend on the data are checked with the clusters.
 _INT = ("an int", _int)
 _FLOAT = ("a finite number", lambda v: (_int(v) or isinstance(v, float))
           and abs(v) <= sys.float_info.max)
@@ -45,15 +45,15 @@ _KINDS = {
     "data": ("a path", lambda v: isinstance(v, str)),
     "hierarchy": ("a path or null", lambda v: v is None or isinstance(v, str)),
     **dict.fromkeys(("k", "level", "K", "max_iters", "splits_per_class"), _INT),
-    **dict.fromkeys(("temperature", "momentum", "weight_decay", "tol", "train_fraction",
-                     "eval_lr"), _FLOAT),
+    **dict.fromkeys(("temperature", "tol", "train_fraction", "eval_lr"), _FLOAT),
     "epochs": ("an int >= 1", lambda v: _int(v) and v >= 1),
     "batch_size": ("an int >= 2", lambda v: _int(v) and v >= 2),
     "seed": _COUNT,
     "eval_epochs": _COUNT,
-    **dict.fromkeys(("peak_lr", "noise_sigma"), _NON_NEGATIVE),
+    **dict.fromkeys(("peak_lr", "weight_decay", "noise_sigma"), _NON_NEGATIVE),
+    "momentum": ("a number in [0, 1)", lambda v: _FLOAT[1](v) and 0 <= v < 1),
     "mask_prob": ("a number in [0, 1]", lambda v: _FLOAT[1](v) and 0 <= v <= 1),
-    "warmup_steps": ("an int or null", lambda v: v is None or _int(v)),
+    "warmup_steps": ("an int >= 0 or null", lambda v: v is None or _COUNT[1](v)),
     "train": _OBJECT,
     "cluster_source": _OBJECT,
     "encoder_widths": _WIDTHS,
@@ -154,6 +154,7 @@ class TrainConfig:
         for f in dataclasses.fields(self):
             parse_value(f.name, getattr(self, f.name))
         parse_cluster_spec(self.cluster_source)
+        obj.CriticConfig(self.temperature)
         object.__setattr__(self, "encoder_widths", tuple(self.encoder_widths))
         object.__setattr__(self, "projection_widths", tuple(self.projection_widths))
 

@@ -235,7 +235,6 @@ def kmeans_reference(
     return KMeansResult(
         centroids=centroids,
         assignment=result,
-        inertia=history[-1],
         iterations_run=it,
         inertia_history=tuple(history),
     )
@@ -260,7 +259,7 @@ def sample_pair_batch_reference(
         m = members[z[i]]
         x_idx[i] = m[rng.integers(m.size)]
         y_idx[i] = m[rng.integers(m.size)]
-    return PairBatch(x_idx, y_idx, z.astype(np.int64))
+    return PairBatch(x_idx, y_idx)
 
 
 def linear_evaluate_reference(model, train_data, eval_data, epochs=200, lr=0.5):
@@ -299,8 +298,9 @@ def linear_evaluate_reference(model, train_data, eval_data, epochs=200, lr=0.5):
 def load_dataset_reference(path: str) -> Dataset:
     """The row-loop CSV loader: every row through ``csv`` and ``float``/``int``.
 
-    The original ``data.load_dataset``; the loadtxt version must give the
-    same dataset, and on bad input the same error class and ``path:line``.
+    The original ``data.load_dataset``, which also skips blank lines and
+    names a negative label's line; the loadtxt version must give the same
+    dataset, and on bad input the same error class and ``path:line``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -318,6 +318,8 @@ def load_dataset_reference(path: str) -> Dataset:
             raise SchemaError(f"{path}:1: no feature columns (f0..fD)")
         ids, feats, attrs, labels = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
+            if not row:  # a blank line
+                continue
             if len(row) != len(header):
                 raise DimensionError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
@@ -339,6 +341,8 @@ def load_dataset_reference(path: str) -> Dataset:
                     lab = int(row[label_col])
                 except ValueError:
                     raise SchemaError(f"{path}:{lineno}: bad label") from None
+                if lab < 0:
+                    raise DomainError(f"{path}:{lineno}: negative label")
                 labels.append(lab)
     if not feats:
         raise SchemaError(f"{path}: no data rows")

@@ -199,6 +199,7 @@ class TestBadInput:
             ({"temperature": 5e-324}, "non-finite scores"),
             ({"temperature": 1e-300}, "non-finite projection output"),
             ({"peak_lr": 1e300}, "non-finite projection output"),
+            ({"weight_decay": 1e300, "peak_lr": 1e10}, "non-finite projection output"),
         ]
     ])
     def test_training_overflow(self, workspace, values, message):
@@ -346,9 +347,13 @@ class TestBadInput:
 
     @pytest.mark.parametrize("values, category, message", [
         pytest.param(*case, id=json.dumps(case[0])) for case in [
-            ({"momentum": 1.0}, "ParameterError", "momentum must lie in [0, 1)"),
-            ({"weight_decay": -1}, "ParameterError", "weight_decay must be >= 0"),
-            ({"warmup_steps": -1}, "ParameterError", "need 0 <= warmup_steps <= total_steps"),
+            ({"temperature": 0}, "ParameterError", "temperature must be > 0"),
+            ({"momentum": 1.0}, "ParameterError", "key 'momentum' must be a number in [0, 1)"),
+            ({"momentum": 1.5}, "ParameterError", "key 'momentum' must be a number in [0, 1)"),
+            ({"weight_decay": -1}, "ParameterError",
+             "key 'weight_decay' must be a finite number >= 0"),
+            ({"warmup_steps": -1}, "ParameterError", "key 'warmup_steps' must be an int >= 0"),
+            ({"warmup_steps": -3}, "ParameterError", "key 'warmup_steps' must be an int >= 0"),
             ({"cluster_source": {"source": "hierarchy", "level": 9}}, "ParameterError",
              "level 9 exceeds max leaf depth 3"),
             ({"cluster_source": {"source": "synthetic", "mode": "refine", "splits_per_class": 0}},
@@ -366,7 +371,9 @@ class TestBadInput:
         ]
     ])
     def test_value_out_of_range_for_its_use(self, workspace, capsys, values, category, message):
-        # checked where the value is used, so after --out is made
+        # a training range is refused with the config, before --out is made;
+        # a cluster-spec range that depends on the data, and a size, where
+        # the value is used
         tmp_path, _, _, cfg_path = workspace
         update_train_config(cfg_path, **values)
         err = self.run_bad(
@@ -374,6 +381,8 @@ class TestBadInput:
         )
         assert message in err
         assert len(err.splitlines()) == 1
+        assert os.path.exists(str(tmp_path / "x")) == (
+            "cluster_source" in values or category == "SizeError")
 
     @pytest.mark.parametrize("key, value", [pytest.param(*kv, id=kv[0]) for kv in [
         ("peak_lr", 10**400), ("temperature", float("inf")), ("momentum", -10**400),
@@ -591,21 +600,22 @@ class TestBadInput:
 
     @pytest.mark.parametrize("step_count", [b"1e999", b"2.7", b"-1", b"true", b'"3"'])
     def test_ill_typed_checkpoint_step_count(self, workspace, capsys, step_count):
+        # eval reads the model alone, so a step_count of any kind is not refused
         tmp_path, data_path, _, cfg_path = workspace
         out = str(tmp_path / "run")
         assert main(["train", "--config", cfg_path, "--out", out]) == 0
         ckpt = os.path.join(out, "checkpoint.bin")
+        argv = ["eval", "--checkpoint", ckpt, "--train-data", data_path,
+                "--eval-data", data_path, "--epochs", "5"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        want = capsys.readouterr().out
         with open(ckpt, "rb") as fh:
             blob = fh.read()
         with open(ckpt, "wb") as fh:
             fh.write(re.sub(rb'"step_count": \d+', b'"step_count": ' + step_count, blob, 1))
-        capsys.readouterr()
-        err = self.run_bad(
-            ["eval", "--checkpoint", ckpt, "--train-data", data_path,
-             "--eval-data", data_path, "--epochs", "5"],
-            capsys, "StateError",
-        )
-        assert "step_count" in err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--epochs", "-5", "'eval_epochs' must be an int >= 0, got -5"),
@@ -747,6 +757,26 @@ class TestEval:
         ])
         assert rc == 0
         assert "linear accuracy" in capsys.readouterr().out
+
+    def test_eval_checkpoint_of_the_earlier_format(self, workspace, capsys):
+        # the earlier format's header also held the optimizer's settings
+        tmp_path, data_path, _, cfg_path = workspace
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        ckpt = os.path.join(out, "checkpoint.bin")
+        argv = ["eval", "--checkpoint", ckpt, "--train-data", data_path,
+                "--eval-data", data_path, "--epochs", "30"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        with open(ckpt, "rb") as fh:
+            header, body = json.loads(fh.readline()), fh.read()
+        header["hyper"] = {"decay_biases": False, "momentum": 0.95, "peak_lr": 0.1,
+                           "total_steps": 6, "warmup_steps": 1, "weight_decay": 0.0001}
+        with open(ckpt, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestInfoplane:

@@ -221,7 +221,7 @@ class TestKMeans:
         locs = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         pts = np.repeat(locs, 5, axis=0)
         res = kmeans(pts, 3, seed=1)
-        assert res.inertia == pytest.approx(0.0, abs=1e-20)
+        assert res.inertia_history[-1] == pytest.approx(0.0, abs=1e-20)
         assert len(set(res.assignment.assignment[::5].tolist())) == 3
 
     def test_matches_brute_force_two_clusters(self):
@@ -238,7 +238,7 @@ class TestKMeans:
                 inertia += ((grp - grp.mean(axis=0)) ** 2).sum()
             best = min(best, inertia)
         res = kmeans(pts, 2, max_iters=200, seed=3)
-        assert res.inertia == pytest.approx(best, rel=1e-9)
+        assert res.inertia_history[-1] == pytest.approx(best, rel=1e-9)
 
     def test_inertia_non_increasing(self):
         pts = np.random.default_rng(8).normal(size=(60, 4))
@@ -254,7 +254,7 @@ class TestKMeans:
         np.testing.assert_array_equal(
             r1.assignment.assignment, r2.assignment.assignment
         )
-        assert r1.inertia == r2.inertia
+        assert r1.inertia_history == r2.inertia_history
 
     def test_recomputed_inertia_matches(self):
         pts = np.random.default_rng(4).normal(size=(30, 2))
@@ -263,7 +263,7 @@ class TestKMeans:
         recomputed = sum(
             ((pts[i] - res.centroids[a[i]]) ** 2).sum() for i in range(30)
         )
-        assert res.inertia == pytest.approx(recomputed, rel=1e-12)
+        assert res.inertia_history[-1] == pytest.approx(recomputed, rel=1e-12)
 
     def test_nearest_centroid_assignment(self):
         pts = np.random.default_rng(4).normal(size=(30, 2))

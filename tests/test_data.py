@@ -152,6 +152,11 @@ class TestHierarchyFile:
         assert set(g2.edges) == set(g.edges)
         assert g2.leaf_label_map == g.leaf_label_map
 
+    def test_leaf_labelled_twice(self, tmp_path):
+        path = write(tmp_path, "h.tsv", "root\tleafA\n#labels\nleafA\t0\nleafA\t2\n")
+        with pytest.raises(SchemaError, match=r"h\.tsv:4: leaf 'leafA' already has a label"):
+            load_hierarchy(path)
+
     def test_duplicate_label_rejected(self):
         with pytest.raises(Exception):
             HierarchyGraph(
@@ -293,7 +298,7 @@ def load_both(rows):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             for row in rows:
-                if "\r" in row[0]:  # csv.writer leaves it bare; quote it as save_dataset does
+                if row and "\r" in row[0]:  # csv.writer leaves it bare, save_dataset quotes it
                     fh.write('"' + row[0].replace('"', '""') + '"' + "," * (len(row) > 1))
                     row = row[1:]
                 writer.writerow(row)
@@ -352,10 +357,19 @@ class TestLoadDatasetProperties:
             col = 1 + d.feature_dim + data.draw(st.integers(0, d.num_attributes - 1))
             row[col] = data.draw(st.sampled_from(["2", "", "01", " 1", "1.0", "-0", "10", "true"]))
         else:
-            row[-1] = data.draw(st.sampled_from(["x", "", "1.5", "0x10", "1e3"]))
+            row[-1] = data.draw(st.sampled_from(["x", "", "1.5", "0x10", "1e3", "-1"]))
+        # a blank line before the bad record is skipped, but counted
+        blank = data.draw(st.booleans(), label="blank line before it")
+        if blank:
+            rows.insert(r, [])
         got, want = load_both(rows)
         assert isinstance(want, tuple), "the corruption must be an error for the oracle"
-        assert got == want == (want[0], f":{r + 1}")
+        assert got == want == (want[0], f":{r + 1 + blank}")
+
+    @pytest.mark.parametrize("last", [["s1", "2.0", "2", "0"], ["s1", "2.0", "1", "-1"]])
+    def test_blank_line_before_a_bad_record(self, last):
+        got, want = load_both([["id", "f0", "a0", "label"], ["s0", "1.0", "0", "1"], [], last])
+        assert got == want == (DomainError, ":4")
 
     @pytest.mark.parametrize("header", ["key,f0,label", "id,label", "id"])
     def test_bad_header_same_as_oracle(self, header):
