@@ -24,8 +24,6 @@ from .data import (
 )
 from .encoder import (
     EncoderModel,
-    OptimizerHyper,
-    OptimizerState,
     backward,
     embed,
     forward,

@@ -105,17 +105,21 @@ def embed(model: EncoderModel, x: np.ndarray, out: np.ndarray | None = None) -> 
     view too), in blocks of ``ROW_BLOCK`` (a 1-row tail joins the block
     before it: numpy sends one row through GEMV, not GEMM). Each block has
     the bits of ``forward`` on its rows; a larger x may not match
-    ``forward(model, x)[0]`` bit for bit, as BLAS picks kernels by shape."""
+    ``forward(model, x)[0]`` bit for bit, as BLAS picks kernels by shape.
+    A non-finite block is a NumericError."""
     x = _as_input(model, x)
     if out is None:
         out = np.empty((len(x), model.encoder_layers[-1][0].shape[1]))
     edges = [*range(0, max(len(x) - 1, 1), ROW_BLOCK), len(x)]
     for lo, hi in zip(edges, edges[1:]):
         h = x[lo:hi]
-        for w, b in model.encoder_layers:
-            h = h @ w
-            h += b
-            np.maximum(h, 0.0, out=h)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+            for w, b in model.encoder_layers:
+                h = h @ w
+                h += b
+                np.maximum(h, 0.0, out=h)
+        if not np.isfinite(h).all():
+            raise NumericError("non-finite encoder output")
         out[lo:hi] = h
     return out
 
@@ -173,81 +177,58 @@ def backward(model: EncoderModel, cache: ForwardCache, grad_wrt_projection: np.n
     return grad
 
 
-@dataclass(frozen=True)
-class OptimizerHyper:
-    """Built by ``pipeline.train`` from a TrainConfig, whose kinds bound
-    momentum, weight_decay and warmup_steps; nothing checks them here."""
-
-    peak_lr: float
-    momentum: float
-    weight_decay: float
-    warmup_steps: int
-    total_steps: int
-
-
-@dataclass
-class OptimizerState:
-    momentum: np.ndarray            # one buffer in the layout of model.params
-    step_count: int
-    hyper: OptimizerHyper
-
-    @classmethod
-    def for_model(cls, model: EncoderModel, hyper: OptimizerHyper) -> "OptimizerState":
-        return cls(np.zeros_like(model.params), 0, hyper)
-
-
-def lr_at(step: int, hyper: OptimizerHyper) -> float:
+def lr_at(step: int, peak_lr: float, warmup_steps: int, total_steps: int) -> float:
     """Linear warmup to peak_lr, then cosine decay to zero."""
-    if step < 0 or step > hyper.total_steps:
-        raise ParameterError(f"step {step} outside [0, {hyper.total_steps}]")
-    if step < hyper.warmup_steps:
-        return hyper.peak_lr * (step + 1) / hyper.warmup_steps
-    decay_span = hyper.total_steps - hyper.warmup_steps
+    if step < 0 or step > total_steps:
+        raise ParameterError(f"step {step} outside [0, {total_steps}]")
+    if step < warmup_steps:
+        return peak_lr * (step + 1) / warmup_steps
+    decay_span = total_steps - warmup_steps
     if decay_span == 0:
-        return hyper.peak_lr
-    frac = (step - hyper.warmup_steps) / decay_span
-    return hyper.peak_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
+        return peak_lr
+    frac = (step - warmup_steps) / decay_span
+    return peak_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def sgd_step(model: EncoderModel, grad: np.ndarray, state: OptimizerState) -> None:
+def sgd_step(model: EncoderModel, grad: np.ndarray, momentum_buf: np.ndarray,
+             lr: float, momentum: float, weight_decay: float) -> None:
     """One SGD+momentum step with decoupled-from-bias weight decay.
 
-    buffer <- momentum*buffer + grad + weight_decay*param (weights only);
-    param <- param - lr_at(step)*buffer.
+    momentum_buf <- momentum*momentum_buf + grad + weight_decay*param
+    (weights only); param <- param - lr*momentum_buf. Both update in place,
+    and model.version, the step count, goes up by one.
     """
-    if np.shape(grad) != model.params.shape:
-        raise ShapeError("gradient does not match the model's parameters")
-    lr = lr_at(state.step_count, state.hyper)
-    h = state.hyper
+    if np.shape(grad) != model.params.shape or np.shape(momentum_buf) != model.params.shape:
+        raise ShapeError("gradient or momentum does not match the model's parameters")
     # one temporary, in place; buffer*momentum + (grad + decay*param) rounds
     # as the formula above does
-    step = np.where(model.bias_mask, 0.0, h.weight_decay)
+    step = np.where(model.bias_mask, 0.0, weight_decay)
     with np.errstate(over="ignore", invalid="ignore"):  # the next forward raises
         step *= model.params
         step += grad
-        state.momentum *= h.momentum
-        state.momentum += step
-        np.multiply(state.momentum, lr, out=step)
+        momentum_buf *= momentum
+        momentum_buf += step
+        np.multiply(momentum_buf, lr, out=step)
         model.params -= step
     model.version += 1
-    state.step_count += 1
 
 
-def save_checkpoint(model: EncoderModel, state: OptimizerState, path: str) -> None:
+def save_checkpoint(model: EncoderModel, momentum_buf: np.ndarray, path: str) -> None:
     """JSON header line, then the parameters and the momentum, each as
-    little-endian float64 in the layout of ``model.params``."""
+    little-endian float64 in the layout of ``model.params``. The header's
+    ``step_count`` is ``model.version``."""
     n_enc = len(model.encoder_layers)
     dims = [model.shapes[0][0], *(dout for _, dout in model.shapes)]
     header = {
         "encoder_dims": dims[: n_enc + 1],
         "projection_dims": dims[n_enc:],
-        "step_count": state.step_count,
+        "step_count": model.version,
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(model.params.astype("<f8", copy=False).tobytes())
-        fh.write(state.momentum.astype("<f8", copy=False).tobytes())
+        fh.write(momentum_buf.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str) -> EncoderModel:

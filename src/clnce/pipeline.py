@@ -34,19 +34,19 @@ def _ints(v) -> bool:
 # a number in a finite float64. The kinds bound every TrainConfig field but
 # temperature, whose one rule CriticConfig keeps and TrainConfig applies;
 # cluster-spec bounds that depend on the data are checked with the clusters.
-_INT = ("an int", _int)
 _FLOAT = ("a finite number", lambda v: (_int(v) or isinstance(v, float))
           and abs(v) <= sys.float_info.max)
 _NON_NEGATIVE = ("a finite number >= 0", lambda v: _FLOAT[1](v) and v >= 0)
 _COUNT = ("an int >= 0", lambda v: _int(v) and v >= 0)
+_POSITIVE = ("an int >= 1", lambda v: _int(v) and v >= 1)
 _WIDTHS = ("a non-empty list of positive ints", lambda v: _ints(v) and v and min(v) > 0)
 _OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
 _KINDS = {
     "data": ("a path", lambda v: isinstance(v, str)),
     "hierarchy": ("a path or null", lambda v: v is None or isinstance(v, str)),
-    **dict.fromkeys(("k", "level", "K", "max_iters", "splits_per_class"), _INT),
-    **dict.fromkeys(("temperature", "tol", "train_fraction", "eval_lr"), _FLOAT),
-    "epochs": ("an int >= 1", lambda v: _int(v) and v >= 1),
+    **dict.fromkeys(("epochs", "k", "level", "K", "max_iters", "splits_per_class"), _POSITIVE),
+    **dict.fromkeys(("temperature", "tol", "eval_lr"), _FLOAT),
+    "train_fraction": ("a number in (0, 1)", lambda v: _FLOAT[1](v) and 0 < v < 1),
     "batch_size": ("an int >= 2", lambda v: _int(v) and v >= 2),
     "seed": _COUNT,
     "eval_epochs": _COUNT,
@@ -244,13 +244,8 @@ def train(
     steps_per_epoch = max(1, d.num_samples // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     warmup = cfg.warmup_steps if cfg.warmup_steps is not None else max(1, total_steps // 10)
-    state = enc.OptimizerState.for_model(model, enc.OptimizerHyper(
-        peak_lr=cfg.peak_lr,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        warmup_steps=min(warmup, total_steps),
-        total_steps=total_steps,
-    ))
+    warmup = min(warmup, total_steps)
+    momentum_buf = np.zeros_like(model.params)
     rng = np.random.default_rng(cfg.seed)
     trace = []
     info_curve = []
@@ -266,17 +261,18 @@ def train(
             scores = obj.critic_matrix(px, py, critic)
             loss, g_scores = obj._loss_and_grad(scores)
             if not np.isfinite(loss):
-                raise NumericError(f"loss diverged at step {state.step_count}")
+                raise NumericError(f"loss diverged at step {model.version}")
             g_px, g_py = obj.critic_backward(g_scores, px, py, critic)
             grad = enc.backward(model, cache_x, g_px)
             grad += enc.backward(model, cache_y, g_py)
-            enc.sgd_step(model, grad, state)
+            lr = enc.lr_at(model.version, cfg.peak_lr, warmup, total_steps)
+            enc.sgd_step(model, grad, momentum_buf, lr, cfg.momentum, cfg.weight_decay)
             losses.append(loss)
         return float(np.mean(losses))
 
     def recluster():
         result = _run_kmeans(enc.embed(model, d.features), spec)
-        trace.append({"epoch": len(trace), "encoder_step_count": state.step_count,
+        trace.append({"epoch": len(trace), "encoder_step_count": model.version,
                       "inertia_history": list(result.inertia_history)})
         return result.assignment
 
@@ -295,7 +291,7 @@ def train(
     if eval_data is not None and d.labels is not None and eval_data.labels is not None:
         accuracy = linear_evaluate(model, d, eval_data, epochs=cfg.eval_epochs, lr=cfg.eval_lr)
     if checkpoint_path:
-        enc.save_checkpoint(model, state, checkpoint_path)
+        enc.save_checkpoint(model, momentum_buf, checkpoint_path)
     return model, RunReport(loss_curve, info_curve, accuracy, checkpoint_path, kmeans_trace=trace)
 
 
@@ -327,19 +323,25 @@ def linear_evaluate(
     xt = np.empty((width, train_data.num_samples))
     enc.embed(model, train_data.features, out=xt.T)
     # standardize with train statistics for a well-conditioned probe, along
-    # the contiguous rows of xt
-    mu = xt.mean(axis=1)
-    xt -= mu[:, None]
-    sd = np.sqrt(np.einsum("ij,ij->i", xt, xt) / xt.shape[1])
+    # the contiguous rows of xt; an overflow leaves a non-finite sd
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = xt.mean(axis=1)
+        xt -= mu[:, None]
+        sd = np.sqrt(np.einsum("ij,ij->i", xt, xt) / xt.shape[1])
+    if not np.isfinite(sd).all():
+        raise NumericError("encoder output overflows the probe's standardisation")
     sd[sd == 0] = 1.0
     xt /= sd[:, None]
     w, b = _fit_probe(xt, train_data.labels, num_classes, epochs, lr)
     del xt
     x = enc.embed(model, eval_data.features)
-    x -= mu
-    x /= sd
-    preds = (w @ x.T + b).argmax(axis=0)
-    return float((preds == eval_data.labels).mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        x -= mu
+        x /= sd
+        logits = w @ x.T + b
+    if not np.isfinite(logits).all():
+        raise NumericError("probe logits overflow on the eval rows")
+    return float((logits.argmax(axis=0) == eval_data.labels).mean())
 
 
 def _fit_probe(xt, labels, num_classes: int, epochs: int, lr: float):

@@ -12,7 +12,7 @@ import clnce
 from clnce.cli import main
 from clnce.data import Dataset, save_dataset, save_hierarchy
 from clnce.datagen import make_mixture_dataset
-from clnce.encoder import OptimizerHyper, OptimizerState, init_model, save_checkpoint
+from clnce.encoder import init_model, save_checkpoint
 
 
 @pytest.fixture()
@@ -200,11 +200,15 @@ class TestBadInput:
             ({"temperature": 1e-300}, "non-finite projection output"),
             ({"peak_lr": 1e300}, "non-finite projection output"),
             ({"weight_decay": 1e300, "peak_lr": 1e10}, "non-finite projection output"),
+            # one step leaves finite weights whose full-set embedding overflows
+            ({"epochs": 1, "batch_size": 4096, "peak_lr": 1e308,
+              "cluster_source": {"source": "instance_id"}, "eval_epochs": 0},
+             "non-finite encoder output"),
         ]
     ])
     def test_training_overflow(self, workspace, values, message):
-        # scores, a loss or weights that overflow; run in a child process,
-        # where numpy's warnings reach stderr
+        # scores, a loss, weights or an embedding that overflow; run in a
+        # child process, where numpy's warnings reach stderr
         tmp_path, _, _, cfg_path = workspace
         update_train_config(cfg_path, **values)
         src = str(pathlib.Path(clnce.__file__).resolve().parents[1])
@@ -240,9 +244,7 @@ class TestBadInput:
         else:
             ckpt = str(tmp_path / "wide.bin")
             model = init_model([1, width], [width, 4])
-            hyper = OptimizerHyper(peak_lr=0.1, momentum=0.9, weight_decay=0.0,
-                                   warmup_steps=1, total_steps=1)
-            save_checkpoint(model, OptimizerState.for_model(model, hyper), ckpt)
+            save_checkpoint(model, np.zeros_like(model.params), ckpt)
             argv = ["eval", "--checkpoint", ckpt, "--train-data", data_path,
                     "--eval-data", data_path]
             cause, shape = f"encoder width {width} on 2000 rows", (width, 2000)
@@ -345,44 +347,65 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert not os.path.exists(str(tmp_path / "x"))
 
-    @pytest.mark.parametrize("values, category, message", [
+    @pytest.mark.parametrize("values, category, message, at_use", [
         pytest.param(*case, id=json.dumps(case[0])) for case in [
-            ({"temperature": 0}, "ParameterError", "temperature must be > 0"),
-            ({"momentum": 1.0}, "ParameterError", "key 'momentum' must be a number in [0, 1)"),
-            ({"momentum": 1.5}, "ParameterError", "key 'momentum' must be a number in [0, 1)"),
+            ({"temperature": 0}, "ParameterError", "temperature must be > 0", False),
+            ({"momentum": 1.0}, "ParameterError", "key 'momentum' must be a number in [0, 1)",
+             False),
+            ({"momentum": 1.5}, "ParameterError", "key 'momentum' must be a number in [0, 1)",
+             False),
             ({"weight_decay": -1}, "ParameterError",
-             "key 'weight_decay' must be a finite number >= 0"),
-            ({"warmup_steps": -1}, "ParameterError", "key 'warmup_steps' must be an int >= 0"),
-            ({"warmup_steps": -3}, "ParameterError", "key 'warmup_steps' must be an int >= 0"),
-            ({"cluster_source": {"source": "hierarchy", "level": 9}}, "ParameterError",
-             "level 9 exceeds max leaf depth 3"),
+             "key 'weight_decay' must be a finite number >= 0", False),
+            ({"warmup_steps": -1}, "ParameterError", "key 'warmup_steps' must be an int >= 0",
+             False),
+            ({"warmup_steps": -3}, "ParameterError", "key 'warmup_steps' must be an int >= 0",
+             False),
             ({"cluster_source": {"source": "synthetic", "mode": "refine", "splits_per_class": 0}},
-             "ParameterError", "splits_per_class must be >= 1"),
+             "ParameterError", "key 'splits_per_class' must be an int >= 1", False),
+            ({"cluster_source": {"source": "kmeans", "K": 3, "max_iters": 0}}, "ParameterError",
+             "key 'max_iters' must be an int >= 1", False),
+            ({"cluster_source": {"source": "kmeans", "K": 0}}, "ParameterError",
+             "key 'K' must be an int >= 1", False),
+            ({"cluster_source": {"source": "attributes", "k": 0}}, "ParameterError",
+             "key 'k' must be an int >= 1", False),
+            ({"cluster_source": {"source": "hierarchy", "level": 0}}, "ParameterError",
+             "key 'level' must be an int >= 1", False),
+            ({"train_fraction": 1.5}, "ParameterError",
+             "key 'train_fraction' must be a number in (0, 1)", False),
+            ({"train_fraction": 0.0}, "ParameterError",
+             "key 'train_fraction' must be a number in (0, 1)", False),
+            ({"cluster_source": {"source": "hierarchy", "level": 9}}, "ParameterError",
+             "level 9 exceeds max leaf depth 3", True),
             ({"cluster_source": {"source": "synthetic", "mode": "refine",
                                  "splits_per_class": 10**6}},
-             "ParameterError", "cannot split into 1000000"),
-            ({"cluster_source": {"source": "kmeans", "K": 3, "max_iters": 0}}, "ParameterError",
-             "max_iters must be >= 1"),
+             "ParameterError", "cannot split into 1000000", True),
             # sizes that would allocate TiBs: refused before anything is allocated
             ({"batch_size": 2**40}, "SizeError",
-             "batch_size 1099511627776: a dense (1099511627776, 1099511627776) array"),
+             "batch_size 1099511627776: a dense (1099511627776, 1099511627776) array", True),
             ({"encoder_widths": [2**40]}, "SizeError",
-             "encoder_widths [1099511627776] and projection_widths [4]: a dense ("),
+             "encoder_widths [1099511627776] and projection_widths [4]: a dense (", True),
         ]
     ])
-    def test_value_out_of_range_for_its_use(self, workspace, capsys, values, category, message):
-        # a training range is refused with the config, before --out is made;
-        # a cluster-spec range that depends on the data, and a size, where
-        # the value is used
+    def test_value_out_of_range_for_its_use(self, workspace, capsys, values, category,
+                                            message, at_use):
+        # a range of its own is refused with the config, before --out is
+        # made; a cluster-spec range that depends on the data, and a size,
+        # where the value is used
         tmp_path, _, _, cfg_path = workspace
-        update_train_config(cfg_path, **values)
+        with open(cfg_path) as fh:
+            cfg = json.load(fh)
+        if "train_fraction" in values:
+            cfg.update(values)
+        else:
+            cfg["train"].update(values)
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
         err = self.run_bad(
             ["train", "--config", cfg_path, "--out", str(tmp_path / "x")], capsys, category,
         )
         assert message in err
         assert len(err.splitlines()) == 1
-        assert os.path.exists(str(tmp_path / "x")) == (
-            "cluster_source" in values or category == "SizeError")
+        assert os.path.exists(str(tmp_path / "x")) == at_use
 
     @pytest.mark.parametrize("key, value", [pytest.param(*kv, id=kv[0]) for kv in [
         ("peak_lr", 10**400), ("temperature", float("inf")), ("momentum", -10**400),

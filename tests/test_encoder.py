@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,8 +8,6 @@ from hypothesis import strategies as st
 from clnce.encoder import (
     ROW_BLOCK,
     EncoderModel,
-    OptimizerHyper,
-    OptimizerState,
     _views,
     backward,
     embed,
@@ -21,8 +21,8 @@ from clnce.encoder import (
 from clnce.errors import NumericError, ParameterError, ShapeError, StateError
 from oracles import backward_reference, forward_reference
 
-# an optimizer for tests that do not depend on its values
-HYPER = dict(peak_lr=0.1, momentum=0.95, weight_decay=1e-4, warmup_steps=10, total_steps=100)
+# the lr, momentum and weight decay of a step for tests that do not depend on them
+STEP = dict(lr=0.1, momentum=0.95, weight_decay=1e-4)
 
 
 def straight_line_forward(model, x):
@@ -214,6 +214,16 @@ class TestEmbed:
         with pytest.raises(ShapeError):
             embed(model, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("rows", [3, ROW_BLOCK + 3])
+    def test_non_finite_block(self, rows):
+        # weights that overflow on the last row only, in the first or a later block
+        model = init_model([4, 6], [6, 3], seed=2)
+        model.encoder_layers[0][0][...] = 1e300
+        x = np.zeros((rows, 4))
+        x[-1] = 1e10
+        with np.errstate(all="raise"), pytest.raises(NumericError, match="non-finite encoder"):
+            embed(model, x)
+
 
 class TestBackward:
     def test_zero_upstream_gradient(self):
@@ -288,139 +298,135 @@ class TestBackward:
 
 
 class TestScheduler:
-    def setup_method(self):
-        self.hyper = OptimizerHyper(
-            peak_lr=0.4, momentum=0.0, weight_decay=0.0,
-            warmup_steps=10, total_steps=110,
-        )
+    SCHEDULE = dict(peak_lr=0.4, warmup_steps=10, total_steps=110)
+
+    def lr(self, step):
+        return lr_at(step, **self.SCHEDULE)
 
     def test_warmup_endpoint(self):
-        assert lr_at(10, self.hyper) == pytest.approx(0.4)
+        assert self.lr(10) == pytest.approx(0.4)
 
     def test_final_step_zero(self):
-        assert lr_at(110, self.hyper) == pytest.approx(0.0, abs=1e-15)
+        assert self.lr(110) == pytest.approx(0.0, abs=1e-15)
 
     def test_decay_midpoint(self):
-        assert lr_at(60, self.hyper) == pytest.approx(0.2)
+        assert self.lr(60) == pytest.approx(0.2)
 
     def test_continuity_at_boundary(self):
-        assert abs(lr_at(9, self.hyper) - lr_at(10, self.hyper)) < 0.05
+        assert abs(self.lr(9) - self.lr(10)) < 0.05
 
     def test_linear_warmup(self):
-        assert lr_at(0, self.hyper) == pytest.approx(0.04)
-        assert lr_at(4, self.hyper) == pytest.approx(0.2)
+        assert self.lr(0) == pytest.approx(0.04)
+        assert self.lr(4) == pytest.approx(0.2)
 
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
-            lr_at(111, self.hyper)
+            self.lr(111)
 
     def test_warmup_to_the_last_step_holds_the_peak(self):
-        hyper = OptimizerHyper(
-            peak_lr=0.4, momentum=0.0, weight_decay=0.0, warmup_steps=10, total_steps=10,
-        )
-        assert lr_at(9, hyper) == lr_at(10, hyper) == 0.4
+        assert lr_at(9, 0.4, 10, 10) == lr_at(10, 0.4, 10, 10) == 0.4
 
 
 class TestSgdStep:
-    def make(self, **hyper_kw):
+    def make(self):
         model = init_model([2, 3], [3, 2], seed=0)
-        defaults = dict(
-            peak_lr=0.1, momentum=0.0, weight_decay=0.0,
-            warmup_steps=0, total_steps=1000,
-        )
-        defaults.update(hyper_kw)
-        hyper = OptimizerHyper(**defaults)
-        return model, OptimizerState.for_model(model, hyper)
+        return model, np.zeros_like(model.params)
 
     def ones_grads(self, model, value=1.0):
         return np.full_like(model.params, value)
 
     def test_plain_gradient_descent(self):
-        model, state = self.make()
+        model, buf = self.make()
         before = flatten_params(model).copy()
-        lr = lr_at(0, state.hyper)
-        sgd_step(model, self.ones_grads(model), state)
-        np.testing.assert_allclose(flatten_params(model), before - lr, atol=1e-15)
+        sgd_step(model, self.ones_grads(model), buf, 0.1, 0.0, 0.0)
+        np.testing.assert_allclose(flatten_params(model), before - 0.1, atol=1e-15)
 
     def test_zero_grad_fixed_point(self):
-        model, state = self.make()
+        model, buf = self.make()
         before = flatten_params(model).copy()
-        sgd_step(model, self.ones_grads(model, 0.0), state)
+        sgd_step(model, self.ones_grads(model, 0.0), buf, 0.1, 0.0, 0.0)
         np.testing.assert_array_equal(flatten_params(model), before)
 
     def test_momentum_recurrence(self):
         # constant grad g for two steps: updates lr0*g then lr1*(0.9g + g)
-        model, state = self.make(momentum=0.9)
+        model, buf = self.make()
         before = flatten_params(model).copy()
-        lr0 = lr_at(0, state.hyper)
-        lr1 = lr_at(1, state.hyper)
-        sgd_step(model, self.ones_grads(model), state)
-        sgd_step(model, self.ones_grads(model), state)
-        expected = before - lr0 * 1.0 - lr1 * (0.9 + 1.0)
+        sgd_step(model, self.ones_grads(model), buf, 0.1, 0.9, 0.0)
+        sgd_step(model, self.ones_grads(model), buf, 0.05, 0.9, 0.0)
+        expected = before - 0.1 * 1.0 - 0.05 * (0.9 + 1.0)
         np.testing.assert_allclose(flatten_params(model), expected, atol=1e-14)
 
     def test_weight_decay_skips_biases(self):
-        model, state = self.make(weight_decay=0.5)
+        model, buf = self.make()
         bias_before = model.encoder_layers[0][1].copy() + 1.0
         model.encoder_layers[0][1][...] = bias_before
-        sgd_step(model, self.ones_grads(model, 0.0), state)
-        lr = lr_at(0, state.hyper)
+        sgd_step(model, self.ones_grads(model, 0.0), buf, 0.1, 0.0, 0.5)
         np.testing.assert_allclose(
             model.encoder_layers[0][1], bias_before, atol=1e-15
         )
         # weights do decay
-        assert _views(state.momentum, model.shapes)[0][0].any()
+        assert _views(buf, model.shapes)[0][0].any()
 
     def test_step_matches_the_formula(self):
-        model, state = self.make(weight_decay=0.25, momentum=0.5)
+        model, buf = self.make()
         rng = np.random.default_rng(4)
-        state.momentum[...] = rng.normal(size=model.params.size)
+        buf[...] = rng.normal(size=model.params.size)
         grad = rng.normal(size=model.params.size)
         decay = np.full(model.params.size, 0.25)
         for _, b in _views(decay, model.shapes):
             b[...] = 0.0
-        buffer = 0.5 * state.momentum + (grad + decay * model.params)
-        expected = model.params - lr_at(0, state.hyper) * buffer
-        sgd_step(model, grad, state)
-        assert state.momentum.tobytes() == buffer.tobytes()
+        buffer = 0.5 * buf + (grad + decay * model.params)
+        expected = model.params - 0.1 * buffer
+        sgd_step(model, grad, buf, 0.1, 0.5, 0.25)
+        assert buf.tobytes() == buffer.tobytes()
         assert model.params.tobytes() == expected.tobytes()
 
     def test_int_weight_decay_steps_as_its_float(self):
         # a run config's "weight_decay": 0 reaches the optimizer as an int
-        (m1, s1), (m2, s2) = self.make(weight_decay=1), self.make(weight_decay=1.0)
-        sgd_step(m1, self.ones_grads(m1), s1)
-        sgd_step(m2, self.ones_grads(m2), s2)
+        (m1, b1), (m2, b2) = self.make(), self.make()
+        sgd_step(m1, self.ones_grads(m1), b1, 0.1, 0.0, 1)
+        sgd_step(m2, self.ones_grads(m2), b2, 0.1, 0.0, 1.0)
         assert m1.params.tobytes() == m2.params.tobytes()
 
+    def test_version_counts_the_steps(self):
+        model, buf = self.make()
+        for version in range(1, 4):
+            sgd_step(model, self.ones_grads(model), buf, **STEP)
+            assert model.version == version
+
     def test_shape_mismatch(self):
-        model, state = self.make()
+        model, buf = self.make()
         bad = np.ones(model.params.size + 1)
         with pytest.raises(ShapeError):
-            sgd_step(model, bad, state)
+            sgd_step(model, bad, buf, **STEP)
+        with pytest.raises(ShapeError):
+            sgd_step(model, self.ones_grads(model), bad, **STEP)
+        assert model.version == 0
 
 
 class TestCheckpoint:
     def test_byte_exact_round_trip(self, tmp_path):
+        # a loaded model starts at version 0, so only step_count may differ
         model = init_model([3, 5, 4], [4, 2], seed=9)
-        hyper = OptimizerHyper(peak_lr=0.17, momentum=0.95, weight_decay=1e-4,
-                               warmup_steps=5, total_steps=50)
-        state = OptimizerState.for_model(model, hyper)
-        sgd_step(model, np.ones_like(model.params), state)
-        p1 = str(tmp_path / "c1.bin")
-        p2 = str(tmp_path / "c2.bin")
-        save_checkpoint(model, state, p1)
-        model2 = load_checkpoint(p1)
-        save_checkpoint(model2, state, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        np.testing.assert_array_equal(model.params, model2.params)
+        buf = np.zeros_like(model.params)
+        sgd_step(model, np.ones_like(model.params), buf, **STEP)
+        p1, p2 = tmp_path / "c1.bin", tmp_path / "c2.bin"
+        save_checkpoint(model, buf, str(p1))
+        model2 = load_checkpoint(str(p1))
+        save_checkpoint(model2, buf, str(p2))
+        (head1, body1), (head2, body2) = (p.read_bytes().split(b"\n", 1) for p in (p1, p2))
+        head1, head2 = json.loads(head1), json.loads(head2)
+        assert head1["step_count"] == model.version == 1
+        assert head2["step_count"] == model2.version == 0
+        assert {**head1, "step_count": 0} == head2
+        assert body1 == body2 == model.params.tobytes() + buf.tobytes()
         assert model2.shapes == model.shapes
 
     @pytest.mark.parametrize("cut", ["header", "blocks", "trailing"])
     def test_damaged_file_raises_state_error(self, tmp_path, cut):
         model = init_model([3, 5, 4], [4, 2], seed=9)
-        state = OptimizerState.for_model(model, OptimizerHyper(**HYPER))
         path = str(tmp_path / "c.bin")
-        save_checkpoint(model, state, path)
+        save_checkpoint(model, np.zeros_like(model.params), path)
         blob = open(path, "rb").read()
         damaged = {
             "header": blob[: blob.index(b"\n") // 2],
@@ -435,9 +441,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("damage", ["nan_weight", "inf_bias", "unchained"])
     def test_invalid_parameters_raise_state_error(self, tmp_path, damage):
         model = init_model([2, 3], [3, 2], seed=9)
-        state = OptimizerState.for_model(model, OptimizerHyper(**HYPER))
         path = str(tmp_path / "c.bin")
-        save_checkpoint(model, state, path)
+        save_checkpoint(model, np.zeros_like(model.params), path)
         blob = bytearray(open(path, "rb").read())
         start = blob.index(b"\n") + 1
         if damage == "nan_weight":
@@ -457,23 +462,22 @@ class TestCheckpoint:
         # the header of an earlier format also held the optimizer's
         # settings; they are not read
         model = init_model([2, 3], [3, 2], seed=9)
-        state = OptimizerState.for_model(model, OptimizerHyper(**HYPER))
-        sgd_step(model, np.ones_like(model.params), state)
+        buf = np.zeros_like(model.params)
+        sgd_step(model, np.ones_like(model.params), buf, **STEP)
         path = str(tmp_path / "c.bin")
         with open(path, "wb") as fh:
             fh.write(b'{"encoder_dims": [2, 3], "hyper": {"decay_biases": false, '
                      b'"momentum": 0.95, "peak_lr": 0.1, "total_steps": 100, '
                      b'"warmup_steps": 10, "weight_decay": 0.0001}, '
                      b'"projection_dims": [3, 2], "step_count": 1}\n')
-            fh.write(model.params.tobytes() + state.momentum.tobytes())
+            fh.write(model.params.tobytes() + buf.tobytes())
         assert load_checkpoint(path).params.tobytes() == model.params.tobytes()
 
     @pytest.mark.parametrize("dims", [b"[2.0, 3.0]", b"[true, 3]", b"[2]"])
     def test_ill_typed_layer_widths_raise_state_error(self, tmp_path, dims):
         model = init_model([2, 3], [3, 2], seed=9)
-        state = OptimizerState.for_model(model, OptimizerHyper(**HYPER))
         path = str(tmp_path / "c.bin")
-        save_checkpoint(model, state, path)
+        save_checkpoint(model, np.zeros_like(model.params), path)
         blob = open(path, "rb").read()
         with open(path, "wb") as fh:
             fh.write(blob.replace(b'"encoder_dims": [2, 3]', b'"encoder_dims": ' + dims))
@@ -493,15 +497,15 @@ class TestParameterArena:
 
     def test_checkpoint_body_is_params_then_momentum(self, tmp_path):
         model = init_model([3, 5, 4], [4, 2], seed=9)
-        state = OptimizerState.for_model(model, OptimizerHyper(**{**HYPER, "momentum": 0.9}))
+        buf = np.zeros_like(model.params)
         grad = np.random.default_rng(0).normal(size=model.params.size)
-        sgd_step(model, grad, state)
+        sgd_step(model, grad, buf, 0.1, 0.9, 1e-4)
         path = str(tmp_path / "c.bin")
-        save_checkpoint(model, state, path)
+        save_checkpoint(model, buf, path)
         blob = open(path, "rb").read()
         body = blob[blob.index(b"\n") + 1:]
-        assert state.momentum.any()
-        assert body == model.params.tobytes() + state.momentum.tobytes()
+        assert buf.any()
+        assert body == model.params.tobytes() + buf.tobytes()
 
     def test_layer_views_write_through(self):
         model = init_model([3, 5], [5, 2], seed=1)
@@ -529,9 +533,9 @@ class TestParameterArena:
 
     def test_cache_from_before_sgd_step_is_stale(self):
         model = init_model([3, 5], [5, 2], seed=1)
-        state = OptimizerState.for_model(model, OptimizerHyper(**HYPER))
         _, proj, cache = forward(model, np.ones((2, 3)))
-        sgd_step(model, backward(model, cache, np.ones_like(proj)), state)
+        grad = backward(model, cache, np.ones_like(proj))
+        sgd_step(model, grad, np.zeros_like(model.params), **STEP)
         with pytest.raises(StateError):
             backward(model, cache, np.ones_like(proj))
         _, proj, fresh = forward(model, np.ones((2, 3)))
@@ -543,14 +547,14 @@ class TestDeterminism:
         trajectories = []
         for _ in range(2):
             model = init_model([3, 4], [4, 2], seed=5)
-            hyper = OptimizerHyper(**{**HYPER, "warmup_steps": 2, "total_steps": 20})
-            state = OptimizerState.for_model(model, hyper)
+            buf = np.zeros_like(model.params)
             rng = np.random.default_rng(0)
             for _ in range(5):
                 x = rng.normal(size=(4, 3))
                 _, proj, cache = forward(model, x)
                 g = backward(model, cache, np.ones_like(proj))
-                sgd_step(model, g, state)
+                lr = lr_at(model.version, 0.1, 2, 20)
+                sgd_step(model, g, buf, lr, STEP["momentum"], STEP["weight_decay"])
             trajectories.append(flatten_params(model).copy())
         np.testing.assert_array_equal(trajectories[0], trajectories[1])
 

@@ -403,6 +403,21 @@ class TestLinearEvaluate:
         with pytest.raises(NumericError, match="linear probe diverged to non-finite weights"):
             linear_evaluate(model, d, d, epochs=5, lr=1e308)
 
+    @pytest.mark.parametrize("train_scale, eval_scale, message", [
+        # a finite embedding whose squares, or whose sum, overflow
+        (1e155, 1.0, "overflows the probe's standardisation"),
+        (1e306, 1.0, "overflows the probe's standardisation"),
+        # a tiny train spread and a huge eval row
+        (1e-100, 1e250, "probe logits overflow on the eval rows"),
+    ], ids=["squares", "sum", "eval_logits"])
+    def test_standardisation_overflow(self, train_scale, eval_scale, message):
+        d = small_dataset()
+        model = init_model([d.feature_dim, 8], [8, 4], seed=0)
+        scaled = [dataclasses.replace(d, features=d.features * s)
+                  for s in (train_scale, eval_scale)]
+        with pytest.raises(NumericError, match=message):
+            linear_evaluate(model, *scaled, epochs=3)
+
     def test_one_train_embedding_held_during_the_fit(self, monkeypatch):
         # the train rows are embedded and standardised in the (D, n) layout
         # the fit reads, and the eval rows are embedded after the fit: one
