@@ -44,14 +44,7 @@ from .info import (
     selection_score,
     verify_bound_chain,
 )
-from .objective import (
-    CriticConfig,
-    PairBatch,
-    cl_infonce_grad,
-    cl_infonce_loss,
-    critic_matrix,
-    sample_pair_batch,
-)
+from .objective import cl_infonce, critic_matrix, sample_pair_batch
 from .pipeline import (
     RunReport,
     TrainConfig,

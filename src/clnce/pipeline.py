@@ -31,8 +31,7 @@ def _ints(v) -> bool:
 # The JSON kind of every value a run config carries, by key: the file paths,
 # train_fraction, the TrainConfig fields and the cluster-spec keys. A kind is
 # a description and a test; bools are never numbers, an int fits in int64 and
-# a number in a finite float64. The kinds bound every TrainConfig field but
-# temperature, whose one rule CriticConfig keeps and TrainConfig applies;
+# a number in a finite float64. The kinds bound every TrainConfig field;
 # cluster-spec bounds that depend on the data are checked with the clusters.
 _FLOAT = ("a finite number", lambda v: (_int(v) or isinstance(v, float))
           and abs(v) <= sys.float_info.max)
@@ -45,12 +44,13 @@ _KINDS = {
     "data": ("a path", lambda v: isinstance(v, str)),
     "hierarchy": ("a path or null", lambda v: v is None or isinstance(v, str)),
     **dict.fromkeys(("epochs", "k", "level", "K", "max_iters", "splits_per_class"), _POSITIVE),
-    **dict.fromkeys(("temperature", "tol", "eval_lr"), _FLOAT),
+    "temperature": ("a number > 0", lambda v: _FLOAT[1](v) and v > 0),
+    "tol": _FLOAT,
     "train_fraction": ("a number in (0, 1)", lambda v: _FLOAT[1](v) and 0 < v < 1),
     "batch_size": ("an int >= 2", lambda v: _int(v) and v >= 2),
     "seed": _COUNT,
     "eval_epochs": _COUNT,
-    **dict.fromkeys(("peak_lr", "weight_decay", "noise_sigma"), _NON_NEGATIVE),
+    **dict.fromkeys(("peak_lr", "weight_decay", "noise_sigma", "eval_lr"), _NON_NEGATIVE),
     "momentum": ("a number in [0, 1)", lambda v: _FLOAT[1](v) and 0 <= v < 1),
     "mask_prob": ("a number in [0, 1]", lambda v: _FLOAT[1](v) and 0 <= v <= 1),
     "warmup_steps": ("an int >= 0 or null", lambda v: v is None or _COUNT[1](v)),
@@ -154,7 +154,6 @@ class TrainConfig:
         for f in dataclasses.fields(self):
             parse_value(f.name, getattr(self, f.name))
         parse_cluster_spec(self.cluster_source)
-        obj.CriticConfig(self.temperature)
         object.__setattr__(self, "encoder_widths", tuple(self.encoder_widths))
         object.__setattr__(self, "projection_widths", tuple(self.projection_widths))
 
@@ -228,7 +227,6 @@ def train(
     """
     spec = parse_cluster_spec(cfg.cluster_source, cfg.seed)
     refresh = spec["source"] == "kmeans"
-    critic = obj.CriticConfig(temperature=cfg.temperature)
     encoder_dims = [d.feature_dim, *cfg.encoder_widths]
     projection_dims = [encoder_dims[-1], *cfg.projection_widths]
     # the (B, B) critic scores, the parameter vector and the (n, D) embedding
@@ -253,16 +251,16 @@ def train(
     def train_epoch(clusters) -> float:
         losses = []
         for _ in range(steps_per_epoch):
-            batch = obj.sample_pair_batch(clusters, cfg.batch_size, rng)
-            view_x = augment_rows(d.features[batch.x_indices], cfg.noise_sigma, cfg.mask_prob, rng)
-            view_y = augment_rows(d.features[batch.y_indices], cfg.noise_sigma, cfg.mask_prob, rng)
+            x_indices, y_indices = obj.sample_pair_batch(clusters, cfg.batch_size, rng)
+            view_x = augment_rows(d.features[x_indices], cfg.noise_sigma, cfg.mask_prob, rng)
+            view_y = augment_rows(d.features[y_indices], cfg.noise_sigma, cfg.mask_prob, rng)
             _, px, cache_x = enc.forward(model, view_x)
             _, py, cache_y = enc.forward(model, view_y)
-            scores = obj.critic_matrix(px, py, critic)
-            loss, g_scores = obj._loss_and_grad(scores)
+            scores = obj.critic_matrix(px, py, cfg.temperature)
+            loss, g_scores = obj.cl_infonce(scores)
             if not np.isfinite(loss):
                 raise NumericError(f"loss diverged at step {model.version}")
-            g_px, g_py = obj.critic_backward(g_scores, px, py, critic)
+            g_px, g_py = obj.critic_backward(g_scores, px, py, cfg.temperature)
             grad = enc.backward(model, cache_x, g_px)
             grad += enc.backward(model, cache_y, g_py)
             lr = enc.lr_at(model.version, cfg.peak_lr, warmup, total_steps)

@@ -18,7 +18,6 @@ from clnce.errors import (
     ShapeError,
 )
 from clnce.info import DiscreteJointModel, mixture_table
-from clnce.objective import CriticConfig, PairBatch
 
 
 def finite_batch_objective_reference(m: DiscreteJointModel, n: int) -> float:
@@ -54,7 +53,7 @@ def finite_batch_objective_reference(m: DiscreteJointModel, n: int) -> float:
     return float(total)
 
 
-def infonce_loss_reference(projections_x, projections_y, cfg: CriticConfig) -> float:
+def infonce_loss_reference(projections_x, projections_y, temperature: float) -> float:
     """Independently coded standard InfoNCE on two-view batches.
 
     Positives are the aligned rows (two views of the same instance); the
@@ -66,8 +65,8 @@ def infonce_loss_reference(projections_x, projections_y, cfg: CriticConfig) -> f
     n = px.shape[0]
     total = 0.0
     for i in range(n):
-        pos = float(px[i] @ py[i]) / cfg.temperature
-        ratios = [float(px[i] @ py[j]) / cfg.temperature for j in range(n)]
+        pos = float(px[i] @ py[i]) / temperature
+        ratios = [float(px[i] @ py[j]) / temperature for j in range(n)]
         m = max(ratios)
         denom = m + np.log(sum(np.exp(r - m) for r in ratios) / n)
         total += pos - denom
@@ -75,8 +74,8 @@ def infonce_loss_reference(projections_x, projections_y, cfg: CriticConfig) -> f
 
 
 def cl_infonce_loss_reference(scores: np.ndarray) -> float:
-    """The original ``objective.cl_infonce_loss``: its own shift, exp and
-    mean. The fused loss-and-gradient pass must give the same bits."""
+    """The loss as first written, with its own shift, exp and mean. The loss
+    of the fused pass ``objective.cl_infonce`` must have the same bits."""
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError("scores must be a square matrix")
@@ -91,8 +90,9 @@ def cl_infonce_loss_reference(scores: np.ndarray) -> float:
 
 
 def cl_infonce_grad_reference(scores: np.ndarray) -> np.ndarray:
-    """The original ``objective.cl_infonce_grad``: (softmax - eye(n)) / n,
-    each step a new array. The fused pass must give the same bits."""
+    """The gradient as first written: (softmax - eye(n)) / n, each step a
+    new array. The gradient of ``objective.cl_infonce`` must have the same
+    bits."""
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError("scores must be a square matrix")
@@ -242,7 +242,7 @@ def kmeans_reference(
 
 def sample_pair_batch_reference(
     clusters: ClusterAssignment, n: int, rng: np.random.Generator
-) -> PairBatch:
+) -> tuple[np.ndarray, np.ndarray]:
     """The scalar-loop sampler: one member list per cluster, one draw per
     position. The vectorised ``objective.sample_pair_batch`` must consume the
     generator identically and return the same pairs."""
@@ -259,7 +259,7 @@ def sample_pair_batch_reference(
         m = members[z[i]]
         x_idx[i] = m[rng.integers(m.size)]
         y_idx[i] = m[rng.integers(m.size)]
-    return PairBatch(x_idx, y_idx)
+    return x_idx, y_idx
 
 
 def linear_evaluate_reference(model, train_data, eval_data, epochs=200, lr=0.5):

@@ -74,12 +74,12 @@ class TestTrain:
         assert main(["train", "--config", cfg_path, "--out", out1]) == 0
         assert main(["train", "--config", cfg_path, "--out", out2]) == 0
         for name in ("checkpoint.bin", "loss.csv"):
-            b1 = open(os.path.join(out1, name), "rb").read()
-            b2 = open(os.path.join(out2, name), "rb").read()
+            b1 = pathlib.Path(out1, name).read_bytes()
+            b2 = pathlib.Path(out2, name).read_bytes()
             assert b1 == b2, name
         # report.json embeds its own output path, so compare everything else
-        r1 = json.load(open(os.path.join(out1, "report.json")))
-        r2 = json.load(open(os.path.join(out2, "report.json")))
+        r1 = json.loads(pathlib.Path(out1, "report.json").read_text())
+        r2 = json.loads(pathlib.Path(out2, "report.json").read_text())
         r1.pop("checkpoint_path")
         r2.pop("checkpoint_path")
         assert r1 == r2
@@ -90,8 +90,8 @@ class TestTrain:
         out2 = str(tmp_path / "s7")
         main(["train", "--config", cfg_path, "--out", out1])
         main(["train", "--config", cfg_path, "--out", out2, "--seed", "7"])
-        b1 = open(os.path.join(out1, "checkpoint.bin"), "rb").read()
-        b2 = open(os.path.join(out2, "checkpoint.bin"), "rb").read()
+        b1 = pathlib.Path(out1, "checkpoint.bin").read_bytes()
+        b2 = pathlib.Path(out2, "checkpoint.bin").read_bytes()
         assert b1 != b2
 
     def test_unknown_config_key_exits_2(self, workspace, capsys):
@@ -336,6 +336,7 @@ class TestBadInput:
         {"cluster_source": {"source": "labels", "K": 3}},
         {"noise_sigma": -1},
         {"mask_prob": 1.5},
+        {"epochs": 1, "eval_lr": -0.5},
     ], ids=json.dumps)
     def test_bad_train_value(self, workspace, capsys, values):
         tmp_path, _, _, cfg_path = workspace
@@ -349,7 +350,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("values, category, message, at_use", [
         pytest.param(*case, id=json.dumps(case[0])) for case in [
-            ({"temperature": 0}, "ParameterError", "temperature must be > 0", False),
+            ({"temperature": 0}, "ParameterError", "key 'temperature' must be a number > 0",
+             False),
             ({"momentum": 1.0}, "ParameterError", "key 'momentum' must be a number in [0, 1)",
              False),
             ({"momentum": 1.5}, "ParameterError", "key 'momentum' must be a number in [0, 1)",
@@ -642,8 +644,9 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--epochs", "-5", "'eval_epochs' must be an int >= 0, got -5"),
-        ("--lr", "nan", "'eval_lr' must be a finite number, got nan"),
-        ("--lr", "-inf", "'eval_lr' must be a finite number, got -inf"),
+        ("--lr", "nan", "'eval_lr' must be a finite number >= 0, got nan"),
+        ("--lr", "-inf", "'eval_lr' must be a finite number >= 0, got -inf"),
+        ("--lr", "-0.5", "'eval_lr' must be a finite number >= 0, got -0.5"),
     ])
     def test_bad_eval_flag(self, workspace, capsys, flag, value, message):
         tmp_path, data_path, _, cfg_path = workspace

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -427,7 +428,7 @@ class TestCheckpoint:
         model = init_model([3, 5, 4], [4, 2], seed=9)
         path = str(tmp_path / "c.bin")
         save_checkpoint(model, np.zeros_like(model.params), path)
-        blob = open(path, "rb").read()
+        blob = pathlib.Path(path).read_bytes()
         damaged = {
             "header": blob[: blob.index(b"\n") // 2],
             "blocks": blob[:-8],
@@ -443,7 +444,7 @@ class TestCheckpoint:
         model = init_model([2, 3], [3, 2], seed=9)
         path = str(tmp_path / "c.bin")
         save_checkpoint(model, np.zeros_like(model.params), path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(pathlib.Path(path).read_bytes())
         start = blob.index(b"\n") + 1
         if damage == "nan_weight":
             blob[start:start + 8] = np.array([np.nan]).tobytes()
@@ -478,7 +479,7 @@ class TestCheckpoint:
         model = init_model([2, 3], [3, 2], seed=9)
         path = str(tmp_path / "c.bin")
         save_checkpoint(model, np.zeros_like(model.params), path)
-        blob = open(path, "rb").read()
+        blob = pathlib.Path(path).read_bytes()
         with open(path, "wb") as fh:
             fh.write(blob.replace(b'"encoder_dims": [2, 3]', b'"encoder_dims": ' + dims))
         with pytest.raises(StateError, match="layer widths"):
@@ -502,7 +503,7 @@ class TestParameterArena:
         sgd_step(model, grad, buf, 0.1, 0.9, 1e-4)
         path = str(tmp_path / "c.bin")
         save_checkpoint(model, buf, path)
-        blob = open(path, "rb").read()
+        blob = pathlib.Path(path).read_bytes()
         body = blob[blob.index(b"\n") + 1:]
         assert buf.any()
         assert body == model.params.tobytes() + buf.tobytes()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -287,7 +288,7 @@ class TestInfoPlane:
         ]
         path = str(tmp_path / "plane.csv")
         save_info_plane_csv(pts, path)
-        lines = open(path).read().splitlines()
+        lines = pathlib.Path(path).read_text().splitlines()
         assert lines[0] == "config_label,mi_zt,h_z_given_t,h_z,accuracy"
         assert lines[1].startswith("a,0.5")
         assert lines[2].endswith(",")

@@ -1,7 +1,7 @@
-"""The training step's fused loss-and-gradient pass against the separate
-loss and gradient it replaced, its reduction to two-view InfoNCE, the
-step's parameter gradient against central differences, and the critic's
-shape check."""
+"""The training step's fused loss-and-gradient pass, ``cl_infonce``, against
+the separate loss and gradient it replaced, its reduction to two-view
+InfoNCE, the step's parameter gradient against central differences, and the
+critic's shape check."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,7 @@ from hypothesis import strategies as st
 from clnce.clusters import clusters_instance_id
 from clnce.encoder import backward, forward, init_model
 from clnce.errors import NumericError, ParameterError, ShapeError
-from clnce.objective import (
-    CriticConfig,
-    _loss_and_grad,
-    cl_infonce_grad,
-    cl_infonce_loss,
-    critic_backward,
-    critic_matrix,
-    sample_pair_batch,
-)
+from clnce.objective import cl_infonce, critic_backward, critic_matrix, sample_pair_batch
 
 from oracles import cl_infonce_grad_reference, cl_infonce_loss_reference, infonce_loss_reference
 
@@ -45,26 +37,26 @@ def score_matrices(draw):
 @settings(max_examples=200)
 @given(score_matrices())
 def test_fused_pass_bit_identical_to_separate_oracles(scores):
-    assert cl_infonce_loss(scores) == cl_infonce_loss_reference(scores)
-    assert cl_infonce_grad(scores).tobytes() == cl_infonce_grad_reference(scores).tobytes()
+    loss, grad = cl_infonce(scores)
+    assert loss == cl_infonce_loss_reference(scores)
+    assert grad.tobytes() == cl_infonce_grad_reference(scores).tobytes()
 
 
-@pytest.mark.parametrize("fn", [cl_infonce_loss, cl_infonce_grad])
-def test_fused_pass_validates_like_the_oracles(fn):
+def test_fused_pass_validates_like_the_oracles():
     bad = np.zeros((3, 3))
     bad[0, 1] = np.nan
     with pytest.raises(NumericError):
-        fn(bad)
+        cl_infonce(bad)
     with pytest.raises(ShapeError):
-        fn(np.zeros((3, 4)))
+        cl_infonce(np.zeros((3, 4)))
     with pytest.raises(ParameterError, match="need n >= 2"):
-        fn(np.zeros((1, 1)))
+        cl_infonce(np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("shape_x, shape_y", [((3, 2), (3, 4)), ((3, 2), (4, 2)), ((3,), (3,))])
 def test_critic_matrix_shape_mismatch(shape_x, shape_y):
     with pytest.raises(ShapeError, match="projection shapes"):
-        critic_matrix(np.ones(shape_x), np.ones(shape_y), CriticConfig(temperature=1.0))
+        critic_matrix(np.ones(shape_x), np.ones(shape_y), 1.0)
 
 
 @settings(max_examples=100)
@@ -78,16 +70,16 @@ def test_critic_matrix_shape_mismatch(shape_x, shape_y):
 def test_instance_id_clusters_reduce_to_two_view_infonce(pool, n, width, temperature, seed):
     # singleton clusters pair each drawn instance with itself: the two views
     rng = np.random.default_rng(seed)
-    batch = sample_pair_batch(clusters_instance_id(pool), n, rng)
-    assert (batch.x_indices == batch.y_indices).all()
+    x, y = sample_pair_batch(clusters_instance_id(pool), n, rng)
+    assert (x == y).all()
     raw = rng.normal(size=(pool, width))
     base = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     jitter = raw + 0.1 * rng.normal(size=raw.shape)
     other = jitter / np.linalg.norm(jitter, axis=1, keepdims=True)
-    px, py = base[batch.x_indices], other[batch.y_indices]
-    cfg = CriticConfig(temperature=temperature)
-    ref = infonce_loss_reference(px, py, cfg)
-    assert abs(cl_infonce_loss(critic_matrix(px, py, cfg)) - ref) <= 1e-12 * max(1.0, abs(ref))
+    px, py = base[x], other[y]
+    ref = infonce_loss_reference(px, py, temperature)
+    loss, _ = cl_infonce(critic_matrix(px, py, temperature))
+    assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 @settings(max_examples=40)
@@ -107,7 +99,6 @@ def test_step_gradient_matches_central_differences(
     # the training step's gradient: forward both views, the fused pass on
     # their scores, then critic_backward and backward
     rng = np.random.default_rng(seed)
-    cfg = CriticConfig(temperature=temperature)
     model = init_model([input_width, *encoder_widths], [encoder_widths[-1], *projection_widths])
     # Random biases as well as weights, so that a dead width-1 ReLU passes a
     # nonzero value on. Redraw until every pre-activation and row norm sits
@@ -120,15 +111,16 @@ def test_step_gradient_matches_central_differences(
         if all(min(np.abs(z).min() for z in c.pre_acts) > 1e-3 and c.norms.min() > 1e-2
                for c in (cache_x, cache_y)):
             break
-    _, g_scores = _loss_and_grad(critic_matrix(px, py, cfg))
-    g_px, g_py = critic_backward(g_scores, px, py, cfg)
+    _, g_scores = cl_infonce(critic_matrix(px, py, temperature))
+    g_px, g_py = critic_backward(g_scores, px, py, temperature)
     analytic = backward(model, cache_x, g_px) + backward(model, cache_y, g_py)
     base = model.params.copy()
 
     def loss_at(i, step):
         model.params[...] = base
         model.params[i] += step
-        return _loss_and_grad(critic_matrix(forward(model, x)[1], forward(model, y)[1], cfg))[0]
+        scores = critic_matrix(forward(model, x)[1], forward(model, y)[1], temperature)
+        return cl_infonce(scores)[0]
 
     eps = 1e-6
     for i in rng.choice(base.size, size=min(base.size, 12), replace=False):

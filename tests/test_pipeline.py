@@ -70,6 +70,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kw", [
         {"epochs": 0}, {"seed": -1}, {"peak_lr": -0.5},
         {"eval_epochs": -1}, {"encoder_widths": ()}, {"projection_widths": (4, 0)},
+        {"eval_lr": -0.5},
     ])
     def test_constructor_checks_ranges(self, kw):
         # every construction is checked, not only from_dict
@@ -296,7 +297,8 @@ class TestDeterminismProperties:
 
 class TestParseOrder:
     @pytest.mark.parametrize("kw", [{"temperature": 0}, {"noise_sigma": -1.0},
-                                    {"mask_prob": 2.0}])
+                                    {"mask_prob": 2.0}, {"temperature": 0.0},
+                                    {"temperature": -1.0}, {"temperature": float("nan")}])
     def test_step_settings_checked_before_clustering(self, kw):
         # without labels, building the clusters would raise DataError
         bare = Dataset(features=small_dataset().features)
