@@ -42,13 +42,21 @@ def test_fused_pass_bit_identical_to_separate_oracles(scores):
     assert grad.tobytes() == cl_infonce_grad_reference(scores).tobytes()
 
 
-def test_fused_pass_validates_like_the_oracles():
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        pytest.param(cl_infonce_loss_reference, id="cl_infonce_loss"),
+        pytest.param(cl_infonce_grad_reference, id="cl_infonce_grad"),
+    ],
+)
+def test_fused_pass_validates_like_the_oracles(oracle):
     bad = np.zeros((3, 3))
     bad[0, 1] = np.nan
-    with pytest.raises(NumericError):
-        cl_infonce(bad)
-    with pytest.raises(ShapeError):
-        cl_infonce(np.zeros((3, 4)))
+    for scores, error in [(bad, NumericError), (np.zeros((3, 4)), ShapeError)]:
+        with pytest.raises(error):
+            oracle(scores)
+        with pytest.raises(error):
+            cl_infonce(scores)
     with pytest.raises(ParameterError, match="need n >= 2"):
         cl_infonce(np.zeros((1, 1)))
 
