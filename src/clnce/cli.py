@@ -1,8 +1,9 @@
 """Command-line entry points: train, eval, infoplane, verify-bounds,
 make-clusters, make-data.
 
-Every subcommand validates its inputs, writes its outputs under --out, and
-exits nonzero with a categorized message on any contract violation.
+Every subcommand validates its inputs, writes its outputs under --out, which
+it makes only once a run succeeds, and exits nonzero with a categorized
+message on any contract violation.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ def _cmd_train(args) -> int:
     d, cfg, train_fraction = _load_run_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     train_data, eval_data = split_dataset(d, train_fraction, cfg.seed)
     del d  # the split copies its rows; free the unsplit dataset before training
-    ckpt = os.path.join(args.out, "checkpoint.bin")
+    ckpt = os.path.join(args.out, "checkpoint.bin")  # its writer makes --out
     _, report = pl.train(train_data, cfg, eval_data=eval_data, checkpoint_path=ckpt)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -91,11 +91,9 @@ def _cmd_infoplane(args) -> int:
     for spec in cluster_specs:
         pl.parse_cluster_spec(spec)
     d, cfg, train_fraction = _load_run_config(args.config)
+    points = pl.run_info_plane_experiment(d, cluster_specs, cfg, train_fraction=train_fraction)
     os.makedirs(args.out, exist_ok=True)
-    points = pl.run_info_plane_experiment(
-        d, cluster_specs, cfg, train_fraction=train_fraction,
-        csv_path=os.path.join(args.out, "info_plane.csv"),
-    )
+    im.save_info_plane_csv(points, os.path.join(args.out, "info_plane.csv"))
     for p in points:
         score = im.selection_score(p)
         print(

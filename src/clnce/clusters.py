@@ -459,14 +459,14 @@ def permute_clusters(
     )
 
 
-def save_assignment(a: ClusterAssignment, ids, csv_path: str) -> None:
+def save_assignment(a: ClusterAssignment, ids, path: str) -> None:
     """Write `id,cluster` CSV plus a JSON sidecar with count and provenance."""
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "cluster"])
         for sid, c in zip(ids, a.assignment):
             writer.writerow([sid, int(c)])
     sidecar = {"num_clusters": a.num_clusters, "provenance": a.provenance}
-    with open(csv_path + ".json", "w", encoding="utf-8") as fh:
+    with open(path + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True)
         fh.write("\n")

@@ -427,9 +427,12 @@ def split_dataset(
         raise SizeError("need at least 2 samples to split")
     if not 0.0 < train_fraction < 1.0:
         raise ParameterError("train_fraction must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(d.num_samples)
     n_train = math.floor(train_fraction * d.num_samples)
+    if n_train == 0:
+        raise SizeError(
+            f"train_fraction {train_fraction!r} of {d.num_samples} rows leaves no train row"
+        )
+    perm = np.random.default_rng(seed).permutation(d.num_samples)
     return d.subset(np.sort(perm[:n_train])), d.subset(np.sort(perm[n_train:]))
 
 

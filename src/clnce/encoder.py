@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,6 @@ class EncoderModel:
         for (w, b), (vw, vb) in zip(layers, views):
             vw[...] = w
             vb[...] = b
-        self.bias_mask = np.zeros(self.params.size, dtype=bool)
-        for _, b in _views(self.bias_mask, self.shapes):
-            b[...] = True
         n_enc = len(self.encoder_layers)
         self.encoder_layers, self.projection_layers = views[:n_enc], views[n_enc:]
         self.version = 0
@@ -79,8 +77,7 @@ class ForwardCache:
     inputs: list[np.ndarray]        # input to each layer, encoder then proj
     pre_acts: list[np.ndarray]      # affine outputs before ReLU/normalize
     output: np.ndarray              # the unit-norm projection forward returns
-    norms: np.ndarray               # per-row L2 norms of pre_acts[-1]
-    degenerate: np.ndarray          # rows with zero pre-norm output
+    norms: np.ndarray               # per-row L2 norms of pre_acts[-1]; 0 flags a zero row
     params: np.ndarray              # model.params and model.version at forward
     version: int                    # time: backward refuses any other model or step
 
@@ -128,8 +125,8 @@ def forward(model: EncoderModel, x: np.ndarray):
     """Returns (encoder_output, projection_output, cache).
 
     Every layer is affine, with a ReLU between consecutive layers. Projection
-    rows are unit-norm except exact-zero rows, which stay zero and are
-    flagged in the cache.
+    rows are unit-norm except exact-zero rows, which stay zero and keep a
+    norm of 0 in the cache.
     """
     h = _as_input(model, x)
     inputs, pre_acts = [], []
@@ -146,9 +143,7 @@ def forward(model: EncoderModel, x: np.ndarray):
         output = h / np.where(degenerate, 1.0, norms)[:, None]
     if not np.isfinite(output).all():
         raise NumericError("non-finite projection output")
-    cache = ForwardCache(
-        inputs, pre_acts, output, norms, degenerate, model.params, model.version
-    )
+    cache = ForwardCache(inputs, pre_acts, output, norms, model.params, model.version)
     return inputs[len(model.encoder_layers)], output, cache
 
 
@@ -162,8 +157,9 @@ def backward(model: EncoderModel, cache: ForwardCache, grad_wrt_projection: np.n
         raise ShapeError("upstream gradient shape mismatch")
     # normalization Jacobian: d(v/|v|) applied to g is (g - (g.u)u)/|v|
     g = g - (g * u).sum(axis=1, keepdims=True) * u
-    g /= np.where(cache.degenerate, 1.0, cache.norms)[:, None]
-    g[cache.degenerate] = 0.0
+    degenerate = cache.norms == 0.0
+    g /= np.where(degenerate, 1.0, cache.norms)[:, None]
+    g[degenerate] = 0.0
 
     layers = model.encoder_layers + model.projection_layers
     grad = np.empty_like(model.params)
@@ -202,7 +198,9 @@ def sgd_step(model: EncoderModel, grad: np.ndarray, momentum_buf: np.ndarray,
         raise ShapeError("gradient or momentum does not match the model's parameters")
     # one temporary, in place; buffer*momentum + (grad + decay*param) rounds
     # as the formula above does
-    step = np.where(model.bias_mask, 0.0, weight_decay)
+    step = np.full_like(model.params, weight_decay)
+    for _, b in _views(step, model.shapes):
+        b[...] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # the next forward raises
         step *= model.params
         step += grad
@@ -216,7 +214,7 @@ def sgd_step(model: EncoderModel, grad: np.ndarray, momentum_buf: np.ndarray,
 def save_checkpoint(model: EncoderModel, momentum_buf: np.ndarray, path: str) -> None:
     """JSON header line, then the parameters and the momentum, each as
     little-endian float64 in the layout of ``model.params``. The header's
-    ``step_count`` is ``model.version``."""
+    ``step_count`` is ``model.version``. A missing parent directory is made."""
     n_enc = len(model.encoder_layers)
     dims = [model.shapes[0][0], *(dout for _, dout in model.shapes)]
     header = {
@@ -224,6 +222,7 @@ def save_checkpoint(model: EncoderModel, momentum_buf: np.ndarray, path: str) ->
         "projection_dims": dims[n_enc:],
         "step_count": model.version,
     }
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")

@@ -168,7 +168,6 @@ class RunReport:
     loss_curve: list
     info_plane_curve: list
     final_linear_accuracy: float | None
-    checkpoint_path: str | None
     kmeans_trace: list = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -290,7 +289,7 @@ def train(
         accuracy = linear_evaluate(model, d, eval_data, epochs=cfg.eval_epochs, lr=cfg.eval_lr)
     if checkpoint_path:
         enc.save_checkpoint(model, momentum_buf, checkpoint_path)
-    return model, RunReport(loss_curve, info_curve, accuracy, checkpoint_path, kmeans_trace=trace)
+    return model, RunReport(loss_curve, info_curve, accuracy, kmeans_trace=trace)
 
 
 def linear_evaluate(
@@ -377,7 +376,6 @@ def run_info_plane_experiment(
     configs: list,
     cfg: TrainConfig,
     train_fraction: float = RUN_KEYS["train_fraction"],
-    csv_path: str | None = None,
 ) -> list:
     """Train once per cluster config and emit an InfoPlanePoint per config."""
     if d.labels is None:
@@ -394,6 +392,4 @@ def run_info_plane_experiment(
                 report.info_plane_curve[-1], downstream_accuracy=report.final_linear_accuracy
             )
         )
-    if csv_path:
-        im.save_info_plane_csv(points, csv_path)
     return points

@@ -73,16 +73,10 @@ class TestTrain:
         out2 = str(tmp_path / "b")
         assert main(["train", "--config", cfg_path, "--out", out1]) == 0
         assert main(["train", "--config", cfg_path, "--out", out2]) == 0
-        for name in ("checkpoint.bin", "loss.csv"):
+        for name in ("checkpoint.bin", "loss.csv", "info_plane.csv", "report.json"):
             b1 = pathlib.Path(out1, name).read_bytes()
             b2 = pathlib.Path(out2, name).read_bytes()
             assert b1 == b2, name
-        # report.json embeds its own output path, so compare everything else
-        r1 = json.loads(pathlib.Path(out1, "report.json").read_text())
-        r2 = json.loads(pathlib.Path(out2, "report.json").read_text())
-        r1.pop("checkpoint_path")
-        r2.pop("checkpoint_path")
-        assert r1 == r2
 
     def test_seed_override_changes_run(self, workspace):
         tmp_path, _, _, cfg_path = workspace
@@ -348,51 +342,50 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert not os.path.exists(str(tmp_path / "x"))
 
-    @pytest.mark.parametrize("values, category, message, at_use", [
+    @pytest.mark.parametrize("values, category, message", [
         pytest.param(*case, id=json.dumps(case[0])) for case in [
-            ({"temperature": 0}, "ParameterError", "key 'temperature' must be a number > 0",
-             False),
-            ({"momentum": 1.0}, "ParameterError", "key 'momentum' must be a number in [0, 1)",
-             False),
-            ({"momentum": 1.5}, "ParameterError", "key 'momentum' must be a number in [0, 1)",
-             False),
+            ({"temperature": 0}, "ParameterError", "key 'temperature' must be a number > 0"),
+            ({"momentum": 1.0}, "ParameterError", "key 'momentum' must be a number in [0, 1)"),
+            ({"momentum": 1.5}, "ParameterError", "key 'momentum' must be a number in [0, 1)"),
             ({"weight_decay": -1}, "ParameterError",
-             "key 'weight_decay' must be a finite number >= 0", False),
-            ({"warmup_steps": -1}, "ParameterError", "key 'warmup_steps' must be an int >= 0",
-             False),
-            ({"warmup_steps": -3}, "ParameterError", "key 'warmup_steps' must be an int >= 0",
-             False),
+             "key 'weight_decay' must be a finite number >= 0"),
+            ({"warmup_steps": -1}, "ParameterError", "key 'warmup_steps' must be an int >= 0"),
+            ({"warmup_steps": -3}, "ParameterError", "key 'warmup_steps' must be an int >= 0"),
             ({"cluster_source": {"source": "synthetic", "mode": "refine", "splits_per_class": 0}},
-             "ParameterError", "key 'splits_per_class' must be an int >= 1", False),
+             "ParameterError", "key 'splits_per_class' must be an int >= 1"),
             ({"cluster_source": {"source": "kmeans", "K": 3, "max_iters": 0}}, "ParameterError",
-             "key 'max_iters' must be an int >= 1", False),
+             "key 'max_iters' must be an int >= 1"),
             ({"cluster_source": {"source": "kmeans", "K": 0}}, "ParameterError",
-             "key 'K' must be an int >= 1", False),
+             "key 'K' must be an int >= 1"),
             ({"cluster_source": {"source": "attributes", "k": 0}}, "ParameterError",
-             "key 'k' must be an int >= 1", False),
+             "key 'k' must be an int >= 1"),
             ({"cluster_source": {"source": "hierarchy", "level": 0}}, "ParameterError",
-             "key 'level' must be an int >= 1", False),
+             "key 'level' must be an int >= 1"),
             ({"train_fraction": 1.5}, "ParameterError",
-             "key 'train_fraction' must be a number in (0, 1)", False),
+             "key 'train_fraction' must be a number in (0, 1)"),
             ({"train_fraction": 0.0}, "ParameterError",
-             "key 'train_fraction' must be a number in (0, 1)", False),
+             "key 'train_fraction' must be a number in (0, 1)"),
             ({"cluster_source": {"source": "hierarchy", "level": 9}}, "ParameterError",
-             "level 9 exceeds max leaf depth 3", True),
+             "level 9 exceeds max leaf depth 3"),
             ({"cluster_source": {"source": "synthetic", "mode": "refine",
                                  "splits_per_class": 10**6}},
-             "ParameterError", "cannot split into 1000000", True),
+             "ParameterError", "cannot split into 1000000"),
             # sizes that would allocate TiBs: refused before anything is allocated
             ({"batch_size": 2**40}, "SizeError",
-             "batch_size 1099511627776: a dense (1099511627776, 1099511627776) array", True),
+             "batch_size 1099511627776: a dense (1099511627776, 1099511627776) array"),
             ({"encoder_widths": [2**40]}, "SizeError",
-             "encoder_widths [1099511627776] and projection_widths [4]: a dense (", True),
+             "encoder_widths [1099511627776] and projection_widths [4]: a dense ("),
+            ({"train_fraction": 0.01}, "SizeError",
+             "train_fraction 0.01 of 90 rows leaves no train row"),
+            # scores of up to 1e308 overflow the loss at the first step
+            ({"epochs": 1, "temperature": 1e-308}, "NumericError", "loss diverged at step 0"),
         ]
     ])
     def test_value_out_of_range_for_its_use(self, workspace, capsys, values, category,
-                                            message, at_use):
-        # a range of its own is refused with the config, before --out is
-        # made; a cluster-spec range that depends on the data, and a size,
-        # where the value is used
+                                            message):
+        # a range of its own is refused with the config; a cluster-spec range
+        # that depends on the data, a size and a divergence where the value is
+        # used. --out is made only by a run that succeeds
         tmp_path, _, _, cfg_path = workspace
         with open(cfg_path) as fh:
             cfg = json.load(fh)
@@ -407,7 +400,7 @@ class TestBadInput:
         )
         assert message in err
         assert len(err.splitlines()) == 1
-        assert os.path.exists(str(tmp_path / "x")) == at_use
+        assert not os.path.exists(str(tmp_path / "x"))
 
     @pytest.mark.parametrize("key, value", [pytest.param(*kv, id=kv[0]) for kv in [
         ("peak_lr", 10**400), ("temperature", float("inf")), ("momentum", -10**400),
@@ -584,6 +577,29 @@ class TestBadInput:
             capsys, "ParameterError",
         )
         assert "'nope'" in err
+
+    def test_infoplane_failure_leaves_no_out(self, workspace, capsys):
+        # the second spec fails once its training starts (4 attributes)
+        tmp_path, _, _, cfg_path = workspace
+        specs_path = str(tmp_path / "specs.json")
+        with open(specs_path, "w") as fh:
+            json.dump([{"source": "labels"}, {"source": "attributes", "k": 100}], fh)
+        out = str(tmp_path / "sweep")
+        err = self.run_bad(
+            ["infoplane", "--config", cfg_path, "--configs", specs_path, "--out", out],
+            capsys, "ParameterError",
+        )
+        assert "k=100 exceeds 4 attributes" in err
+        assert not os.path.exists(out)
+
+    def test_failed_run_keeps_an_existing_out(self, workspace, capsys):
+        tmp_path, _, _, cfg_path = workspace
+        out = tmp_path / "x"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept")
+        update_train_config(cfg_path, epochs=1, temperature=1e-308)
+        self.run_bad(["train", "--config", cfg_path, "--out", str(out)], capsys, "NumericError")
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
 
     def test_nan_checkpoint_weight(self, workspace, capsys):
         tmp_path, data_path, _, cfg_path = workspace

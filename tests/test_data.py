@@ -188,6 +188,9 @@ class TestSplit:
     def test_too_small(self):
         with pytest.raises(SizeError):
             split_dataset(Dataset(features=np.zeros((1, 1))), 0.5, seed=0)
+        # a fraction whose floor leaves no train row is refused by the split
+        with pytest.raises(SizeError, match="train_fraction 0.1 of 3 rows leaves no train row"):
+            split_dataset(Dataset(features=np.zeros((3, 1))), 0.1, seed=0)
 
 
 class TestAugment:
