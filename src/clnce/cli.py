@@ -92,7 +92,7 @@ def _cmd_infoplane(args) -> int:
         pl.parse_cluster_spec(spec)
     d, cfg, train_fraction = _load_run_config(args.config)
     points = pl.run_info_plane_experiment(d, cluster_specs, cfg, train_fraction=train_fraction)
-    os.makedirs(args.out, exist_ok=True)
+    # its writer makes --out
     im.save_info_plane_csv(points, os.path.join(args.out, "info_plane.csv"))
     for p in points:
         score = im.selection_score(p)
@@ -140,8 +140,7 @@ _PRESETS = {"mixture": datagen.make_mixture_dataset, "blobs": datagen.make_blob_
 
 def _cmd_make_data(args) -> int:
     d = _PRESETS[args.preset](seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    data_path = os.path.join(args.out, f"{args.preset}.csv")
+    data_path = os.path.join(args.out, f"{args.preset}.csv")  # its writer makes --out
     save_dataset(d, data_path)
     if d.hierarchy is not None:
         save_hierarchy(d.hierarchy, os.path.join(args.out, f"{args.preset}_hierarchy.tsv"))

@@ -8,14 +8,13 @@ coarsen and permute clusters by class or merge-group order.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, HierarchyGraph
+from .data import Dataset, HierarchyGraph, write_csv
 from .errors import (
     DataError,
     GraphError,
@@ -421,6 +420,8 @@ def coarsen_clusters(labels: np.ndarray, merge_groups) -> ClusterAssignment:
     classes = set(np.unique(labs).tolist())
     group_of: dict[int, int] = {}
     for gi, group in enumerate(merge_groups):
+        if len(group) == 0:
+            raise ParameterError(f"merge group {gi} is empty")
         for c in group:
             if c in group_of:
                 raise ParameterError(f"class {c} appears in two merge groups")
@@ -460,12 +461,9 @@ def permute_clusters(
 
 
 def save_assignment(a: ClusterAssignment, ids, path: str) -> None:
-    """Write `id,cluster` CSV plus a JSON sidecar with count and provenance."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "cluster"])
-        for sid, c in zip(ids, a.assignment):
-            writer.writerow([sid, int(c)])
+    """Write `id,cluster` CSV plus a JSON sidecar with count and provenance.
+    A missing parent directory is made."""
+    write_csv(path, ["id", "cluster"], zip(ids, a.assignment.tolist()))
     sidecar = {"num_clusters": a.num_clusters, "provenance": a.provenance}
     with open(path + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True)

@@ -17,6 +17,7 @@ import os
 import stat
 import tempfile
 import time
+import types
 import warnings
 import zipfile
 from dataclasses import dataclass, field
@@ -359,23 +360,35 @@ def _parse_dataset(raw: bytes, path: str) -> Dataset:
     )
 
 
+def write_csv(path: str, header: list[str], rows) -> None:
+    r"""Write ``header`` and then ``rows`` as CSV with "\n" line ends, making a
+    missing parent directory. The writer's terminator is "\r\n", so that it
+    also quotes a cell that holds a "\r" (csv.reader ends a record there);
+    each line reaches the file with "\n" in its place."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        lines = types.SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        writer = csv.writer(lines, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_dataset(d: Dataset, path: str) -> None:
     header = ["id"] + [f"f{j}" for j in range(d.feature_dim)]
     header += [f"a{j}" for j in range(d.num_attributes)]
     if d.labels is not None:
         header.append("label")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+
+    def rows():
         for i in range(d.num_samples):
             row = [d.ids[i]] + [repr(float(v)) for v in d.features[i]]
             if d.attributes is not None:
                 row += [str(int(v)) for v in d.attributes[i]]
             if d.labels is not None:
                 row.append(str(int(d.labels[i])))
-            if "\r" in row[0]:  # csv.writer quotes only the characters of its "\n" terminator
-                fh.write('"' + row.pop(0).replace('"', '""') + '",')
-            writer.writerow(row)
+            yield row
+
+    write_csv(path, header, rows())
 
 
 def load_hierarchy(path: str) -> HierarchyGraph:

@@ -29,45 +29,32 @@ def _views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
     return layers
 
 
-@dataclass
 class EncoderModel:
-    """All weights and biases live in one float64 vector, ``params``; the
-    layer lists are (w, b) views into it. The constructor copies the given
-    layers in. ``version`` counts SGD steps, so a stale cache is detected."""
+    """The zero model of the given layer widths. All weights and biases live
+    in one float64 vector, ``params``; the layer lists are (w, b) views into
+    it. ``version`` counts SGD steps, so a stale cache is detected."""
 
-    encoder_layers: list[tuple[np.ndarray, np.ndarray]]
-    projection_layers: list[tuple[np.ndarray, np.ndarray]]
-
-    def __post_init__(self):
-        layers = self.encoder_layers + self.projection_layers
-        for i, (w, b) in enumerate(layers):
-            if np.ndim(w) != 2 or np.shape(b) != (np.shape(w)[1],):
-                raise ShapeError(f"layer {i}: weight/bias shape mismatch")
-        self.shapes = [np.shape(w) for w, _ in layers]
+    def __init__(self, encoder_dims, projection_dims):
+        if encoder_dims[-1] != projection_dims[0]:
+            raise ShapeError("projection input dim must equal encoder output dim")
+        self.encoder_dims = [int(w) for w in encoder_dims]
+        self.projection_dims = [int(w) for w in projection_dims]
+        n_enc = len(self.encoder_dims) - 1
+        self.shapes = [*zip(self.encoder_dims, self.encoder_dims[1:]),
+                       *zip(self.projection_dims, self.projection_dims[1:])]
         self.params = np.zeros(sum(din * dout + dout for din, dout in self.shapes))
         views = _views(self.params, self.shapes)
-        for (w, b), (vw, vb) in zip(layers, views):
-            vw[...] = w
-            vb[...] = b
-        n_enc = len(self.encoder_layers)
         self.encoder_layers, self.projection_layers = views[:n_enc], views[n_enc:]
         self.version = 0
 
 
 def init_model(encoder_dims, projection_dims, seed: int = 0) -> EncoderModel:
-    """He-initialized model; projection input dim must match encoder output."""
-    if encoder_dims[-1] != projection_dims[0]:
-        raise ShapeError("projection input dim must equal encoder output dim")
+    """He-initialized weights, layer by layer, and zero biases."""
+    model = EncoderModel(encoder_dims, projection_dims)
     rng = np.random.default_rng(seed)
-
-    def make(dims):
-        layers = []
-        for din, dout in zip(dims[:-1], dims[1:]):
-            w = rng.normal(0.0, math.sqrt(2.0 / din), size=(din, dout))
-            layers.append((w, np.zeros(dout)))
-        return layers
-
-    return EncoderModel(make(encoder_dims), make(projection_dims))
+    for w, _ in model.encoder_layers + model.projection_layers:
+        w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
+    return model
 
 
 @dataclass
@@ -84,11 +71,8 @@ class ForwardCache:
 
 def _as_input(model: EncoderModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.encoder_layers[0][0].shape[0]:
-        raise ShapeError(
-            f"input width {x.shape[-1]} != layer width "
-            f"{model.encoder_layers[0][0].shape[0]}"
-        )
+    if x.ndim != 2 or x.shape[1] != model.encoder_dims[0]:
+        raise ShapeError(f"input width {x.shape[-1]} != layer width {model.encoder_dims[0]}")
     return x
 
 
@@ -106,7 +90,7 @@ def embed(model: EncoderModel, x: np.ndarray, out: np.ndarray | None = None) -> 
     A non-finite block is a NumericError."""
     x = _as_input(model, x)
     if out is None:
-        out = np.empty((len(x), model.encoder_layers[-1][0].shape[1]))
+        out = np.empty((len(x), model.encoder_dims[-1]))
     edges = [*range(0, max(len(x) - 1, 1), ROW_BLOCK), len(x)]
     for lo, hi in zip(edges, edges[1:]):
         h = x[lo:hi]
@@ -215,11 +199,9 @@ def save_checkpoint(model: EncoderModel, momentum_buf: np.ndarray, path: str) ->
     """JSON header line, then the parameters and the momentum, each as
     little-endian float64 in the layout of ``model.params``. The header's
     ``step_count`` is ``model.version``. A missing parent directory is made."""
-    n_enc = len(model.encoder_layers)
-    dims = [model.shapes[0][0], *(dout for _, dout in model.shapes)]
     header = {
-        "encoder_dims": dims[: n_enc + 1],
-        "projection_dims": dims[n_enc:],
+        "encoder_dims": model.encoder_dims,
+        "projection_dims": model.projection_dims,
         "step_count": model.version,
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -249,11 +231,11 @@ def load_checkpoint(path: str) -> EncoderModel:
         layer_shapes = shapes(enc) + shapes(proj)
         if enc[-1] != proj[0]:
             raise ValueError("encoder and projection widths do not chain")
-        n_enc = len(enc) - 1
         # the parameters, then the momentum in the same layout
         expected = 2 * 8 * sum(din * dout + dout for din, dout in layer_shapes)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise StateError(f"{path}: unreadable checkpoint header ({exc})") from exc
+    # checked before the model is allocated: the header's widths may be huge
     if len(blob) != expected:
         raise StateError(
             f"{path}: {len(blob)} bytes of parameter blocks, header implies {expected}"
@@ -261,5 +243,6 @@ def load_checkpoint(path: str) -> EncoderModel:
     params = np.frombuffer(blob, dtype="<f8", count=expected // 16)
     if not np.isfinite(params).all():
         raise StateError(f"{path}: non-finite parameters")
-    layers = _views(params, layer_shapes)
-    return EncoderModel(layers[:n_enc], layers[n_enc:])
+    model = EncoderModel(enc, proj)
+    model.params[...] = params
+    return model

@@ -5,13 +5,13 @@ tabular models. Everything is in nats.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_csv
 from .errors import DistributionError, ParameterError, SizeError
 
 _ATOL = 1e-9
@@ -215,11 +215,11 @@ def selection_score(p: InfoPlanePoint) -> float:
 
 
 def save_info_plane_csv(points, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["config_label", "mi_zt", "h_z_given_t", "h_z", "accuracy"])
-        for p in points:
-            acc = "" if p.downstream_accuracy is None else repr(p.downstream_accuracy)
-            writer.writerow(
-                [p.config_label, repr(p.mi_zt), repr(p.h_z_given_t), repr(p.h_z), acc]
-            )
+    """One row per point; a missing parent directory is made."""
+    write_csv(
+        path,
+        ["config_label", "mi_zt", "h_z_given_t", "h_z", "accuracy"],
+        ([p.config_label, repr(p.mi_zt), repr(p.h_z_given_t), repr(p.h_z),
+          "" if p.downstream_accuracy is None else repr(p.downstream_accuracy)]
+         for p in points),
+    )

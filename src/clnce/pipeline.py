@@ -309,7 +309,7 @@ def linear_evaluate(
     """
     if train_data.labels is None or eval_data.labels is None:
         raise DataError("linear evaluation needs labeled train and eval sets")
-    width = model.encoder_layers[-1][0].shape[1]
+    width = model.encoder_dims[-1]
     num_classes = max(train_data.num_classes, eval_data.num_classes)
     n = max(train_data.num_samples, eval_data.num_samples)
     # the largest per-class array: weights (C, D), or logits (C, n) of either set

@@ -722,6 +722,16 @@ class TestBadInput:
         assert "fixed_class_set [99] names labels the data lacks" in err
         assert not os.path.exists(out)
 
+    def test_empty_merge_group(self, workspace, capsys):
+        tmp_path, data_path, _, _ = workspace
+        out = str(tmp_path / "c.csv")
+        spec = write_spec(tmp_path, {"source": "synthetic", "mode": "coarsen",
+                                     "merge_groups": [[0, 1, 2], []]})
+        err = self.run_bad(["make-clusters", "--data", data_path, "--spec", spec, "--out", out],
+                           capsys, "ParameterError")
+        assert "merge group 1 is empty" in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("spec, key", [
         ({"source": "kmeans", "K": "x"}, "'K'"),
         ({"source": "kmeans", "K": 3, "max_iters": 2.5}, "'max_iters'"),
@@ -867,6 +877,14 @@ class TestMakeClusters:
         assert os.path.exists(out)
         assert os.path.exists(out + ".json")
         assert "5 clusters" in capsys.readouterr().out
+
+    def test_out_parent_is_made(self, workspace):
+        tmp_path, data_path, _, _ = workspace
+        out = str(tmp_path / "nodir" / "sub" / "c.csv")
+        rc = main(["make-clusters", "--data", data_path,
+                   "--spec", write_spec(tmp_path, {"source": "labels"}), "--out", out])
+        assert rc == 0
+        assert os.path.exists(out + ".json")
 
     def test_hierarchy_source(self, workspace):
         tmp_path, data_path, hier_path, _ = workspace

@@ -475,6 +475,10 @@ class TestSynthesize:
         with pytest.raises(ParameterError):
             coarsen_clusters(self.labels, [[0, 1]])
 
+    def test_coarsen_empty_group(self):
+        with pytest.raises(ParameterError, match="merge group 1 is empty"):
+            coarsen_clusters(self.labels, [[0, 1, 2, 3, 4], []])
+
     def test_permute_keeps_fixed_classes(self):
         base = refine_clusters(self.labels, 2, seed=0)
         out = permute_clusters(self.labels, base, fixed_class_set=[0, 1], seed=9)
@@ -487,11 +491,12 @@ class TestAssignmentExport:
     def test_round_trip(self, tmp_path):
         ca = clusters_from_labels(np.array([0, 2, 1, 0]))
         path = str(tmp_path / "clusters.csv")
-        save_assignment(ca, ["a", "b", "c", "d"], path)
+        ids = ["a\rb", "b", 'c"\r', "d,\n"]
+        save_assignment(ca, ids, path)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["id", "cluster"]
-        assert [r[0] for r in rows[1:]] == ["a", "b", "c", "d"]
+        assert [r[0] for r in rows[1:]] == ids
         np.testing.assert_array_equal([int(r[1]) for r in rows[1:]], ca.assignment)
         with open(path + ".json", encoding="utf-8") as fh:
             sidecar = json.load(fh)

@@ -23,6 +23,7 @@ from clnce.data import (
     save_dataset,
     save_hierarchy,
     split_dataset,
+    write_csv,
 )
 from clnce.errors import (
     ClnceError,
@@ -298,13 +299,7 @@ def load_both(rows):
     a Dataset or the ClnceError raised, with the file path cut from it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for row in rows:
-                if row and "\r" in row[0]:  # csv.writer leaves it bare, save_dataset quotes it
-                    fh.write('"' + row[0].replace('"', '""') + '"' + "," * (len(row) > 1))
-                    row = row[1:]
-                writer.writerow(row)
+        write_csv(path, rows[0], rows[1:])
         results = []
         for loader in (load_dataset, load_dataset_reference):
             try:

@@ -64,10 +64,9 @@ class TestForward:
         assert (cache.norms == 0).all()
 
     def test_identity_layer_positive_input(self):
-        model = EncoderModel(
-            encoder_layers=[(np.eye(3), np.zeros(3))],
-            projection_layers=[(np.eye(3), np.zeros(3))],
-        )
+        model = EncoderModel([3, 3], [3, 3])
+        for w, _ in model.encoder_layers + model.projection_layers:
+            w[...] = np.eye(3)
         x = np.abs(np.random.default_rng(0).normal(size=(4, 3))) + 0.1
         enc_out, proj_out, _ = forward(model, x)
         np.testing.assert_allclose(enc_out, x, atol=1e-15)
@@ -286,10 +285,9 @@ class TestBackward:
         # so use the encoder gradient of a sum over normalized outputs of a
         # 1-sample batch where the structure is still analytic: check the
         # unnormalized case via a model whose projection output is 1-D.
-        model = EncoderModel(
-            encoder_layers=[(np.eye(2), np.zeros(2))],
-            projection_layers=[(np.array([[1.0], [1.0]]), np.zeros(1))],
-        )
+        model = EncoderModel([2, 2], [2, 1])
+        model.encoder_layers[0][0][...] = np.eye(2)
+        model.projection_layers[0][0][...] = 1.0
         x = np.array([[2.0, 3.0]])
         _, proj, cache = forward(model, x)
         # 1-D normalized output is +-1 with zero gradient through the norm
@@ -474,6 +472,16 @@ class TestCheckpoint:
             fh.write(model.params.tobytes() + buf.tobytes())
         assert load_checkpoint(path).params.tobytes() == model.params.tobytes()
 
+    def test_huge_widths_are_refused_before_allocation(self, tmp_path):
+        model = init_model([2, 3], [3, 2], seed=9)
+        path = str(tmp_path / "c.bin")
+        save_checkpoint(model, np.zeros_like(model.params), path)
+        blob = pathlib.Path(path).read_bytes()
+        with open(path, "wb") as fh:
+            fh.write(blob.replace(b'"encoder_dims": [2, 3]', b'"encoder_dims": [%d, 3]' % 2**40))
+        with pytest.raises(StateError, match="header implies"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("dims", [b"[2.0, 3.0]", b"[true, 3]", b"[2]"])
     def test_ill_typed_layer_widths_raise_state_error(self, tmp_path, dims):
         model = init_model([2, 3], [3, 2], seed=9)
@@ -518,15 +526,22 @@ class TestParameterArena:
         model.params[-1] = 11.0
         assert model.projection_layers[-1][1][-1] == 11.0
 
-    def test_constructor_copies_its_layers(self):
-        w, b = np.eye(3), np.zeros(3)
-        model = EncoderModel([(w, b)], [(np.eye(3), np.zeros(3))])
-        model.encoder_layers[0][0][0, 0] = 5.0
-        assert w[0, 0] == 1.0
+    def test_constructor_builds_the_zero_model(self):
+        model = EncoderModel([3, 5, 4], [4, 2])
+        assert model.version == 0
+        assert model.shapes == [(3, 5), (5, 4), (4, 2)]
+        assert model.params.size == 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2
+        assert not model.params.any()
+        with pytest.raises(ShapeError, match="projection input dim"):
+            EncoderModel([4, 6], [5, 3])
 
-    def test_bias_shape_mismatch(self):
-        with pytest.raises(ShapeError, match="weight/bias"):
-            EncoderModel([(np.eye(3), np.zeros(2))], [(np.eye(3), np.zeros(3))])
+    def test_init_draws_each_weight_in_layer_order(self):
+        model = init_model([3, 5, 4], [4, 2], seed=7)
+        rng = np.random.default_rng(7)
+        layers = model.encoder_layers + model.projection_layers
+        for (w, b), (din, dout) in zip(layers, [(3, 5), (5, 4), (4, 2)], strict=True):
+            assert w.tobytes() == rng.normal(0.0, np.sqrt(2.0 / din), size=(din, dout)).tobytes()
+            assert not b.any()
 
     def test_unchained_dims(self):
         with pytest.raises(ShapeError, match="projection input dim"):

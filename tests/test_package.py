@@ -113,3 +113,36 @@ def test_oracles_use_only_public_names():
                 and isinstance(node.value, ast.Name) and node.value.id in bound):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+def test_dataclasses_set_only_their_fields():
+    """A package dataclass assigns, in its methods, only the fields it
+    declares, whether through ``self.x = ...`` or through
+    ``object.__setattr__(self, name, ...)``. That name is a string, or the
+    variable of a ``for`` loop over a literal of strings; any other name
+    counts as undeclared."""
+    undeclared = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    ast.unparse(d).split("(")[0].endswith("dataclass")
+                    for d in cls.decorator_list)):
+                continue
+            fields = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
+            loops = {n.target.id: ast.literal_eval(n.iter) for n in ast.walk(cls)
+                     if isinstance(n, ast.For) and isinstance(n.target, ast.Name)
+                     and isinstance(n.iter, (ast.Tuple, ast.List))
+                     and all(isinstance(e, ast.Constant) for e in n.iter.elts)}
+            assigned = []
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    assigned.append(node.attr)
+                elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                    name = node.args[1]
+                    if isinstance(name, ast.Constant):
+                        assigned.append(name.value)
+                    else:
+                        assigned += loops.get(getattr(name, "id", None), [ast.unparse(name)])
+            undeclared += [f"{path.name}:{cls.name}.{a}" for a in assigned if a not in fields]
+    assert undeclared == []

@@ -378,10 +378,9 @@ class TestLinearEvaluate:
         labels = np.random.default_rng(1).integers(0, 4, size=80)
         feats = np.eye(4)[labels]
         d = Dataset(features=feats, labels=labels)
-        model = EncoderModel(
-            encoder_layers=[(np.eye(4), np.zeros(4))],
-            projection_layers=[(np.eye(4), np.zeros(4))],
-        )
+        model = EncoderModel([4, 4], [4, 4])
+        for w, _ in model.encoder_layers + model.projection_layers:
+            w[...] = np.eye(4)
         acc = linear_evaluate(model, d, d, epochs=300, lr=1.0)
         assert acc == pytest.approx(1.0)
 
