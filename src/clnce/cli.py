@@ -22,6 +22,7 @@ from . import encoder as enc
 from . import info as im
 from . import pipeline as pl
 from .data import load_dataset, load_hierarchy, save_dataset, save_hierarchy, split_dataset
+from .data import write_csv
 from .errors import ClnceError, ParameterError, SchemaError
 
 
@@ -56,10 +57,8 @@ def _cmd_train(args) -> int:
     _, report = pl.train(train_data, cfg, eval_data=eval_data, checkpoint_path=ckpt)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
-    with open(os.path.join(args.out, "loss.csv"), "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for e, v in enumerate(report.loss_curve, start=1):
-            fh.write(f"{e},{v!r}\n")
+    write_csv(os.path.join(args.out, "loss.csv"), ["epoch", "loss"],
+              ((e, repr(v)) for e, v in enumerate(report.loss_curve, start=1)))
     if report.info_plane_curve:
         im.save_info_plane_csv(
             report.info_plane_curve, os.path.join(args.out, "info_plane.csv")

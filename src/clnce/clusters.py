@@ -22,11 +22,13 @@ from .errors import (
     ParameterError,
     SizeError,
 )
+from .info import entropy
 
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Per-sample cluster ids plus a provenance tag describing their origin."""
+    """Per-sample cluster ids plus a provenance tag describing their origin;
+    every id in ``[0, num_clusters)`` holds a row."""
 
     assignment: np.ndarray
     num_clusters: int
@@ -40,11 +42,11 @@ class ClusterAssignment:
             raise ParameterError("assignment must be a vector")
         if a.size and (a.min() < 0 or a.max() >= self.num_clusters):
             raise ParameterError("cluster id outside [0, num_clusters)")
-        if self.num_clusters > a.size:
-            raise ParameterError("num_clusters exceeds num_samples")
-        if self.provenance == "instance_id":
-            if self.num_clusters != a.size or len(set(a.tolist())) != a.size:
-                raise ParameterError("instance_id assignment must be a bijection")
+        empty = np.flatnonzero(np.bincount(a, minlength=self.num_clusters) == 0)
+        if empty.size:
+            raise ParameterError(f"{self.provenance}: cluster {empty[0]} has no rows")
+        if self.provenance == "instance_id" and self.num_clusters != a.size:
+            raise ParameterError("instance_id assignment must be a bijection")
 
     @property
     def num_samples(self) -> int:
@@ -87,9 +89,7 @@ def attribute_entropy(column: np.ndarray) -> float:
     if not np.isin(col, (0, 1)).all():
         raise ParameterError("attribute entries must be 0 or 1")
     p = float(col.mean())
-    if p in (0.0, 1.0):
-        return 0.0
-    return float(-p * np.log(p) - (1 - p) * np.log(1 - p))
+    return entropy(np.array([p, 1 - p]))
 
 
 def clusters_from_attributes(attributes: np.ndarray, k: int) -> ClusterAssignment:
@@ -126,16 +126,15 @@ def _longest_paths(g: HierarchyGraph) -> tuple[dict[str, int], dict[str, str]]:
         raise GraphError(f"expected one root, found {frontier}")
     waiting = {n: len(ps) for n, ps in parents.items()}
     depth, kept = {}, {}
-    while frontier:  # a node is taken once all its parents have been
-        n = frontier.pop(0)
+    while frontier:  # in any order: a node is taken once all its parents have been
+        n = frontier.pop()
         if parents[n]:
             kept[n] = min(parents[n], key=lambda p: (-depth[p], p))
         depth[n] = depth[kept[n]] + 1 if parents[n] else 1
-        for c in sorted(children[n]):
+        for c in children[n]:
             waiting[c] -= 1
             if waiting[c] == 0:
                 frontier.append(c)
-        frontier.sort()
     if len(depth) != len(g.nodes):
         raise GraphError("hierarchy contains a cycle")
     return depth, kept
@@ -311,8 +310,8 @@ def kmeans(
     """Lloyd iterations from a seeded k-means++ start.
 
     Empty clusters are repaired by reseeding their centroid at the point
-    farthest from its currently assigned centroid. Nearest-centroid ties go
-    to the lowest centroid index.
+    farthest from its currently assigned centroid, which takes K distinct
+    rows. Nearest-centroid ties go to the lowest centroid index.
 
     Results are exact, not approximate: assignments, centroids and the
     inertia history are bit-identical to Lloyd's step on the full (n, K, D)
@@ -420,8 +419,6 @@ def coarsen_clusters(labels: np.ndarray, merge_groups) -> ClusterAssignment:
     classes = set(np.unique(labs).tolist())
     group_of: dict[int, int] = {}
     for gi, group in enumerate(merge_groups):
-        if len(group) == 0:
-            raise ParameterError(f"merge group {gi} is empty")
         for c in group:
             if c in group_of:
                 raise ParameterError(f"class {c} appears in two merge groups")

@@ -46,6 +46,9 @@ class HierarchyGraph:
     def __post_init__(self):
         node_set = {n for e in self.edges for n in e}
         object.__setattr__(self, "nodes", tuple(sorted(node_set)))
+        for n in self.nodes:  # a tab, "\n" or "\r" would end a field or line of its file
+            if any(ch in n for ch in "\t\n\r"):
+                raise GraphError(f"node name {n!r} holds a tab or a line break")
         children = {p for p, _ in self.edges}
         leaves = node_set - children
         seen_labels: dict[int, str] = {}

@@ -26,8 +26,6 @@ def sample_pair_batch(
     if n < 2:
         raise ParameterError("batch size must be >= 2 (need at least one negative)")
     sizes, members, starts = clusters.member_layout
-    if (sizes == 0).any():
-        raise ParameterError("every cluster must be non-empty")
     z = clusters.assignment[rng.integers(clusters.num_samples, size=n)]  # size-weighted
     # one bounded draw per position in the order x0, y0, x1, y1, ...
     pos = rng.integers(0, np.repeat(sizes[z], 2))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import clnce
+from clnce import objective
 from clnce.cli import main
 from clnce.data import Dataset, save_dataset, save_hierarchy
 from clnce.datagen import make_mixture_dataset
@@ -186,6 +187,36 @@ class TestBadInput:
         assert proc.stderr.splitlines() == [
             "error [NumericError]: squared distances overflow in k-means++ seeding"
         ]
+
+    @pytest.mark.parametrize("command", ["make-clusters", "train"])
+    def test_kmeans_on_fewer_distinct_rows_than_k(self, workspace, capsys, monkeypatch,
+                                                  command):
+        # two distinct rows cannot fill three clusters: the clustering is
+        # refused where it is built, before any --out or training step
+        tmp_path, _, _, cfg_path = workspace
+        data_path = str(tmp_path / "two_rows.csv")
+        features = np.repeat([[0.0, 1.0], [2.0, 3.0]], 3, axis=0)
+        save_dataset(Dataset(features=features, labels=np.arange(6) % 2), data_path)
+        spec = {"source": "kmeans", "K": 3}
+        out = str(tmp_path / "out")
+        if command == "make-clusters":
+            argv = ["make-clusters", "--data", data_path,
+                    "--spec", write_spec(tmp_path, spec), "--out", out]
+        else:
+            with open(cfg_path) as fh:
+                cfg = json.load(fh)
+            cfg.update(data=data_path, hierarchy=None)
+            cfg["train"].update(cluster_source=spec, batch_size=2)
+            with open(cfg_path, "w") as fh:
+                json.dump(cfg, fh)
+            argv = ["train", "--config", cfg_path, "--out", out]
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(objective, "sample_pair_batch", no_step)
+        err = self.run_bad(argv, capsys, "ParameterError")
+        assert re.search(r"kmeans\(3\): cluster \d has no rows", err)
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("values, message", [
         pytest.param(*case, id=json.dumps(case[0])) for case in [
@@ -729,7 +760,7 @@ class TestBadInput:
                                      "merge_groups": [[0, 1, 2], []]})
         err = self.run_bad(["make-clusters", "--data", data_path, "--spec", spec, "--out", out],
                            capsys, "ParameterError")
-        assert "merge group 1 is empty" in err
+        assert "synthetic(coarsen,2): cluster 1 has no rows" in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("spec, key", [

@@ -94,6 +94,24 @@ class TestAttributeClusters:
         assert ca.assignment.tolist() == want
         assert ca.num_clusters == 3
 
+    def test_equal_entropy_keeps_the_lower_column_first(self):
+        # columns 1, 2 and 3 tie at H(1/4) = H(3/4), above column 0's 0;
+        # k = 2 keeps columns 1 and 2, whose patterns split rows 0-2 apart
+        attrs = np.array([
+            [0, 1, 1, 0],
+            [0, 1, 0, 1],
+            [0, 0, 1, 1],
+            [0, 0, 0, 1],
+            [0, 0, 0, 1],
+            [0, 0, 0, 1],
+            [0, 0, 0, 1],
+            [0, 0, 0, 0],
+        ])
+        entropies = [attribute_entropy(attrs[:, j]) for j in range(4)]
+        assert entropies[1] == entropies[2] == entropies[3] > entropies[0]
+        ca = clusters_from_attributes(attrs, 2)
+        assert ca.assignment.tolist() == [0, 1, 2, 3, 3, 3, 3, 3]
+
     def test_k_bounds(self):
         attrs = np.array([[0, 1], [1, 0]])
         with pytest.raises(ParameterError):
@@ -217,6 +235,19 @@ class TestKMeans:
         np.testing.assert_allclose(res.centroids[0], pts.mean(axis=0), atol=1e-12)
         assert res.assignment.assignment.tolist() == [0] * 12
 
+    def test_stops_only_when_the_gain_is_below_tol(self):
+        # K = 1 converges at iteration 2, after which each iteration gains
+        # exactly 0: at tol 0 that is not below tol, so every iteration runs
+        pts = np.random.default_rng(0).normal(size=(12, 3))
+        res = kmeans(pts, 1, max_iters=5, tol=0.0, seed=0)
+        first, converged = res.inertia_history[:2]
+        assert first > converged
+        assert res.iterations_run == 5
+        assert res.inertia_history == (first,) + (converged,) * 4
+        res = kmeans(pts, 1, max_iters=5, tol=1e-8, seed=0)
+        assert res.iterations_run == 3
+        assert res.inertia_history == (first, converged, converged)
+
     def test_duplicated_locations_zero_inertia(self):
         locs = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         pts = np.repeat(locs, 5, axis=0)
@@ -277,6 +308,12 @@ class TestKMeans:
         with pytest.raises(NumericError):
             kmeans(np.array([[np.nan, 0.0]]), 1, seed=0)
 
+    def test_fewer_distinct_rows_than_k_is_refused(self):
+        # the repairs cannot fill a third cluster from two distinct rows
+        pts = np.repeat([[0.0], [1.0]], 3, axis=0)
+        with pytest.raises(ParameterError, match=r"kmeans\(3\): cluster \d has no rows"):
+            kmeans(pts, 3, seed=0)
+
     def test_memory_stays_below_one_copy_of_the_points(self):
         # beyond its input, kmeans holds O(nK) floats, one block of rows and
         # one cluster's rows at a time: never an (n, D) temporary
@@ -309,17 +346,33 @@ def lloyd_inputs(draw):
     return pts, K, draw(st.integers(0, 1000))
 
 
+def outcome(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the message of the ParameterError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ParameterError as exc:
+        return str(exc)
+
+
+def assert_kmeans_matches_oracle(pts, K, **kwargs):
+    """kmeans and the broadcast oracle give the same result bit for bit, or
+    both refuse with the same ParameterError."""
+    got, want = (outcome(fn, pts, K, **kwargs) for fn in (kmeans, kmeans_reference))
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    np.testing.assert_array_equal(got.assignment.assignment, want.assignment.assignment)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.inertia_history == want.inertia_history
+    assert got.iterations_run == want.iterations_run
+
+
 class TestKMeansProperties:
     @settings(max_examples=150)
     @given(lloyd_inputs(), st.sampled_from([1, 3, 30]))
     def test_bit_identical_to_broadcast_oracle(self, inputs, max_iters):
         pts, K, seed = inputs
-        got = kmeans(pts, K, max_iters=max_iters, seed=seed)
-        want = kmeans_reference(pts, K, max_iters=max_iters, seed=seed)
-        np.testing.assert_array_equal(got.assignment.assignment, want.assignment.assignment)
-        assert got.centroids.tobytes() == want.centroids.tobytes()
-        assert got.inertia_history == want.inertia_history
-        assert got.iterations_run == want.iterations_run
+        assert_kmeans_matches_oracle(pts, K, max_iters=max_iters, seed=seed)
 
     @settings(max_examples=150)
     @given(lloyd_inputs(), st.data())
@@ -352,12 +405,7 @@ class TestKMeansProperties:
         # squares near the subnormal range round with an absolute error
         # that no relative bound covers
         pts, K, seed = inputs
-        pts = pts * scale
-        got = kmeans(pts, K, max_iters=3, seed=seed)
-        want = kmeans_reference(pts, K, max_iters=3, seed=seed)
-        np.testing.assert_array_equal(got.assignment.assignment, want.assignment.assignment)
-        assert got.centroids.tobytes() == want.centroids.tobytes()
-        assert got.inertia_history == want.inertia_history
+        assert_kmeans_matches_oracle(pts * scale, K, max_iters=3, seed=seed)
 
     @settings(max_examples=150)
     @given(lloyd_inputs(), st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -377,7 +425,11 @@ class TestKMeansProperties:
     @given(lloyd_inputs())
     def test_inertia_never_increases(self, inputs):
         pts, K, seed = inputs
-        hist = kmeans(pts, K, max_iters=30, tol=-1.0, seed=seed).inertia_history
+        result = outcome(kmeans, pts, K, max_iters=30, tol=-1.0, seed=seed)
+        if isinstance(result, str):  # an empty cluster is refused only when it cannot be filled
+            assert np.unique(pts, axis=0).shape[0] < K, result
+            return
+        hist = result.inertia_history
         n, dim = pts.shape
         eps = np.finfo(np.float64).eps
         # a step can only gain what rounding of the centroid means and of the
@@ -407,13 +459,19 @@ class TestLabelAndInstanceClusters:
     @pytest.mark.parametrize("assignment, num_clusters, provenance, message", [
         ([[0, 1]], 2, "labels", "assignment must be a vector"),
         ([0, 2], 2, "labels", r"cluster id outside \[0, num_clusters\)"),
-        ([0, 1], 3, "labels", "num_clusters exceeds num_samples"),
-        ([0, 0], 2, "instance_id", "instance_id assignment must be a bijection"),
+        ([0, 1], 3, "labels", "labels: cluster 2 has no rows"),
+        ([0, 0], 2, "instance_id", "instance_id: cluster 1 has no rows"),
     ], ids=["not_a_vector", "id_out_of_range", "more_clusters_than_samples",
             "instance_id_not_a_bijection"])
     def test_invalid_assignment(self, assignment, num_clusters, provenance, message):
         with pytest.raises(ParameterError, match=message):
             ClusterAssignment(np.array(assignment), num_clusters, provenance)
+
+    def test_instance_id_has_one_cluster_per_row(self):
+        # no cluster of [0, 1, 1] is empty, but two clusters over three rows
+        # cannot pair each row with only itself
+        with pytest.raises(ParameterError, match="instance_id assignment must be a bijection"):
+            ClusterAssignment(np.array([0, 1, 1]), 2, "instance_id")
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -476,7 +534,8 @@ class TestSynthesize:
             coarsen_clusters(self.labels, [[0, 1]])
 
     def test_coarsen_empty_group(self):
-        with pytest.raises(ParameterError, match="merge group 1 is empty"):
+        with pytest.raises(ParameterError,
+                           match=r"synthetic\(coarsen,2\): cluster 1 has no rows"):
             coarsen_clusters(self.labels, [[0, 1, 2, 3, 4], []])
 
     def test_permute_keeps_fixed_classes(self):

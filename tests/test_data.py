@@ -29,6 +29,7 @@ from clnce.errors import (
     ClnceError,
     DimensionError,
     DomainError,
+    GraphError,
     SchemaError,
     SizeError,
 )
@@ -152,6 +153,26 @@ class TestHierarchyFile:
         g2 = load_hierarchy(path)
         assert set(g2.edges) == set(g.edges)
         assert g2.leaf_label_map == g.leaf_label_map
+
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"])
+    def test_name_that_cannot_round_trip_is_refused(self, name):
+        with pytest.raises(GraphError, match="holds a tab or a line break"):
+            HierarchyGraph(edges=(("root", name),), leaf_label_map={name: 0})
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_any_graph_round_trips(self, tmp_path_factory, data):
+        # a tree over unique names: node i > 0 hangs under one of nodes 0..i-1
+        names = data.draw(st.lists(st.text(st.characters(
+            blacklist_characters="\t\n\r", blacklist_categories=("Cs",))),
+            min_size=2, max_size=8, unique=True), label="names")
+        edges = tuple((names[data.draw(st.integers(0, i - 1))], names[i])
+                      for i in range(1, len(names)))
+        leaves = sorted(set(names) - {p for p, _ in edges})
+        g = HierarchyGraph(edges=edges, leaf_label_map={n: i for i, n in enumerate(leaves)})
+        path = str(tmp_path_factory.mktemp("h") / "h.tsv")
+        save_hierarchy(g, path)
+        assert load_hierarchy(path) == g
 
     def test_leaf_labelled_twice(self, tmp_path):
         path = write(tmp_path, "h.tsv", "root\tleafA\n#labels\nleafA\t0\nleafA\t2\n")

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from clnce.errors import DistributionError, ParameterError, SizeError
 from clnce.info import (
+    _ATOL,
+    BoundChainReport,
     DiscreteJointModel,
     InfoPlanePoint,
     conditional_entropy,
@@ -232,6 +234,22 @@ class TestBoundChain:
             m = DiscreteJointModel.random(nz, nx, ny, seed=int(rng.integers(2**31)))
             r = verify_bound_chain(m, n=3)
             assert r.all_inequalities_hold, (nz, nx, ny, r)
+
+    # (objective, KL, MI(Z;X), MI(Z;Y), H(Z)) that break one comparison each
+    @pytest.mark.parametrize("values", [
+        (0.5 + 2 * _ATOL, 0.5, 0.6, 0.7, 1.0),
+        (0.1, 0.5, 0.3, 0.7, 1.0),
+        (0.1, 0.2, 0.9, 0.8, 0.7),
+    ], ids=["objective_above_kl", "kl_between_the_two_mi", "min_mi_above_h_z"])
+    def test_flag_is_false_when_a_comparison_fails(self, values):
+        assert not BoundChainReport(*values).all_inequalities_hold
+
+    def test_flag_holds_within_atol_of_each_bound(self):
+        h_z = 1.0
+        min_mi = h_z + 0.5 * _ATOL
+        kl = min_mi + 0.5 * _ATOL
+        r = BoundChainReport(kl + 0.5 * _ATOL, kl, 2.0, min_mi, h_z)
+        assert r.all_inequalities_hold
 
     @settings(max_examples=15)
     @given(sparse_models())

@@ -4,13 +4,16 @@ import ast
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import types
 
 import clnce
 from clnce import pipeline
 from clnce.cli import build_parser
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 PACKAGE = pathlib.Path(clnce.__file__).resolve().parent
 
 
@@ -146,3 +149,25 @@ def test_dataclasses_set_only_their_fields():
                         assigned += loops.get(getattr(name, "id", None), [ast.unparse(name)])
             undeclared += [f"{path.name}:{cls.name}.{a}" for a in assigned if a not in fields]
     assert undeclared == []
+
+
+def test_a_falsified_property_fails_only_its_own_test(tmp_path):
+    """Under the suite's warning filters, a falsified ``@given`` test is one
+    failure: hypothesis's failure report must not raise a warning that
+    aborts the whole run."""
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_falsified.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

@@ -252,6 +252,14 @@ class TestTrainPredetermined:
         # the caller holds the path, so the report does not repeat it
         assert "checkpoint_path" not in json.loads(report.to_json())
 
+    def test_warmup_longer_than_the_run_is_clamped(self, tmp_path):
+        # 120 rows in batches of 16 for 2 epochs: 14 steps, so a warmup of
+        # 10**6 steps ramps exactly as one of 14 does
+        paths = [tmp_path / f"warmup{w}.bin" for w in (14, 10**6)]
+        for path, warmup in zip(paths, (14, 10**6)):
+            train(small_dataset(), small_config(warmup_steps=warmup), checkpoint_path=str(path))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_loss_divergence(self):
         # scores of up to 1e308 (cosines over the temperature) overflow the loss
         with np.errstate(over="ignore"), pytest.raises(NumericError,
