@@ -28,13 +28,17 @@ from .info import entropy
 @dataclass(frozen=True)
 class ClusterAssignment:
     """Per-sample cluster ids plus a provenance tag describing their origin;
-    every id in ``[0, num_clusters)`` holds a row."""
+    ``num_clusters`` is a non-negative int (not a bool), and every id in
+    ``[0, num_clusters)`` holds a row."""
 
     assignment: np.ndarray
     num_clusters: int
     provenance: str
 
     def __post_init__(self):
+        k = self.num_clusters
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+            raise ParameterError(f"num_clusters {k!r} is not a non-negative int")
         a = np.asarray(self.assignment, dtype=np.int64)
         a.flags.writeable = False
         object.__setattr__(self, "assignment", a)

@@ -352,7 +352,7 @@ def _parse_dataset(raw: bytes, path: str) -> Dataset:
             raise _first_bad_row(raw, path, dim, num_attrs, has_label) or problem
     except UnicodeDecodeError:  # it counts from its decode chunk; _utf8 gives the file offset
         _utf8(raw, path)
-        raise
+        raise  # not reached: bytes that fail a chunked decode fail the whole one
     finally:
         csv.field_size_limit(limit)
     return Dataset(
@@ -427,6 +427,8 @@ def load_hierarchy(path: str) -> HierarchyGraph:
 
 
 def save_hierarchy(g: HierarchyGraph, path: str) -> None:
+    """Edges, then ``#labels`` and leaf labels, as TSV; a missing parent directory is made."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for p, c in g.edges:
             fh.write(f"{p}\t{c}\n")

@@ -62,9 +62,8 @@ class ForwardCache:
     """Intermediates needed for the exact backward pass."""
 
     inputs: list[np.ndarray]        # input to each layer, encoder then proj
-    pre_acts: list[np.ndarray]      # affine outputs before ReLU/normalize
     output: np.ndarray              # the unit-norm projection forward returns
-    norms: np.ndarray               # per-row L2 norms of pre_acts[-1]; 0 flags a zero row
+    norms: np.ndarray               # row L2 norms of the last affine output; 0 flags a zero row
     params: np.ndarray              # model.params and model.version at forward
     version: int                    # time: backward refuses any other model or step
 
@@ -113,21 +112,20 @@ def forward(model: EncoderModel, x: np.ndarray):
     norm of 0 in the cache.
     """
     h = _as_input(model, x)
-    inputs, pre_acts = [], []
+    inputs = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
         for w, b in model.encoder_layers + model.projection_layers:
-            if pre_acts:
-                h = np.maximum(h, 0.0)
+            if inputs:  # ReLU in place: the affine output is needed only as this input
+                np.maximum(h, 0.0, out=h)
             inputs.append(h)
             h = h @ w
             h += b
-            pre_acts.append(h)
         norms = np.linalg.norm(h, axis=1)
         degenerate = norms == 0.0
         output = h / np.where(degenerate, 1.0, norms)[:, None]
     if not np.isfinite(output).all():
         raise NumericError("non-finite projection output")
-    cache = ForwardCache(inputs, pre_acts, output, norms, model.params, model.version)
+    cache = ForwardCache(inputs, output, norms, model.params, model.version)
     return inputs[len(model.encoder_layers)], output, cache
 
 
@@ -151,9 +149,9 @@ def backward(model: EncoderModel, cache: ForwardCache, grad_wrt_projection: np.n
     for li in range(len(layers) - 1, -1, -1):
         np.matmul(cache.inputs[li].T, g, out=grads[li][0])
         np.sum(g, axis=0, out=grads[li][1])
-        if li:  # the input of layer li is the ReLU of pre_acts[li - 1]
+        if li:  # inputs[li] = relu(z) is > 0 exactly where z is
             g = g @ layers[li][0].T
-            g *= cache.pre_acts[li - 1] > 0
+            g *= cache.inputs[li] > 0
     return grad
 
 

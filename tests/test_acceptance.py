@@ -28,7 +28,7 @@ from clnce.info import (
 from clnce.objective import cl_infonce, critic_backward, critic_matrix, sample_pair_batch
 from clnce.pipeline import TrainConfig, linear_evaluate, run_info_plane_experiment, train
 
-from oracles import infonce_loss_reference
+from oracles import forward_reference, infonce_loss_reference
 
 
 def report(num, name, ok, detail):
@@ -59,8 +59,8 @@ def test_criterion_1_gradient_correctness():
             _, _, cx = forward(model, x)
             _, _, cy = forward(model, y)
             margin = min(
-                min(np.abs(z).min() for z in cx.pre_acts),
-                min(np.abs(z).min() for z in cy.pre_acts),
+                min(np.abs(z).min() for z in forward_reference(model, x)[2]["pre_acts"]),
+                min(np.abs(z).min() for z in forward_reference(model, y)[2]["pre_acts"]),
             )
             if margin > 1e-3 and min(cx.norms.min(), cy.norms.min()) > 1e-2:
                 break

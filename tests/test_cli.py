@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import re
+import runpy
 import subprocess
 import sys
 
@@ -78,6 +79,25 @@ class TestTrain:
             b1 = pathlib.Path(out1, name).read_bytes()
             b2 = pathlib.Path(out2, name).read_bytes()
             assert b1 == b2, name
+
+    @pytest.mark.parametrize("source", [{"source": "labels"}, {"source": "kmeans", "K": 10}],
+                             ids=["labels", "kmeans"])
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path, source):
+        # the default widths, so that BLAS has work to split over two threads
+        assert main(["make-data", "--preset", "mixture", "--out", str(tmp_path)]) == 0
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"data": str(tmp_path / "mixture.csv"), "train": {
+            "epochs": 2, "eval_epochs": 20, "cluster_source": source}}))
+        src = str(pathlib.Path(clnce.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "clnce.cli", "train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / threads)], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+        for name in ("checkpoint.bin", "report.json", "loss.csv", "info_plane.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_seed_override_changes_run(self, workspace):
         tmp_path, _, _, cfg_path = workspace
@@ -938,6 +958,16 @@ class TestMakeClusters:
 
 
 class TestMakeData:
+    def test_runs_as_a_module(self, tmp_path, monkeypatch, capsys):
+        # `python -m clnce.cli`, in this process: a fresh run of the module's code
+        monkeypatch.setattr(sys, "argv", ["clnce", "make-data", "--preset", "blobs",
+                                          "--out", str(tmp_path)])
+        monkeypatch.delitem(sys.modules, "clnce.cli")
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("clnce.cli", run_name="__main__")
+        assert exit_.value.code == 0
+        assert "wrote 400 samples" in capsys.readouterr().out
+
     def test_blobs_round_trip(self, tmp_path, capsys):
         out = str(tmp_path / "gen")
         rc = main(["make-data", "--preset", "blobs", "--seed", "1", "--out", out])

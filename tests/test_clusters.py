@@ -467,6 +467,13 @@ class TestLabelAndInstanceClusters:
         with pytest.raises(ParameterError, match=message):
             ClusterAssignment(np.array(assignment), num_clusters, provenance)
 
+    @pytest.mark.parametrize("assignment, num_clusters", [([], -1), ([0, 1], 2.0), ([0], True)],
+                             ids=["negative", "float", "bool"])
+    def test_cluster_count_is_a_non_negative_int(self, assignment, num_clusters):
+        # refused before np.bincount sees it, which would raise ValueError or TypeError
+        with pytest.raises(ParameterError, match="is not a non-negative int"):
+            ClusterAssignment(np.array(assignment, dtype=np.int64), num_clusters, "x")
+
     def test_instance_id_has_one_cluster_per_row(self):
         # no cluster of [0, 1, 1] is empty, but two clusters over three rows
         # cannot pair each row with only itself
@@ -488,8 +495,12 @@ class TestLabelAndInstanceClusters:
      DataError, "dataset has no labels"),
     (lambda: permute_clusters(np.array([0, 1, 0]), clusters_from_labels(np.array([0, 1])), [], 0),
      ParameterError, "base assignment length mismatch"),
+    (lambda: kmeans(np.eye(3), 2, max_iters=0), ParameterError, "max_iters must be >= 1"),
+    (lambda: refine_clusters(np.array([0, 1]), 0, seed=0),
+     ParameterError, "splits_per_class must be >= 1"),
 ], ids=["labels_empty", "labels_negative", "instance_id_zero", "entropy_not_binary",
-        "attributes_1d", "hierarchy_unlabeled", "permute_length_mismatch"])
+        "attributes_1d", "hierarchy_unlabeled", "permute_length_mismatch",
+        "kmeans_no_iterations", "refine_no_splits"])
 def test_rejected_input(build, error, message):
     with pytest.raises(error, match=message):
         build()

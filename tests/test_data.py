@@ -1,9 +1,13 @@
 import csv
 import hashlib
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
+import zipfile
 from unittest import mock
 
 import numpy as np
@@ -30,6 +34,7 @@ from clnce.errors import (
     DimensionError,
     DomainError,
     GraphError,
+    ParameterError,
     SchemaError,
     SizeError,
 )
@@ -154,6 +159,17 @@ class TestHierarchyFile:
         assert set(g2.edges) == set(g.edges)
         assert g2.leaf_label_map == g.leaf_label_map
 
+    def test_save_makes_the_parent_directory(self, tmp_path):
+        g = HierarchyGraph(edges=(("root", "l0"),), leaf_label_map={"l0": 0})
+        path = str(tmp_path / "new" / "h.tsv")
+        save_hierarchy(g, path)
+        assert load_hierarchy(path) == g
+
+    def test_no_edges(self, tmp_path):
+        path = write(tmp_path, "h.tsv", "#labels\nl0\t0\n")
+        with pytest.raises(SchemaError, match=r"h\.tsv: no edges"):
+            load_hierarchy(path)
+
     @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"])
     def test_name_that_cannot_round_trip_is_refused(self, name):
         with pytest.raises(GraphError, match="holds a tab or a line break"):
@@ -213,6 +229,11 @@ class TestSplit:
         # a fraction whose floor leaves no train row is refused by the split
         with pytest.raises(SizeError, match="train_fraction 0.1 of 3 rows leaves no train row"):
             split_dataset(Dataset(features=np.zeros((3, 1))), 0.1, seed=0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, float("nan")])
+    def test_fraction_outside_the_open_unit_interval(self, fraction):
+        with pytest.raises(ParameterError, match=r"train_fraction must lie in \(0, 1\)"):
+            split_dataset(Dataset(features=np.zeros((4, 1))), fraction, seed=0)
 
 
 class TestAugment:
@@ -608,6 +629,28 @@ class TestLoadCache:
             for _ in range(2):
                 assert_same_dataset(load_dataset(path), load_dataset_reference(path))
         assert (tmp_path / CACHE_DIR).read_text() == "not a directory"
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        path = write(tmp_path, "d.csv", "id,f0\nr0,1.0\n")
+        with mock.patch.object(os, "replace", side_effect=OSError("replace failed")):
+            assert load_dataset(path).features.tolist() == [[1.0]]
+        assert self.entries(tmp_path) == []
+
+    def test_no_cache_when_the_loader_source_cannot_be_read(self, tmp_path):
+        # imported from a zip, data.py has no file to hash, so no entry has a
+        # key: the child parses and writes no cache
+        archive = tmp_path / "clnce.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for source in pathlib.Path(data.__file__).parent.glob("*.py"):
+                zf.write(source, f"clnce/{source.name}")
+        path = write(tmp_path, "d.csv", "id,f0\nr0,1.0\n")
+        child = ("import sys; sys.path.insert(0, sys.argv[1]); from clnce import data; "
+                 "assert data.__file__.startswith(sys.argv[1]) and data._CACHE_FORMAT is None; "
+                 "print(data.load_dataset(sys.argv[2]).features.tolist())")
+        proc = subprocess.run([sys.executable, "-c", child, str(archive), path],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[[1.0]]\n")
+        assert not (tmp_path / CACHE_DIR).exists()
 
     def test_failed_parse_leaves_no_entry(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,f0,label\nr0,1.0,0\nr1,2.0,-1\n")

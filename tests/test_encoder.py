@@ -74,6 +74,14 @@ class TestForward:
             proj_out, x / np.linalg.norm(x, axis=1, keepdims=True), atol=1e-15
         )
 
+    def test_input_left_unchanged(self):
+        # each ReLU runs in place on a fresh affine output, never on x
+        model = init_model([3, 4, 5], [5, 2], seed=0)
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        before = x.copy()
+        forward(model, x)
+        assert (x == before).all()
+
     def test_matches_straight_line_oracle(self):
         model = init_model([5, 8, 6], [6, 4, 3], seed=3)
         x = np.random.default_rng(1).normal(size=(7, 5))
@@ -140,9 +148,9 @@ class TestTwoLoopOracle:
         ref_enc, ref_proj, ref = forward_reference(model, x)
         assert_same_bits(enc_out, ref_enc)
         assert_same_bits(proj_out, ref_proj)
-        assert len(cache.pre_acts) == len(ref["pre_acts"])
-        for z, ref_z in zip(cache.pre_acts, ref["pre_acts"]):
-            assert_same_bits(z, ref_z)
+        assert len(cache.inputs) == len(ref["inputs"])
+        for h, ref_h in zip(cache.inputs, ref["inputs"]):
+            assert_same_bits(h, ref_h)
         assert_same_bits(cache.norms, ref["norms"])
         assert_same_bits(cache.norms == 0, ref["degenerate"])
         if not biased:  # zero rows through zero biases stay zero
@@ -254,7 +262,7 @@ class TestBackward:
             model = init_model([4, 6, 5], [5, 3], seed=1000 * seed + attempt)
             x = rng.normal(size=(6, 4))
             _, _, probe = forward(model, x)
-            margins = min(np.abs(z).min() for z in probe.pre_acts)
+            margins = min(np.abs(z).min() for z in forward_reference(model, x)[2]["pre_acts"])
             if margins > 1e-3 and probe.norms.min() > 1e-2:
                 break
         # random linear loss over projections keeps the check exact

@@ -104,6 +104,12 @@ class TestCritic:
         with pytest.raises(ParameterError, match="temperature must be > 0"):
             critic_matrix(v, v, temperature)
 
+    def test_scores_that_overflow(self):
+        # a cosine of 1 over a subnormal temperature is past the largest float
+        v = unit_rows(3, 4, 0)
+        with pytest.raises(NumericError, match="non-finite scores"):
+            critic_matrix(v, v, 5e-309)
+
 
 def naive_loss(scores):
     """Unstabilized straight evaluation used as an oracle."""
