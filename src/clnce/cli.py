@@ -134,11 +134,8 @@ def _cmd_make_clusters(args) -> int:
     return 0
 
 
-_PRESETS = {"mixture": datagen.make_mixture_dataset, "blobs": datagen.make_blob_dataset}
-
-
 def _cmd_make_data(args) -> int:
-    d = _PRESETS[args.preset](seed=args.seed)
+    d = datagen.make_mixture_dataset(**datagen.PRESETS[args.preset], seed=args.seed)
     data_path = os.path.join(args.out, f"{args.preset}.csv")  # its writer makes --out
     save_dataset(d, data_path)
     if d.hierarchy is not None:
@@ -188,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_make_clusters)
 
     p = sub.add_parser("make-data", help="generate a synthetic dataset CSV")
-    p.add_argument("--preset", choices=_PRESETS, default="mixture")
+    p.add_argument("--preset", choices=datagen.PRESETS, default="mixture")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_data)

@@ -458,14 +458,11 @@ def augment_rows(
     features: np.ndarray, noise_sigma: float, mask_prob: float, rng: np.random.Generator
 ) -> np.ndarray:
     """One stochastic view: additive Gaussian noise, then coordinate masking.
+    Each view is a new array; ``features`` is never written.
     TrainConfig bounds ``noise_sigma`` (>= 0) and ``mask_prob`` (in [0, 1])."""
-    out = np.asarray(features, dtype=np.float64)
+    out = np.array(features, dtype=np.float64)
     if noise_sigma > 0:
-        noise = rng.normal(0.0, noise_sigma, size=out.shape)
-        noise += out  # the bits of out + noise, without a second (B, D) array
-        out = noise
-    else:
-        out = out.copy()
+        out += rng.normal(0.0, noise_sigma, size=out.shape)
     if mask_prob > 0:
         out[rng.random(out.shape) < mask_prob] = 0.0
     return out

@@ -13,6 +13,14 @@ import numpy as np
 from .data import Dataset, HierarchyGraph
 from .errors import ParameterError
 
+# make-data presets: keyword arguments for make_mixture_dataset. `blobs` is a
+# small noise-padded dataset for the k-means pathway.
+PRESETS = {
+    "mixture": {},
+    "blobs": dict(num_classes=4, dim=8, noise_dims=24, noise_std=3.0, num_samples=400,
+                  class_sep=2.5, within_std=1.0, num_attributes=4),
+}
+
 
 def make_mixture_dataset(
     num_classes: int = 10,
@@ -71,26 +79,3 @@ def make_balanced_hierarchy(num_classes: int) -> HierarchyGraph:
         leaf_label_map[leaf] = c
     return HierarchyGraph(edges=tuple(edges), leaf_label_map=leaf_label_map)
 
-
-def make_blob_dataset(
-    num_blobs: int = 4,
-    dim: int = 8,
-    noise_dims: int = 24,
-    noise_std: float = 3.0,
-    num_samples: int = 400,
-    class_sep: float = 2.5,
-    within_std: float = 1.0,
-    seed: int = 0,
-) -> Dataset:
-    """Small blob dataset with noise padding for the k-means pathway."""
-    return make_mixture_dataset(
-        num_classes=num_blobs,
-        dim=dim,
-        num_samples=num_samples,
-        num_attributes=4,
-        noise_dims=noise_dims,
-        noise_std=noise_std,
-        class_sep=class_sep,
-        within_std=within_std,
-        seed=seed,
-    )

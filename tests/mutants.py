@@ -84,7 +84,9 @@ DEFECTS = {
         "data", "math.floor(train_fraction * d.num_samples)", "math.ceil(train_fraction * d.num_samples)"),
     "split_fraction_bounds_closed": (
         "data", "if not 0.0 < train_fraction < 1.0:", "if not 0.0 <= train_fraction <= 1.0:"),
-    "augment_masks_the_caller_rows": ("data", "        out = out.copy()\n", "        pass\n"),
+    "augment_masks_the_caller_rows": (
+        "data", "out = np.array(features, dtype=np.float64)",
+        "out = np.asarray(features, dtype=np.float64)"),
     "hierarchy_without_edges_accepted": ("data", "if not edges:", "if edges is None:"),
     "cache_key_ignores_the_bytes": (
         "data", 'key = f"{_CACHE_FORMAT}, sha256 {hashlib.sha256(raw).hexdigest()}"',

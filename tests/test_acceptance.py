@@ -13,7 +13,7 @@ from scipy.stats import spearmanr
 from clnce.cli import main as cli_main
 from clnce.clusters import clusters_instance_id
 from clnce.data import save_dataset, split_dataset
-from clnce.datagen import make_blob_dataset, make_mixture_dataset
+from clnce.datagen import make_mixture_dataset
 from clnce.encoder import backward, forward, init_model
 from clnce.info import (
     DiscreteJointModel,
@@ -212,7 +212,8 @@ def test_criterion_7_kmeans_loop_end_to_end():
     gaps = []
     monotone = True
     for seed in (0, 1, 2):
-        d = make_blob_dataset(
+        d = make_mixture_dataset(
+            num_classes=4, dim=8, num_attributes=4,
             num_samples=800, class_sep=3.0, noise_std=2.5, noise_dims=24, seed=seed
         )
         train_data, eval_data = split_dataset(d, 0.7, seed=seed)

@@ -248,6 +248,19 @@ class TestKMeans:
         assert res.iterations_run == 3
         assert res.inertia_history == (first, converged, converged)
 
+    def test_empty_cluster_reseeded_at_the_farthest_row(self):
+        # 17 rows near the origin and 3 far out: a Lloyd step empties one
+        # cluster, whose centroid must move to the row farthest from its own
+        rng = np.random.default_rng(29422)
+        rng.integers(8, 40), rng.integers(3, 6)
+        pts = np.vstack([rng.normal(size=(17, 2)) * 0.1, rng.normal(size=(3, 2)) * 5])
+        got = kmeans(pts, 3, max_iters=20, seed=29422)
+        want = kmeans_reference(pts, 3, max_iters=20, seed=29422)
+        assert got.inertia_history[-1] == 31.185639020873253
+        assert got.inertia_history == want.inertia_history
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        np.testing.assert_array_equal(got.assignment.assignment, want.assignment.assignment)
+
     def test_duplicated_locations_zero_inertia(self):
         locs = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         pts = np.repeat(locs, 5, axis=0)

@@ -268,6 +268,14 @@ class TestAugment:
         v1, v2 = self.two_views(x, 0.5, 0.3, np.random.default_rng(3))
         assert v1.shape == x.shape and v2.shape == x.shape
 
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.1])
+    def test_input_never_written(self, noise_sigma):
+        x = np.random.default_rng(4).normal(size=(6, 5))
+        before = x.tobytes()
+        v = augment_rows(x, noise_sigma, 0.5, np.random.default_rng(5))
+        assert x.tobytes() == before
+        assert not np.shares_memory(v, x)
+
 
 class TestDatasetInvariants:
     def test_row_count_mismatch(self):

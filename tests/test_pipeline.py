@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from clnce import pipeline
 from clnce.clusters import kmeans
 from clnce.data import Dataset, split_dataset
-from clnce.datagen import make_balanced_hierarchy, make_blob_dataset, make_mixture_dataset
+from clnce.datagen import PRESETS, make_balanced_hierarchy, make_mixture_dataset
 from clnce.encoder import ROW_BLOCK, EncoderModel, embed, forward, init_model
 from clnce.errors import DataError, NumericError, ParameterError
 from clnce.info import info_plane_point, save_info_plane_csv
@@ -414,6 +414,14 @@ class TestLinearEvaluate:
         with pytest.raises(NumericError, match="linear probe diverged to non-finite weights"):
             linear_evaluate(model, d, d, epochs=5, lr=1e308)
 
+    def test_large_logits_do_not_overflow_the_softmax(self):
+        # at lr 500 the logits pass exp's range (~709); the max shift keeps
+        # the softmax finite, and the separable classes are all recovered
+        d = make_mixture_dataset(num_classes=3, dim=4, num_samples=60, class_sep=8.0, seed=0)
+        train_data, eval_data = split_dataset(d, 0.7, seed=0)
+        model = init_model([4, 8], [8, 4], seed=0)
+        assert linear_evaluate(model, train_data, eval_data, epochs=30, lr=500.0) == 1.0
+
     @pytest.mark.parametrize("train_scale, eval_scale, message", [
         # a finite embedding whose squares, or whose sum, overflow
         (1e155, 1.0, "overflows the probe's standardisation"),
@@ -609,7 +617,7 @@ class TestDatagen:
         np.testing.assert_array_equal(d1.labels, d2.labels)
 
     def test_blob_defaults(self):
-        d = make_blob_dataset(seed=1)
+        d = make_mixture_dataset(**PRESETS["blobs"], seed=1)
         assert d.num_samples == 400
         assert d.feature_dim == 8 + 24
         assert d.num_classes == 4
