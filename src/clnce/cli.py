@@ -138,8 +138,7 @@ def _cmd_make_data(args) -> int:
     d = datagen.make_mixture_dataset(**datagen.PRESETS[args.preset], seed=args.seed)
     data_path = os.path.join(args.out, f"{args.preset}.csv")  # its writer makes --out
     save_dataset(d, data_path)
-    if d.hierarchy is not None:
-        save_hierarchy(d.hierarchy, os.path.join(args.out, f"{args.preset}_hierarchy.tsv"))
+    save_hierarchy(d.hierarchy, os.path.join(args.out, f"{args.preset}_hierarchy.tsv"))
     print(f"wrote {d.num_samples} samples to {data_path}")
     return 0
 

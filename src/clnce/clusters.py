@@ -39,7 +39,7 @@ class ClusterAssignment:
         k = self.num_clusters
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
             raise ParameterError(f"num_clusters {k!r} is not a non-negative int")
-        a = np.asarray(self.assignment, dtype=np.int64)
+        a = np.array(self.assignment, dtype=np.int64)  # a copy: member_layout is cached
         a.flags.writeable = False
         object.__setattr__(self, "assignment", a)
         if a.ndim != 1:
@@ -116,10 +116,11 @@ def clusters_from_attributes(attributes: np.ndarray, k: int) -> ClusterAssignmen
     return ClusterAssignment(assignment, n_clusters, provenance=f"attributes({k})")
 
 
-def _longest_paths(g: HierarchyGraph) -> tuple[dict[str, int], dict[str, str]]:
+def _longest_paths(g: HierarchyGraph, level: int) -> tuple[dict[str, int], dict[str, int]]:
     """Each node's depth on its longest path from the single root, which is at
-    depth 1, and each other node's parent on that path, both in topological
-    order; ties keep the lexicographically smallest parent id."""
+    depth 1, and the index in ``g.nodes`` of its ancestor on that path at depth
+    ``level`` (the node itself for the root or a node no deeper), from one walk
+    in topological order; of tied parents, the smallest id is kept."""
     parents = {n: [] for n in g.nodes}
     children = {n: [] for n in g.nodes}
     for p, c in g.edges:
@@ -129,19 +130,20 @@ def _longest_paths(g: HierarchyGraph) -> tuple[dict[str, int], dict[str, str]]:
     if len(frontier) != 1:
         raise GraphError(f"expected one root, found {frontier}")
     waiting = {n: len(ps) for n, ps in parents.items()}
-    depth, kept = {}, {}
+    index = {n: i for i, n in enumerate(g.nodes)}
+    depth, ancestor = {}, {}
     while frontier:  # in any order: a node is taken once all its parents have been
         n = frontier.pop()
-        if parents[n]:
-            kept[n] = min(parents[n], key=lambda p: (-depth[p], p))
-        depth[n] = depth[kept[n]] + 1 if parents[n] else 1
+        kept = min(parents[n], key=lambda p: (-depth[p], p), default=None)
+        depth[n] = 1 if kept is None else depth[kept] + 1
+        ancestor[n] = index[n] if kept is None or depth[n] <= level else ancestor[kept]
         for c in children[n]:
             waiting[c] -= 1
             if waiting[c] == 0:
                 frontier.append(c)
     if len(depth) != len(g.nodes):
         raise GraphError("hierarchy contains a cycle")
-    return depth, kept
+    return depth, ancestor
 
 
 def clusters_from_hierarchy(
@@ -152,9 +154,10 @@ def clusters_from_hierarchy(
     Root is depth 1, and a node's depth and ancestors follow its longest
     path from the root: of several parents, the one on the longest root
     path is kept, and ties go to the smallest id. A leaf shallower than the
-    requested level stands in for its missing ancestor.
+    requested level stands in for its missing ancestor. Node names are
+    compared exactly.
     """
-    depth, parent = _longest_paths(g)
+    depth, ancestor = _longest_paths(g, level)
     if level < 1:
         raise ParameterError("level must be >= 1")
     if d.labels is None:
@@ -162,19 +165,12 @@ def clusters_from_hierarchy(
     max_leaf_depth = max((depth[leaf] for leaf in g.leaf_label_map), default=0)
     if level > max_leaf_depth:
         raise ParameterError(f"level {level} exceeds max leaf depth {max_leaf_depth}")
-
-    def ancestor_at(node: str) -> str:
-        while depth[node] > level:
-            node = parent[node]
-        return node
-
-    leaf_by_label = {lab: leaf for leaf, lab in g.leaf_label_map.items()}
-    keys = []
-    for lab in d.labels:
-        if int(lab) not in leaf_by_label:
-            raise DataError(f"label {int(lab)} has no leaf in the hierarchy")
-        keys.append(ancestor_at(leaf_by_label[int(lab)]))
-    assignment, n_clusters = _first_occurrence_ids(np.array(keys))
+    key = {lab: ancestor[leaf] for leaf, lab in g.leaf_label_map.items()}
+    try:
+        keys = np.array([key[lab] for lab in d.labels.tolist()], dtype=np.int64)
+    except KeyError as exc:
+        raise DataError(f"label {exc.args[0]} has no leaf in the hierarchy") from None
+    assignment, n_clusters = _first_occurrence_ids(keys)
     return ClusterAssignment(assignment, n_clusters, provenance=f"hierarchy({level})")
 
 

@@ -75,7 +75,8 @@ class Dataset:
     hierarchy: HierarchyGraph | None = None
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        # read-only views, so that the caller's own arrays stay writeable
+        feats = np.asarray(self.features, dtype=np.float64).view()
         object.__setattr__(self, "features", feats)
         if feats.ndim != 2:
             raise DimensionError("features must be a 2-D matrix")
@@ -94,7 +95,7 @@ class Dataset:
             attrs.flags.writeable = False
             object.__setattr__(self, "attributes", attrs)
         if self.labels is not None:
-            labs = np.asarray(self.labels, dtype=np.int64)
+            labs = np.asarray(self.labels, dtype=np.int64).view()
             if labs.shape != (n,):
                 raise DimensionError("label vector length mismatch")
             if n and labs.min() < 0:
@@ -177,7 +178,8 @@ def _first_bad_row(raw: bytes, path: str, dim: int, num_attrs: int, has_label: b
     from ``path`` that fails the row checks, read with csv and counted from
     2 after the header record; None if none fails.
 
-    Only the error path of ``load_dataset`` runs this scan.
+    Only the error path of ``load_dataset`` runs this scan, and a file with
+    attributes that holds a NUL byte.
     """
     width = 1 + dim + num_attrs + has_label
     with _text(raw) as fh:
@@ -314,7 +316,9 @@ def _parse_dataset(raw: bytes, path: str) -> Dataset:
     The data rows are parsed by one ``np.loadtxt`` call into a structured
     array, so no row or cell becomes a Python object (the ids are one str
     per row). When that parse, the attribute check or the label sign check
-    fails, a csv scan names the first bad record as ``path:line``.
+    fails, a csv scan names the first bad record as ``path:line``. The scan
+    also runs on a file with attributes that holds a NUL byte, because a
+    "U2" cell drops its trailing NULs: "1" and a NUL would read as "1".
     """
     # loadtxt has no field size limit; csv's, which is process-wide, is the
     # file's length until the parse ends
@@ -348,8 +352,10 @@ def _parse_dataset(raw: bytes, path: str) -> Dataset:
                 problem = DomainError(f"{path}: attribute value not in {{0,1}}")
             elif has_label and rows["label"].min() < 0:
                 problem = DomainError(f"{path}: labels must be non-negative")
+        if problem is not None or (num_attrs and b"\0" in raw):
+            problem = _first_bad_row(raw, path, dim, num_attrs, has_label) or problem
         if problem is not None:
-            raise _first_bad_row(raw, path, dim, num_attrs, has_label) or problem
+            raise problem
     except UnicodeDecodeError:  # it counts from its decode chunk; _utf8 gives the file offset
         _utf8(raw, path)
         raise  # not reached: bytes that fail a chunked decode fail the whole one

@@ -118,6 +118,8 @@ def mutual_information(joint: np.ndarray) -> float:
 def conditional_entropy(joint: np.ndarray, given: int = 1) -> float:
     """H(A|B) for given=1 (condition on columns), H(B|A) for given=0."""
     joint = _check_distribution(joint)
+    if joint.ndim != 2:
+        raise ParameterError("joint must be a 2-D table")
     if given not in (0, 1):
         raise ParameterError("given must be 0 or 1")
     cond = joint.sum(axis=1 - given)  # marginal of the conditioning axis

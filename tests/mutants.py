@@ -61,6 +61,10 @@ DEFECTS = {
         "clusters", "not isinstance(k, (int, np.integer)) or k < 0:",
         "not isinstance(k, (int, np.integer)):"),
     "kmeans_zero_iterations_accepted": ("clusters", "if max_iters < 1:", "if max_iters < 0:"),
+    "hierarchy_ties_keep_the_larger_id": (
+        "clusters", "min(parents[n], key=lambda p: (-depth[p], p), default=None)",
+        "max(parents[n], key=lambda p: (depth[p], p), default=None)"),
+    "hierarchy_level_compared_strictly": ("clusters", "depth[n] <= level", "depth[n] < level"),
     "nearest_certified_on_any_gap": (
         "clusters", "~(gap > _slack(dim, np.sqrt(pts_sq) + np.sqrt(c_sq.max())))", "~(gap > 0)"),
     # info
@@ -88,6 +92,7 @@ DEFECTS = {
         "data", "out = np.array(features, dtype=np.float64)",
         "out = np.asarray(features, dtype=np.float64)"),
     "hierarchy_without_edges_accepted": ("data", "if not edges:", "if edges is None:"),
+    "attribute_nul_guard_dropped": ("data", ' or (num_attrs and b"\\0" in raw)', ""),
     "cache_key_ignores_the_bytes": (
         "data", 'key = f"{_CACHE_FORMAT}, sha256 {hashlib.sha256(raw).hexdigest()}"',
         'key = f"{_CACHE_FORMAT}"'),

@@ -946,6 +946,18 @@ class TestMakeClusters:
         ])
         assert rc == 0
 
+    def test_hierarchy_names_that_differ_only_in_trailing_nuls(self, tmp_path, capsys):
+        data_path, hier_path = str(tmp_path / "d.csv"), tmp_path / "h.tsv"
+        save_dataset(Dataset(features=np.zeros((3, 1)), labels=np.array([1, 0, 1])), data_path)
+        hier_path.write_text("root\tg\nroot\tg\0\ng\tl0\ng\0\tl1\n#labels\nl0\t0\nl1\t1\n")
+        out = tmp_path / "c.csv"
+        rc = main(["make-clusters", "--data", data_path, "--hierarchy", str(hier_path),
+                   "--spec", write_spec(tmp_path, {"source": "hierarchy", "level": 2}),
+                   "--out", str(out)])
+        assert rc == 0
+        assert "2 clusters (hierarchy(2))" in capsys.readouterr().out
+        assert out.read_text() == "id,cluster\n0,0\n1,1\n2,0\n"
+
     def test_bad_k_exits_nonzero(self, workspace, capsys):
         tmp_path, data_path, _, _ = workspace
         rc = main([

@@ -23,7 +23,7 @@ from clnce.clusters import (
     refine_clusters,
     save_assignment,
 )
-from clnce.data import Dataset, HierarchyGraph
+from clnce.data import Dataset, HierarchyGraph, load_hierarchy
 from clnce.errors import DataError, GraphError, NumericError, ParameterError, SizeError
 from clnce.info import conditional_entropy, empirical_joint
 
@@ -202,6 +202,22 @@ class TestHierarchyClusters:
         )
         d = Dataset(features=np.zeros((3, 1)), labels=np.array([0, 1, 2]))
         assert clusters_from_hierarchy(g, 2, d).assignment.tolist() == [0, 1, 0]
+
+    def test_names_that_differ_only_in_trailing_nuls_stay_apart(self, tmp_path):
+        # a numpy str array of the names would read "g\0" as "g"
+        path = tmp_path / "h.tsv"
+        path.write_text("root\tg\nroot\tg\0\ng\tl0\ng\0\tl1\n#labels\nl0\t0\nl1\t1\n")
+        g = load_hierarchy(str(path))
+        d = Dataset(features=np.zeros((3, 1)), labels=np.array([1, 0, 1]))
+        ca = clusters_from_hierarchy(g, 2, d)
+        assert ca.num_clusters == 2
+        assert ca.assignment.tolist() == [0, 1, 0]
+
+    def test_bad_graph_refused_before_a_bad_level(self):
+        g = HierarchyGraph(edges=(("r1", "L"), ("r2", "M")), leaf_label_map={"L": 0, "M": 1})
+        d = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]))
+        with pytest.raises(GraphError, match="one root"):
+            clusters_from_hierarchy(g, 0, d)
 
     @pytest.mark.parametrize("shape", ["two_roots", "cycle", "cycle_below_root"])
     def test_not_a_tree(self, shape):
@@ -487,6 +503,16 @@ class TestLabelAndInstanceClusters:
         with pytest.raises(ParameterError, match="is not a non-negative int"):
             ClusterAssignment(np.array(assignment, dtype=np.int64), num_clusters, "x")
 
+    def test_caller_array_stays_writeable(self):
+        # the ids are copied, so the caller's later writes cannot reach member_layout
+        ids = np.array([0, 1, 0], dtype=np.int64)
+        ca = ClusterAssignment(ids, 2, "labels")
+        sizes, members, _ = ca.member_layout
+        ids[0] = 1
+        assert ca.assignment.tolist() == [0, 1, 0]
+        assert not ca.assignment.flags.writeable
+        assert sizes.tolist() == [2, 1] and members.tolist() == [0, 2, 1]
+
     def test_instance_id_has_one_cluster_per_row(self):
         # no cluster of [0, 1, 1] is empty, but two clusters over three rows
         # cannot pair each row with only itself
@@ -506,14 +532,17 @@ class TestLabelAndInstanceClusters:
      ParameterError, "attribute matrix must be 2-D"),
     (lambda: clusters_from_hierarchy(three_level_tree(), 1, Dataset(features=np.zeros((2, 1)))),
      DataError, "dataset has no labels"),
+    (lambda: clusters_from_hierarchy(
+        three_level_tree(), 2, Dataset(features=np.zeros((4, 1)), labels=np.array([0, 7, 5, 1]))),
+     DataError, "^label 7 has no leaf in the hierarchy$"),
     (lambda: permute_clusters(np.array([0, 1, 0]), clusters_from_labels(np.array([0, 1])), [], 0),
      ParameterError, "base assignment length mismatch"),
     (lambda: kmeans(np.eye(3), 2, max_iters=0), ParameterError, "max_iters must be >= 1"),
     (lambda: refine_clusters(np.array([0, 1]), 0, seed=0),
      ParameterError, "splits_per_class must be >= 1"),
 ], ids=["labels_empty", "labels_negative", "instance_id_zero", "entropy_not_binary",
-        "attributes_1d", "hierarchy_unlabeled", "permute_length_mismatch",
-        "kmeans_no_iterations", "refine_no_splits"])
+        "attributes_1d", "hierarchy_unlabeled", "hierarchy_label_without_leaf",
+        "permute_length_mismatch", "kmeans_no_iterations", "refine_no_splits"])
 def test_rejected_input(build, error, message):
     with pytest.raises(error, match=message):
         build()

@@ -299,6 +299,15 @@ class TestDatasetInvariants:
         with pytest.raises(error, match=message):
             Dataset(**fields)
 
+    def test_caller_arrays_stay_writeable(self):
+        x = np.zeros((2, 2))
+        labels = np.array([0, 1], dtype=np.int64)
+        d = Dataset(features=x, labels=labels)
+        assert not d.features.flags.writeable and not d.labels.flags.writeable
+        assert x.flags.writeable and labels.flags.writeable
+        x[0, 0] = 1.0  # a view, not a copy: the dataset sees the write
+        assert d.features[0, 0] == 1.0
+
     def test_default_ids_are_row_indices(self):
         d = Dataset(features=np.zeros((3, 1)))
         assert d.ids == ("0", "1", "2")
@@ -418,6 +427,18 @@ class TestLoadDatasetProperties:
     def test_blank_line_before_a_bad_record(self, last):
         got, want = load_both([["id", "f0", "a0", "label"], ["s0", "1.0", "0", "1"], [], last])
         assert got == want == (DomainError, ":4")
+
+    @pytest.mark.parametrize("cell", ["1\0", "0\0\0"])
+    def test_attribute_cell_ending_in_nul_same_as_oracle(self, cell):
+        # a "U2" cell drops its trailing NULs, so only the scan sees them
+        got, want = load_both([["id", "f0", "a0"], ["r\0", "1.0", "1"], ["s", "2.0", cell]])
+        assert got == want == (DomainError, ":3")
+
+    def test_id_holding_nuls_same_as_oracle(self):
+        got, want = load_both([["id", "f0", "a0", "label"], ["r\0", "1.0", "1", "0"],
+                               ["\0s\0", "2.0", "0", "1"]])
+        assert_same_dataset(got, want)
+        assert got.ids == ("r\0", "\0s\0")
 
     @pytest.mark.parametrize("header", ["key,f0,label", "id,label", "id"])
     def test_bad_header_same_as_oracle(self, header):

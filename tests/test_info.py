@@ -154,8 +154,16 @@ class TestDiscreteJointModel:
     (lambda: conditional_entropy(np.full((2, 2), 0.25), given=2),
      ParameterError, "given must be 0 or 1"),
     (lambda: mutual_information(np.full(4, 0.25)), ParameterError, "joint must be a 2-D table"),
+    (lambda: conditional_entropy(np.full(4, 0.25), given=0),
+     ParameterError, "joint must be a 2-D table"),
+    (lambda: conditional_entropy(np.full(4, 0.25), given=1),
+     ParameterError, "joint must be a 2-D table"),
+    (lambda: conditional_entropy(np.full((2, 2, 2), 0.125)),
+     ParameterError, "joint must be a 2-D table"),
     (lambda: empirical_joint([], []), SizeError, "empty input"),
-], ids=["batch_too_large", "given_not_an_axis", "one_dimensional_joint", "empty_joint"])
+], ids=["batch_too_large", "given_not_an_axis", "one_dimensional_joint",
+        "conditional_entropy_1d_given_0", "conditional_entropy_1d_given_1",
+        "conditional_entropy_3d", "empty_joint"])
 def test_out_of_contract_call(call, error, message):
     with pytest.raises(error, match=message):
         call()
