@@ -75,8 +75,11 @@ class KMeansResult:
 
     centroids: np.ndarray
     assignment: ClusterAssignment
-    iterations_run: int
     inertia_history: tuple[float, ...]
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.inertia_history)
 
 
 def _first_occurrence_ids(keys: np.ndarray) -> tuple[np.ndarray, int]:
@@ -364,12 +367,7 @@ def kmeans(
         for j in np.flatnonzero(counts):
             centroids[j] = pts[order[ends[j] - counts[j] : ends[j]]].mean(axis=0)
     result = ClusterAssignment(assign, K, provenance=f"kmeans({K})")
-    return KMeansResult(
-        centroids=centroids,
-        assignment=result,
-        iterations_run=it,
-        inertia_history=tuple(history),
-    )
+    return KMeansResult(centroids=centroids, assignment=result, inertia_history=tuple(history))
 
 
 def clusters_from_labels(labels: np.ndarray) -> ClusterAssignment:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError, StateError
+from .errors import ClnceError, NumericError, ParameterError, ShapeError, StateError
+from .info import check_table_size
 
 
 def _views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -32,9 +33,16 @@ def _views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
 class EncoderModel:
     """The zero model of the given layer widths. All weights and biases live
     in one float64 vector, ``params``; the layer lists are (w, b) views into
-    it. ``version`` counts SGD steps, so a stale cache is detected."""
+    it. ``version`` counts SGD steps, so a stale cache is detected. Widths
+    that are not >= 2 positive ints or do not chain are a ShapeError, and a
+    ``params`` past ``info.MAX_TABLE_CELLS`` a SizeError before it exists."""
 
     def __init__(self, encoder_dims, projection_dims):
+        for dims in (encoder_dims, projection_dims):
+            if not (isinstance(dims, (list, tuple)) and len(dims) >= 2 and all(
+                    isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w > 0
+                    for w in dims)):
+                raise ShapeError(f"layer widths {dims!r} are not >= 2 positive ints")
         if encoder_dims[-1] != projection_dims[0]:
             raise ShapeError("projection input dim must equal encoder output dim")
         self.encoder_dims = [int(w) for w in encoder_dims]
@@ -42,7 +50,10 @@ class EncoderModel:
         n_enc = len(self.encoder_dims) - 1
         self.shapes = [*zip(self.encoder_dims, self.encoder_dims[1:]),
                        *zip(self.projection_dims, self.projection_dims[1:])]
-        self.params = np.zeros(sum(din * dout + dout for din, dout in self.shapes))
+        size = sum(din * dout + dout for din, dout in self.shapes)
+        check_table_size((size,), f"encoder_widths {self.encoder_dims[1:]} and "
+                                  f"projection_widths {self.projection_dims[1:]}")
+        self.params = np.zeros(size)
         views = _views(self.params, self.shapes)
         self.encoder_layers, self.projection_layers = views[:n_enc], views[n_enc:]
         self.version = 0
@@ -183,7 +194,7 @@ def sgd_step(model: EncoderModel, grad: np.ndarray, momentum_buf: np.ndarray,
     step = np.full_like(model.params, weight_decay)
     for _, b in _views(step, model.shapes):
         b[...] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # the next forward raises
+    with np.errstate(over="ignore", invalid="ignore"):  # forward or save_checkpoint raises
         step *= model.params
         step += grad
         momentum_buf *= momentum
@@ -196,7 +207,11 @@ def sgd_step(model: EncoderModel, grad: np.ndarray, momentum_buf: np.ndarray,
 def save_checkpoint(model: EncoderModel, momentum_buf: np.ndarray, path: str) -> None:
     """JSON header line, then the parameters and the momentum, each as
     little-endian float64 in the layout of ``model.params``. The header's
-    ``step_count`` is ``model.version``. A missing parent directory is made."""
+    ``step_count`` is ``model.version``. A missing parent directory is made.
+    Non-finite parameters, which ``load_checkpoint`` refuses, are a
+    NumericError before anything is made."""
+    if not np.isfinite(model.params).all():
+        raise NumericError("non-finite parameters")
     header = {
         "encoder_dims": model.encoder_dims,
         "projection_dims": model.projection_dims,
@@ -216,31 +231,18 @@ def load_checkpoint(path: str) -> EncoderModel:
     with open(path, "rb") as fh:
         head = fh.readline()
         blob = fh.read()
-
-    def shapes(dims):
-        if not (isinstance(dims, list) and len(dims) >= 2
-                and all(type(w) is int and w > 0 for w in dims)):
-            raise ValueError(f"layer widths {dims!r} are not >= 2 positive ints")
-        return list(zip(dims[:-1], dims[1:]))
-
     try:
         header = json.loads(head.decode("utf-8"))
-        enc, proj = header["encoder_dims"], header["projection_dims"]
-        layer_shapes = shapes(enc) + shapes(proj)
-        if enc[-1] != proj[0]:
-            raise ValueError("encoder and projection widths do not chain")
-        # the parameters, then the momentum in the same layout
-        expected = 2 * 8 * sum(din * dout + dout for din, dout in layer_shapes)
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        model = EncoderModel(header["encoder_dims"], header["projection_dims"])
+    except (ClnceError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise StateError(f"{path}: unreadable checkpoint header ({exc})") from exc
-    # checked before the model is allocated: the header's widths may be huge
+    expected = 2 * model.params.nbytes  # the parameters, then the momentum
     if len(blob) != expected:
         raise StateError(
             f"{path}: {len(blob)} bytes of parameter blocks, header implies {expected}"
         )
-    params = np.frombuffer(blob, dtype="<f8", count=expected // 16)
+    params = np.frombuffer(blob, dtype="<f8", count=model.params.size)
     if not np.isfinite(params).all():
         raise StateError(f"{path}: non-finite parameters")
-    model = EncoderModel(enc, proj)
     model.params[...] = params
     return model

@@ -228,16 +228,12 @@ def train(
     refresh = spec["source"] == "kmeans"
     encoder_dims = [d.feature_dim, *cfg.encoder_widths]
     projection_dims = [encoder_dims[-1], *cfg.projection_widths]
-    # the (B, B) critic scores, the parameter vector and the (n, D) embedding
-    # that reclusters and the probe fill, before any of them exists
+    # the (B, B) critic scores and the (n, D) embedding that reclusters and
+    # the probe fill, each before it exists; the model checks its own size
     im.check_table_size((cfg.batch_size,) * 2, f"batch_size {cfg.batch_size}")
-    dims = [*encoder_dims, *cfg.projection_widths]
-    im.check_table_size((sum(a * b + b for a, b in zip(dims, dims[1:])),),
-                        f"encoder_widths {list(cfg.encoder_widths)} and "
-                        f"projection_widths {list(cfg.projection_widths)}")
+    model = enc.init_model(encoder_dims, projection_dims, seed=cfg.seed)
     im.check_table_size((d.num_samples, encoder_dims[-1]),
                         f"encoder_widths {list(cfg.encoder_widths)} on {d.num_samples} rows")
-    model = enc.init_model(encoder_dims, projection_dims, seed=cfg.seed)
     steps_per_epoch = max(1, d.num_samples // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     warmup = cfg.warmup_steps if cfg.warmup_steps is not None else max(1, total_steps // 10)

@@ -42,6 +42,12 @@ DEFECTS = {
     "cosine_rises": ("encoder", "1.0 + math.cos(math.pi * frac)", "1.0 - math.cos(math.pi * frac)"),
     "he_scale_of_the_output_width": (
         "encoder", "math.sqrt(2.0 / w.shape[0])", "math.sqrt(2.0 / w.shape[1])"),
+    "zero_width_accepted": ("encoder", "and w > 0", "and w >= 0"),
+    "bool_width_accepted": ("encoder", " and not isinstance(w, bool)", ""),
+    "one_width_accepted": ("encoder", "len(dims) >= 2", "len(dims) >= 1"),
+    "non_finite_checkpoint_saved": (
+        "encoder", "    if not np.isfinite(model.params).all():\n"
+                   '        raise NumericError("non-finite parameters")\n', ""),
     # objective
     "pairs_are_one_row": ("objective", "picks[0::2], picks[1::2]", "picks[0::2], picks[0::2]"),
     "clusters_drawn_uniformly": (

@@ -235,7 +235,6 @@ def kmeans_reference(
     return KMeansResult(
         centroids=centroids,
         assignment=result,
-        iterations_run=it,
         inertia_history=tuple(history),
     )
 

@@ -265,6 +265,23 @@ class TestBadInput:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error [NumericError]: {message}"]
 
+    def test_last_step_leaves_non_finite_weights(self, tmp_path, capsys):
+        # one step on unlabeled rows: no probe runs a forward after it, so the
+        # checkpoint writer is the first to see the weights
+        d = make_mixture_dataset(num_classes=4, dim=8, num_samples=400, seed=0)
+        data_path = str(tmp_path / "data.csv")
+        save_dataset(Dataset(features=d.features), data_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"data": data_path, "train": {
+            "epochs": 1, "batch_size": 256, "peak_lr": 1e10, "weight_decay": 1e300,
+            "encoder_widths": [16], "projection_widths": [8],
+            "cluster_source": {"source": "instance_id"}}}))
+        out = tmp_path / "run"
+        err = self.run_bad(["train", "--config", str(cfg_path), "--out", str(out)],
+                           capsys, "NumericError")
+        assert "non-finite parameters" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_embedding_too_wide(self, workspace, command):
         # an (n, D) embedding of 2000 or 1400 rows at width 2^17 takes 1.4 GB

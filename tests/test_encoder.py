@@ -19,7 +19,7 @@ from clnce.encoder import (
     save_checkpoint,
     sgd_step,
 )
-from clnce.errors import NumericError, ParameterError, ShapeError, StateError
+from clnce.errors import NumericError, ParameterError, ShapeError, SizeError, StateError
 from oracles import backward_reference, forward_reference
 
 # the lr, momentum and weight decay of a step for tests that do not depend on them
@@ -462,7 +462,7 @@ class TestCheckpoint:
             blob = blob.replace(b'"projection_dims": [3, 2]', b'"projection_dims": [7, 1]')
         with open(path, "wb") as fh:
             fh.write(blob)
-        with pytest.raises(StateError, match="non-finite|do not chain"):
+        with pytest.raises(StateError, match="non-finite|projection input dim"):
             load_checkpoint(path)
 
     def test_earlier_format_loads(self, tmp_path):
@@ -487,7 +487,7 @@ class TestCheckpoint:
         blob = pathlib.Path(path).read_bytes()
         with open(path, "wb") as fh:
             fh.write(blob.replace(b'"encoder_dims": [2, 3]', b'"encoder_dims": [%d, 3]' % 2**40))
-        with pytest.raises(StateError, match="header implies"):
+        with pytest.raises(StateError, match="has more than"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("dims", [b"[2.0, 3.0]", b"[true, 3]", b"[2]"])
@@ -500,6 +500,33 @@ class TestCheckpoint:
             fh.write(blob.replace(b'"encoder_dims": [2, 3]', b'"encoder_dims": ' + dims))
         with pytest.raises(StateError, match="layer widths"):
             load_checkpoint(path)
+
+    @settings(max_examples=60)
+    @given(widths=st.lists(st.integers(1, 6), min_size=3, max_size=6), data=st.data())
+    def test_every_accepted_model_round_trips(self, tmp_path_factory, widths, data):
+        # list or tuple, of Python or numpy ints
+        split = data.draw(st.integers(2, len(widths) - 1), label="split")
+        kind = data.draw(st.sampled_from([list, tuple]), label="kind")
+        to_int = data.draw(st.sampled_from([int, np.int64, np.int32, np.uint8]), label="int")
+        model = EncoderModel(kind(map(to_int, widths[:split])),
+                             kind(map(to_int, widths[split - 1:])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        model.params[...] = rng.normal(size=model.params.size) * 10.0 ** rng.integers(
+            -300, 300, size=model.params.size)
+        path = str(tmp_path_factory.mktemp("c") / "c.bin")
+        save_checkpoint(model, np.zeros_like(model.params), path)
+        loaded = load_checkpoint(path)
+        assert loaded.encoder_dims == widths[:split]
+        assert loaded.projection_dims == widths[split - 1:]
+        assert loaded.params.tobytes() == model.params.tobytes()
+
+    def test_non_finite_parameters_are_not_saved(self, tmp_path):
+        model = init_model([2, 3], [3, 2], seed=9)
+        model.params[4] = np.inf
+        path = tmp_path / "new" / "c.bin"
+        with pytest.raises(NumericError, match="non-finite parameters"):
+            save_checkpoint(model, np.zeros_like(model.params), str(path))
+        assert not path.parent.exists()
 
 
 class TestParameterArena:
@@ -542,6 +569,23 @@ class TestParameterArena:
         assert not model.params.any()
         with pytest.raises(ShapeError, match="projection input dim"):
             EncoderModel([4, 6], [5, 3])
+
+    # widths that are not lists or tuples of >= 2 positive ints
+    @pytest.mark.parametrize("encoder_dims, projection_dims", [
+        ([3], [3, 2]), ([3, 0], [0, 2]), ([3, 2], [2]), ([3, 2.5], [2, 2]),
+        ([3, True], [1, 2]), ([3, -1], [-1, 2]), ([], [3, 2]),
+    ])
+    @pytest.mark.parametrize("build", [EncoderModel, init_model])
+    def test_bad_widths_raise_shape_error(self, build, encoder_dims, projection_dims):
+        with pytest.raises(ShapeError, match="layer widths"):
+            build(encoder_dims, projection_dims)
+
+    @pytest.mark.parametrize("build", [EncoderModel, init_model])
+    def test_parameters_past_the_cap_raise_size_error(self, build):
+        # 6.6e12 parameters: refused before anything is allocated
+        with pytest.raises(SizeError, match=r"encoder_widths \[1099511627776\] and "
+                                            r"projection_widths \[2\]: a dense"):
+            build([3, 2**40], [2**40, 2])
 
     def test_init_draws_each_weight_in_layer_order(self):
         model = init_model([3, 5, 4], [4, 2], seed=7)

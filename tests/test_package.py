@@ -29,6 +29,22 @@ def test_all_is_the_names_the_package_imports():
                 if isinstance(getattr(clnce, name), types.ModuleType)]
 
 
+def test_mutation_defects_each_name_one_snippet():
+    """Every ``DEFECTS`` entry of ``tests/mutants.py`` names a module of the
+    package in which its snippet occurs exactly once, and no name is repeated
+    in the dict literal, where a repeat would drop the earlier defect."""
+    tree = ast.parse((ROOT / "tests" / "mutants.py").read_text(encoding="utf-8"))
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "DEFECTS")
+    names = [ast.literal_eval(key) for key in table.keys]
+    assert sorted(name for name in set(names) if names.count(name) > 1) == []
+    for name, entry in zip(names, table.values):
+        module, snippet, _ = ast.literal_eval(entry)
+        source = PACKAGE / f"{module}.py"
+        assert source.is_file(), name
+        assert source.read_text(encoding="utf-8").count(snippet) == 1, name
+
+
 def test_readme_library_example_runs(capsys):
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Library use"):]
