@@ -22,7 +22,7 @@ from .errors import (
     ParameterError,
     SizeError,
 )
-from .info import entropy
+from .info import check_table_size, entropy
 
 
 @dataclass(frozen=True)
@@ -325,7 +325,8 @@ def kmeans(
     is summed from the exact assigned distances, and centroid means add the
     same rows in the same order. Beyond the input, memory is O(nK) plus one
     block of ``_GATHER_BLOCK`` gathered rows, and the rows of one cluster at
-    a time in the centroid update; no (n, D) temporary is formed.
+    a time in the centroid update; no (n, D) temporary is formed. An (n, K)
+    table past ``info.MAX_TABLE_CELLS`` is a SizeError before any distance.
     """
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
@@ -335,6 +336,7 @@ def kmeans(
         raise ParameterError(f"K={K} must lie in [1, {n}]")
     if max_iters < 1:
         raise ParameterError("max_iters must be >= 1")
+    check_table_size((n, K), f"K={K} on {n} rows")
     rng = np.random.default_rng(seed)
     # Overflow here is not lost: a GEMM-form term that is not finite is
     # recomputed directly, and a direct distance that overflows ends the

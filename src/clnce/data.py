@@ -178,8 +178,7 @@ def _first_bad_row(raw: bytes, path: str, dim: int, num_attrs: int, has_label: b
     from ``path`` that fails the row checks, read with csv and counted from
     2 after the header record; None if none fails.
 
-    Only the error path of ``load_dataset`` runs this scan, and a file with
-    attributes that holds a NUL byte.
+    Only the error path of ``load_dataset`` runs this scan.
     """
     width = 1 + dim + num_attrs + has_label
     with _text(raw) as fh:
@@ -314,11 +313,9 @@ def _parse_dataset(raw: bytes, path: str) -> Dataset:
     """The dataset CSV bytes ``raw`` read from ``path``, parsed and checked.
 
     The data rows are parsed by one ``np.loadtxt`` call into a structured
-    array, so no row or cell becomes a Python object (the ids are one str
-    per row). When that parse, the attribute check or the label sign check
-    fails, a csv scan names the first bad record as ``path:line``. The scan
-    also runs on a file with attributes that holds a NUL byte, because a
-    "U2" cell drops its trailing NULs: "1" and a NUL would read as "1".
+    array, so no row becomes a Python object (the ids and attribute cells
+    are one str each). When that parse, the attribute check or the label
+    sign check fails, a csv scan names the first bad record as ``path:line``.
     """
     # loadtxt has no field size limit; csv's, which is process-wide, is the
     # file's length until the parse ends
@@ -331,8 +328,7 @@ def _parse_dataset(raw: bytes, path: str) -> Dataset:
             dim, num_attrs, has_label = _parse_header(header, path)
             fields = [("id", object), ("f", np.float64, (dim,))]
             if num_attrs:
-                # two characters, so that no longer cell truncates to "0" or "1"
-                fields.append(("a", "U2", (num_attrs,)))
+                fields.append(("a", object, (num_attrs,)))
             if has_label:
                 fields.append(("label", np.int64))
             try:
@@ -352,10 +348,8 @@ def _parse_dataset(raw: bytes, path: str) -> Dataset:
                 problem = DomainError(f"{path}: attribute value not in {{0,1}}")
             elif has_label and rows["label"].min() < 0:
                 problem = DomainError(f"{path}: labels must be non-negative")
-        if problem is not None or (num_attrs and b"\0" in raw):
-            problem = _first_bad_row(raw, path, dim, num_attrs, has_label) or problem
         if problem is not None:
-            raise problem
+            raise _first_bad_row(raw, path, dim, num_attrs, has_label) or problem
     except UnicodeDecodeError:  # it counts from its decode chunk; _utf8 gives the file offset
         _utf8(raw, path)
         raise  # not reached: bytes that fail a chunked decode fail the whole one

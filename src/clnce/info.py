@@ -115,17 +115,14 @@ def mutual_information(joint: np.ndarray) -> float:
     return float((joint[mask] * np.log(joint[mask] / outer[mask])).sum())
 
 
-def conditional_entropy(joint: np.ndarray, given: int = 1) -> float:
-    """H(A|B) for given=1 (condition on columns), H(B|A) for given=0."""
+def conditional_entropy(joint: np.ndarray) -> float:
+    """H(rows | columns) of the 2-D table ``joint``; H(columns | rows) is
+    ``conditional_entropy(joint.T)``."""
     joint = _check_distribution(joint)
     if joint.ndim != 2:
         raise ParameterError("joint must be a 2-D table")
-    if given not in (0, 1):
-        raise ParameterError("given must be 0 or 1")
-    cond = joint.sum(axis=1 - given)  # marginal of the conditioning axis
     mask = joint > 0
-    denom = cond[:, None] if given == 0 else cond[None, :]
-    denom = np.broadcast_to(denom, joint.shape)
+    denom = np.broadcast_to(joint.sum(axis=0), joint.shape)
     return float(0.0 - (joint[mask] * np.log(joint[mask] / denom[mask])).sum())
 
 
@@ -207,7 +204,7 @@ def info_plane_point(
     joint = empirical_joint(z, t)
     return InfoPlanePoint(
         mi_zt=mutual_information(joint),
-        h_z_given_t=conditional_entropy(joint, given=1),
+        h_z_given_t=conditional_entropy(joint),
         h_z=entropy(joint.sum(axis=1)),
         config_label=config_label,
     )

@@ -71,13 +71,15 @@ DEFECTS = {
         "clusters", "min(parents[n], key=lambda p: (-depth[p], p), default=None)",
         "max(parents[n], key=lambda p: (depth[p], p), default=None)"),
     "hierarchy_level_compared_strictly": ("clusters", "depth[n] <= level", "depth[n] < level"),
+    "kmeans_table_unguarded": (
+        "clusters", '    check_table_size((n, K), f"K={K} on {n} rows")\n', ""),
     "nearest_certified_on_any_gap": (
         "clusters", "~(gap > _slack(dim, np.sqrt(pts_sq) + np.sqrt(c_sq.max())))", "~(gap > 0)"),
     # info
     "mutual_information_inverted": (
         "info", "np.log(joint[mask] / outer[mask])", "np.log(outer[mask] / joint[mask])"),
     "conditional_entropy_of_the_wrong_axis": (
-        "info", "cond = joint.sum(axis=1 - given)", "cond = joint.sum(axis=given)"),
+        "info", "np.broadcast_to(joint.sum(axis=0)", "np.broadcast_to(joint.sum(axis=1)"),
     "bound_chain_against_the_larger_mi": (
         "info", "self.kl <= min_mi + _ATOL", "self.kl <= max(self.mi_zx, self.mi_zy) + _ATOL"),
     "batch_objective_without_the_positive": (
@@ -98,7 +100,8 @@ DEFECTS = {
         "data", "out = np.array(features, dtype=np.float64)",
         "out = np.asarray(features, dtype=np.float64)"),
     "hierarchy_without_edges_accepted": ("data", "if not edges:", "if edges is None:"),
-    "attribute_nul_guard_dropped": ("data", ' or (num_attrs and b"\\0" in raw)', ""),
+    "attribute_cells_fixed_width": (
+        "data", '("a", object, (num_attrs,))', '("a", "U2", (num_attrs,))'),
     "cache_key_ignores_the_bytes": (
         "data", 'key = f"{_CACHE_FORMAT}, sha256 {hashlib.sha256(raw).hexdigest()}"',
         'key = f"{_CACHE_FORMAT}"'),

@@ -154,10 +154,10 @@ def test_criterion_5_estimator_exactness():
         joint = empirical_joint(t, t)
         h_t = entropy(joint.sum(axis=0))
         worst = max(worst, abs(mutual_information(joint) - h_t))
-        worst = max(worst, abs(conditional_entropy(joint, given=1)))
+        worst = max(worst, abs(conditional_entropy(joint)))
         z = rng.integers(0, 7, size=200)
         j2 = empirical_joint(z, t)
-        chain = mutual_information(j2) + conditional_entropy(j2, given=1)
+        chain = mutual_information(j2) + conditional_entropy(j2)
         worst = max(worst, abs(entropy(j2.sum(axis=1)) - chain))
     report(5, "estimator exactness", worst <= 1e-12,
            f"identity and chain-rule residual max {worst:.3e} <= 1e-12")

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from clnce.cli import main
 from clnce.datagen import make_mixture_dataset
-from clnce.encoder import init_model, save_checkpoint
+from clnce.encoder import EncoderModel, init_model, save_checkpoint
+from clnce.errors import ClnceError
 from clnce.pipeline import TrainConfig
 
 FUZZ = settings(max_examples=60)
@@ -199,14 +200,15 @@ def edited(mapping, edits):
 
 
 def resized(header, blob):
-    """``blob`` repeated or cut to the size the header's widths imply, so that
-    edited widths can reach the probe; ``blob`` itself where they imply none."""
+    """``blob`` repeated or cut to the size of the model the header's widths
+    build, so that edited widths can reach the probe; ``blob`` itself where
+    they build none, or one past 1 MiB."""
     try:
-        dims = header["encoder_dims"][:-1] + header["projection_dims"]
-        size = 16 * sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
-    except (KeyError, TypeError):
+        model = EncoderModel(header["encoder_dims"], header["projection_dims"])
+    except (KeyError, ClnceError):
         return blob
-    if not (isinstance(size, int) and 0 < size <= 1 << 20):
+    size = 2 * model.params.nbytes
+    if size > 1 << 20:
         return blob
     return (blob * (size // len(blob) + 1))[:size]
 

@@ -75,7 +75,7 @@ class TestEntropyAndMi:
     def test_bijection(self):
         joint = np.eye(4) / 4
         assert mutual_information(joint) == pytest.approx(np.log(4), abs=1e-12)
-        assert conditional_entropy(joint, given=1) == pytest.approx(0.0, abs=1e-12)
+        assert conditional_entropy(joint) == pytest.approx(0.0, abs=1e-12)
 
     def test_independent(self):
         joint = np.outer([0.3, 0.7], [0.25, 0.25, 0.5])
@@ -93,7 +93,7 @@ class TestEntropyAndMi:
             t = rng.integers(0, 4, size=300)
             joint = empirical_joint(z, t)
             h_z = entropy(joint.sum(axis=1))
-            lhs = mutual_information(joint) + conditional_entropy(joint, given=1)
+            lhs = mutual_information(joint) + conditional_entropy(joint)
             assert h_z == pytest.approx(lhs, abs=1e-12)
 
     def test_merging_states_never_increases_mi(self):
@@ -151,18 +151,12 @@ class TestDiscreteJointModel:
     (lambda: verify_bound_chain(DiscreteJointModel.random(2, 5, 5, seed=0), n=42),
      SizeError, r"n=42 over 5 states of y: 4469850 cells of count vectors exceed "
                 r"the budget of 4194304"),
-    (lambda: conditional_entropy(np.full((2, 2), 0.25), given=2),
-     ParameterError, "given must be 0 or 1"),
     (lambda: mutual_information(np.full(4, 0.25)), ParameterError, "joint must be a 2-D table"),
-    (lambda: conditional_entropy(np.full(4, 0.25), given=0),
-     ParameterError, "joint must be a 2-D table"),
-    (lambda: conditional_entropy(np.full(4, 0.25), given=1),
-     ParameterError, "joint must be a 2-D table"),
+    (lambda: conditional_entropy(np.full(4, 0.25)), ParameterError, "joint must be a 2-D table"),
     (lambda: conditional_entropy(np.full((2, 2, 2), 0.125)),
      ParameterError, "joint must be a 2-D table"),
     (lambda: empirical_joint([], []), SizeError, "empty input"),
-], ids=["batch_too_large", "given_not_an_axis", "one_dimensional_joint",
-        "conditional_entropy_1d_given_0", "conditional_entropy_1d_given_1",
+], ids=["batch_too_large", "one_dimensional_joint", "conditional_entropy_1d",
         "conditional_entropy_3d", "empty_joint"])
 def test_out_of_contract_call(call, error, message):
     with pytest.raises(error, match=message):
@@ -415,7 +409,7 @@ class TestEntropySign:
         m, _ = model
         joint = m.p_z[:, None] * m.p_x_given_z
         for h in (entropy(m.p_z), entropy(m.p_x_given_z[0]), entropy(joint),
-                  conditional_entropy(joint, given=0), conditional_entropy(joint, given=1)):
+                  conditional_entropy(joint.T), conditional_entropy(joint)):
             assert positive_sign(h), (m, h)
 
     @settings(max_examples=60)

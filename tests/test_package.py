@@ -134,6 +134,20 @@ def test_oracles_use_only_public_names():
     assert private == []
 
 
+def test_no_fixed_width_string_dtypes():
+    """No package source names a fixed-width numpy string dtype ("U2", "<S8",
+    ``np.str_``, ``np.bytes_``): such a cell drops its trailing NULs, so a
+    string read or stored through one is not the string the file held."""
+    named = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and re.fullmatch(r"[<>|=]?[US]\d*", node.value)
+                    or isinstance(node, ast.Attribute) and node.attr in ("str_", "bytes_")):
+                named.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert named == []
+
+
 def test_dataclasses_set_only_their_fields():
     """A package dataclass assigns, in its methods, only the fields it
     declares, whether through ``self.x = ...`` or through
