@@ -152,12 +152,16 @@ class TestDiscreteJointModel:
      SizeError, r"n=42 over 5 states of y: 4469850 cells of count vectors exceed "
                 r"the budget of 4194304"),
     (lambda: mutual_information(np.full(4, 0.25)), ParameterError, "joint must be a 2-D table"),
+    # The two orientations of a 1-D input: H(columns | rows) is asked for
+    # through .T, which leaves a 1-D array 1-D.
+    (lambda: conditional_entropy(np.full(4, 0.25).T),
+     ParameterError, "joint must be a 2-D table"),
     (lambda: conditional_entropy(np.full(4, 0.25)), ParameterError, "joint must be a 2-D table"),
     (lambda: conditional_entropy(np.full((2, 2, 2), 0.125)),
      ParameterError, "joint must be a 2-D table"),
     (lambda: empirical_joint([], []), SizeError, "empty input"),
-], ids=["batch_too_large", "one_dimensional_joint", "conditional_entropy_1d",
-        "conditional_entropy_3d", "empty_joint"])
+], ids=["batch_too_large", "one_dimensional_joint", "conditional_entropy_1d_given_0",
+        "conditional_entropy_1d_given_1", "conditional_entropy_3d", "empty_joint"])
 def test_out_of_contract_call(call, error, message):
     with pytest.raises(error, match=message):
         call()
