@@ -28,8 +28,8 @@ from .info import check_table_size, entropy
 @dataclass(frozen=True)
 class ClusterAssignment:
     """Per-sample cluster ids plus a provenance tag describing their origin;
-    ``num_clusters`` is a non-negative int (not a bool), and every id in
-    ``[0, num_clusters)`` holds a row."""
+    ``num_clusters`` is a non-negative int (not a bool, and a numpy int is
+    stored as a Python int), and every id in ``[0, num_clusters)`` holds a row."""
 
     assignment: np.ndarray
     num_clusters: int
@@ -39,6 +39,7 @@ class ClusterAssignment:
         k = self.num_clusters
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
             raise ParameterError(f"num_clusters {k!r} is not a non-negative int")
+        object.__setattr__(self, "num_clusters", int(k))  # a numpy int is not JSON
         a = np.array(self.assignment, dtype=np.int64)  # a copy: member_layout is cached
         a.flags.writeable = False
         object.__setattr__(self, "assignment", a)

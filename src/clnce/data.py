@@ -156,14 +156,14 @@ def _parse_header(header: list[str], path: str) -> tuple[int, int, bool]:
     end += has_label
     if header[:1] == ["id"] and dim and end == len(header):
         return dim, num_attrs, has_label
-    if header[:1] != ["id"]:
-        problem = "column 1 is not 'id'"
-    elif end < len(header):
-        cell = header[end]  # quoted up to 40 characters, so a long cell stays readable
-        problem = f"unexpected column {end + 1} {cell[:40]!r}" + (
-            f"... ({len(cell)} characters)" if len(cell) > 40 else "")
-    else:
+    if header[:1] == ["id"] and end == len(header):
         problem = "no feature column f0"
+    else:
+        col = end if header[:1] == ["id"] else 0
+        cell = (header or [""])[col]  # quoted up to 40 characters, so a long cell stays readable
+        quoted = f"{cell[:40]!r}" + (f"... ({len(cell)} characters)" if len(cell) > 40 else "")
+        problem = (f"unexpected column {col + 1} {quoted}" if col
+                   else f"column 1 {quoted} is not 'id'")
     raise SchemaError(f"{path}:1: {problem}; the header must be {HEADER_GRAMMAR}")
 
 

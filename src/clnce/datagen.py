@@ -13,12 +13,12 @@ import numpy as np
 from .data import Dataset, HierarchyGraph
 from .errors import ParameterError
 
-# make-data presets: keyword arguments for make_mixture_dataset. `blobs` is a
-# small noise-padded dataset for the k-means pathway.
+# make-data presets: the make_mixture_dataset arguments that differ from its
+# defaults. `blobs` is a small noise-padded dataset for the k-means pathway.
 PRESETS = {
     "mixture": {},
-    "blobs": dict(num_classes=4, dim=8, noise_dims=24, noise_std=3.0, num_samples=400,
-                  class_sep=2.5, within_std=1.0, num_attributes=4),
+    "blobs": dict(num_classes=4, dim=8, noise_dims=24, num_samples=400, class_sep=2.5,
+                  num_attributes=4),
 }
 
 
@@ -28,16 +28,15 @@ def make_mixture_dataset(
     num_samples: int = 5000,
     num_attributes: int = 12,
     noise_dims: int = 0,
-    noise_std: float | None = None,
+    noise_std: float = 3.0,
     class_sep: float = 3.0,
-    within_std: float = 1.0,
     attr_flip_prob: float = 0.05,
     seed: int = 0,
 ) -> Dataset:
     """Isotropic Gaussian mixture with class-informative binary attributes.
 
-    `noise_dims` extra coordinates carry pure high-variance noise, which
-    makes a random frozen encoder a weak baseline for the linear probe.
+    Rows scatter with std 1 about class means drawn with std `class_sep`.
+    Noise columns (`noise_dims`, std `noise_std`) weaken a random-encoder probe.
     """
     if num_classes < 2 or num_samples < num_classes:
         raise ParameterError("need >= 2 classes and >= 1 sample per class")
@@ -48,10 +47,9 @@ def make_mixture_dataset(
         [labels, rng.integers(num_classes, size=num_samples - labels.size)]
     )
     rng.shuffle(labels)
-    features = means[labels] + rng.normal(0.0, within_std, size=(num_samples, dim))
+    features = means[labels] + rng.normal(0.0, 1.0, size=(num_samples, dim))
     if noise_dims:
-        std = class_sep if noise_std is None else noise_std
-        noise = rng.normal(0.0, std, size=(num_samples, noise_dims))
+        noise = rng.normal(0.0, noise_std, size=(num_samples, noise_dims))
         features = np.hstack([features, noise])
     protos = rng.integers(0, 2, size=(num_classes, num_attributes))
     attrs = protos[labels]

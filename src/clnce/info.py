@@ -220,7 +220,7 @@ def save_info_plane_csv(points, path: str) -> None:
     write_csv(
         path,
         ["config_label", "mi_zt", "h_z_given_t", "h_z", "accuracy"],
-        ([p.config_label, repr(p.mi_zt), repr(p.h_z_given_t), repr(p.h_z),
-          "" if p.downstream_accuracy is None else repr(p.downstream_accuracy)]
+        ([p.config_label, repr(float(p.mi_zt)), repr(float(p.h_z_given_t)), repr(float(p.h_z)),
+          "" if p.downstream_accuracy is None else repr(float(p.downstream_accuracy))]
          for p in points),
     )

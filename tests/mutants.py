@@ -73,6 +73,9 @@ DEFECTS = {
     "hierarchy_level_compared_strictly": ("clusters", "depth[n] <= level", "depth[n] < level"),
     "kmeans_table_unguarded": (
         "clusters", '    check_table_size((n, K), f"K={K} on {n} rows")\n', ""),
+    "cluster_count_kept_as_given": (
+        "clusters", 'object.__setattr__(self, "num_clusters", int(k))',
+        'object.__setattr__(self, "num_clusters", k)'),
     "nearest_certified_on_any_gap": (
         "clusters", "~(gap > _slack(dim, np.sqrt(pts_sq) + np.sqrt(c_sq.max())))", "~(gap > 0)"),
     # info
@@ -85,6 +88,7 @@ DEFECTS = {
     "batch_objective_without_the_positive": (
         "info", "(counts @ ratio[np.ix_(xs, pos)].T + e1) / n", "(counts @ ratio[np.ix_(xs, pos)].T) / n"),
     "selection_score_adds_redundancy": ("info", "p.mi_zt - p.h_z_given_t", "p.mi_zt + p.h_z_given_t"),
+    "info_plane_cell_numpy_repr": ("info", "repr(float(p.mi_zt))", "repr(p.mi_zt)"),
     # pipeline
     "warmup_not_clamped": ("pipeline", "    warmup = min(warmup, total_steps)\n", ""),
     "x_view_gradient_dropped": (
@@ -107,6 +111,8 @@ DEFECTS = {
         'key = f"{_CACHE_FORMAT}"'),
     "failed_cache_write_leaves_its_temporary": (
         "data", "                os.remove(tmp)\n", "                pass\n"),
+    # datagen
+    "blobs_noise_default_moved": ("datagen", "noise_std: float = 3.0", "noise_std: float = 2.5"),
 }
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", "__clnce_cache__", ".hypothesis",

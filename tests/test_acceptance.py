@@ -36,14 +36,6 @@ def report(num, name, ok, detail):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def _flatten(model):
-    return model.params.copy()
-
-
-def _set_params(model, vec):
-    model.params[...] = vec
-
-
 def test_criterion_1_gradient_correctness():
     """Analytic end-to-end gradients match central finite differences."""
     temperature = 0.5
@@ -66,12 +58,12 @@ def test_criterion_1_gradient_correctness():
                 break
 
         def loss_at(vec):
-            _set_params(model, vec)
+            model.params[...] = vec
             _, px, _ = forward(model, x)
             _, py, _ = forward(model, y)
             return cl_infonce(critic_matrix(px, py, temperature))[0]
 
-        base = _flatten(model).copy()
+        base = model.params.copy()
         _, px, cache_x = forward(model, x)
         _, py, cache_y = forward(model, y)
         _, g_scores = cl_infonce(critic_matrix(px, py, temperature))
@@ -90,7 +82,7 @@ def test_criterion_1_gradient_correctness():
                 # both sides are zero; the difference is pure rounding noise
                 continue
             worst = max(worst, abs(fd - analytic[i]) / scale)
-        _set_params(model, base)
+        model.params[...] = base
     report(1, "gradient correctness", worst <= 1e-5,
            f"50 models, max relative error {worst:.3e} <= 1e-5")
 

@@ -618,3 +618,16 @@ class TestAssignmentExport:
         with open(path + ".json", encoding="utf-8") as fh:
             sidecar = json.load(fh)
         assert sidecar == {"num_clusters": ca.num_clusters, "provenance": ca.provenance}
+
+    @pytest.mark.parametrize("build", [
+        lambda: kmeans(np.arange(12.0).reshape(6, 2), np.int64(3), seed=0).assignment,
+        lambda: clusters_instance_id(np.int64(4)),
+        lambda: refine_clusters(np.array([0, 0, 1, 1]), np.int64(2), 0),
+    ], ids=["kmeans", "instance_id", "refine"])
+    def test_numpy_count_is_stored_as_int(self, tmp_path, build):
+        ca = build()
+        assert type(ca.num_clusters) is int
+        path = str(tmp_path / "clusters.csv")
+        save_assignment(ca, [str(i) for i in range(ca.num_samples)], path)
+        with open(path + ".json", encoding="utf-8") as fh:
+            assert json.load(fh) == {"num_clusters": ca.num_clusters, "provenance": ca.provenance}

@@ -460,6 +460,18 @@ class TestHeaderGrammar:
         with pytest.raises(SchemaError, match=":1: .*the header must be"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("header, problem", [
+        ("\ufeffid,f0", r"column 1 '\ufeffid' is not 'id'"),
+        ("", "column 1 '' is not 'id'"),
+    ], ids=["byte_order_mark", "empty_first_line"])
+    def test_column_1_is_quoted(self, tmp_path, header, problem):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        path = tmp_path / "d.csv"
+        path.write_bytes(f"{header}\n1,1\n".encode("utf-8"))
+        with pytest.raises(SchemaError) as exc:
+            load_dataset(str(path))
+        assert str(exc.value) == f"{path}:1: {problem}; the header must be {data.HEADER_GRAMMAR}"
+
     @pytest.mark.parametrize("header, shape", [
         ("id,f0", (1, 0, False)),
         ("id,f0,f1,f2,label", (3, 0, True)),

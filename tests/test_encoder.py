@@ -44,14 +44,6 @@ def straight_line_forward(model, x):
     return out
 
 
-def flatten_params(model):
-    return model.params.copy()
-
-
-def set_params(model, vec):
-    model.params[...] = vec
-
-
 class TestForward:
     def test_zero_model_degenerate_rows(self):
         model = init_model([3, 4], [4, 2], seed=0)
@@ -269,11 +261,11 @@ class TestBackward:
         coeff = rng.normal(size=(6, 3))
 
         def loss_at(vec):
-            set_params(model, vec)
+            model.params[...] = vec
             _, proj, _ = forward(model, x)
             return float((coeff * proj).sum())
 
-        base = flatten_params(model).copy()
+        base = model.params.copy()
         _, proj, cache = forward(model, x)
         analytic = backward(model, cache, coeff)
         eps = 1e-6
@@ -286,7 +278,7 @@ class TestBackward:
             fd = (loss_at(vp) - loss_at(vm)) / (2 * eps)
             scale = max(abs(fd), abs(analytic[i]), 1e-8)
             assert abs(fd - analytic[i]) / scale < 1e-5
-        set_params(model, base)
+        model.params[...] = base
 
     def test_single_linear_layer_outer_product(self):
         # loss = sum of raw projections requires bypassing the normalization,
@@ -344,24 +336,24 @@ class TestSgdStep:
 
     def test_plain_gradient_descent(self):
         model, buf = self.make()
-        before = flatten_params(model).copy()
+        before = model.params.copy()
         sgd_step(model, self.ones_grads(model), buf, 0.1, 0.0, 0.0)
-        np.testing.assert_allclose(flatten_params(model), before - 0.1, atol=1e-15)
+        np.testing.assert_allclose(model.params, before - 0.1, atol=1e-15)
 
     def test_zero_grad_fixed_point(self):
         model, buf = self.make()
-        before = flatten_params(model).copy()
+        before = model.params.copy()
         sgd_step(model, self.ones_grads(model, 0.0), buf, 0.1, 0.0, 0.0)
-        np.testing.assert_array_equal(flatten_params(model), before)
+        np.testing.assert_array_equal(model.params, before)
 
     def test_momentum_recurrence(self):
         # constant grad g for two steps: updates lr0*g then lr1*(0.9g + g)
         model, buf = self.make()
-        before = flatten_params(model).copy()
+        before = model.params.copy()
         sgd_step(model, self.ones_grads(model), buf, 0.1, 0.9, 0.0)
         sgd_step(model, self.ones_grads(model), buf, 0.05, 0.9, 0.0)
         expected = before - 0.1 * 1.0 - 0.05 * (0.9 + 1.0)
-        np.testing.assert_allclose(flatten_params(model), expected, atol=1e-14)
+        np.testing.assert_allclose(model.params, expected, atol=1e-14)
 
     def test_weight_decay_skips_biases(self):
         model, buf = self.make()
@@ -623,6 +615,6 @@ class TestDeterminism:
                 g = backward(model, cache, np.ones_like(proj))
                 lr = lr_at(model.version, 0.1, 2, 20)
                 sgd_step(model, g, buf, lr, STEP["momentum"], STEP["weight_decay"])
-            trajectories.append(flatten_params(model).copy())
+            trajectories.append(model.params.copy())
         np.testing.assert_array_equal(trajectories[0], trajectories[1])
 

@@ -1,11 +1,13 @@
-"""Golden digests of what `clnce train` writes.
+"""Golden digests of what `clnce make-data` and `clnce train` write.
 
-The table below holds the sha256 of `checkpoint.bin`, `report.json`,
-`loss.csv` and `info_plane.csv`, and of stdout without its `checkpoint:`
-line (which names the output path), for the `labels`, `instance_id` and
-`kmeans` sources on `make-data --preset mixture` at seeds 0 and 1. A change
-that keeps the bits passes it unedited; a change that alters them on purpose
-edits the table in the same diff and says why.
+The table below holds the sha256 of `<preset>.csv`, `<preset>_hierarchy.tsv`
+and stdout of `make-data` for both presets at seeds 0 and 1, and of
+`checkpoint.bin`, `report.json`, `loss.csv` and `info_plane.csv`, and of
+stdout without its `checkpoint:` line (which names the output path), for
+the `labels`, `instance_id` and `kmeans` sources on `make-data --preset
+mixture` at seeds 0 and 1. A change that keeps the bits passes it unedited;
+a change that alters them on purpose edits the table in the same diff and
+says why.
 
 The bits depend on the BLAS kernel (see `encoder.embed`), so the table is
 keyed by the numpy version and the OpenBLAS core that is running, read from
@@ -30,10 +32,35 @@ SOURCES = {
     "kmeans": {"source": "kmeans", "K": 8, "max_iters": 5},
 }
 SEEDS = (0, 1)
+PRESETS = ("mixture", "blobs")
 ARTIFACTS = ("checkpoint.bin", "report.json", "loss.csv", "info_plane.csv")
 
 GOLDEN = {
     "numpy 2.4.6, OpenBLAS core SkylakeX": {
+        "make-data mixture seed 0: mixture.csv":
+            "c82aaf654a6752ba502b29ace4d85428c849c364da999356b06523dde21899c9",
+        "make-data mixture seed 0: mixture_hierarchy.tsv":
+            "e330186e4b381f02b1e36d89a41e8348b1058cd9cb46989b91340a52f9d4dbdd",
+        "make-data mixture seed 0: stdout":
+            "51a3fb05fb429fa005c7c75396756ef51bf9a70c877a672b3754641fe963c67d",
+        "make-data blobs seed 0: blobs.csv":
+            "e2329ab8bc0cf97e47ee0f36d48380cc88560cf9a96bbac38dffe8a24fd6ccd5",
+        "make-data blobs seed 0: blobs_hierarchy.tsv":
+            "4fc09a4c24498bd685266561b466b6c3d4f6d2c66aff1c6679a1dd133a7c00fa",
+        "make-data blobs seed 0: stdout":
+            "db0477efb6a97e50b07f2a6e904839137921d5d37407eff9cabbe1a62ea9b93b",
+        "make-data mixture seed 1: mixture.csv":
+            "782c6ff6a1df8b1e7501420580bacff2b8c44e941e51513f41524747aebaa44a",
+        "make-data mixture seed 1: mixture_hierarchy.tsv":
+            "e330186e4b381f02b1e36d89a41e8348b1058cd9cb46989b91340a52f9d4dbdd",
+        "make-data mixture seed 1: stdout":
+            "02d90a00043a46a87b03bb445b8facc906c35bb619d2f2ebd79ffb69e550148b",
+        "make-data blobs seed 1: blobs.csv":
+            "ea56af123b7fa21bcc996647daa1614a0625ea783a3b59c722536220870f32f9",
+        "make-data blobs seed 1: blobs_hierarchy.tsv":
+            "4fc09a4c24498bd685266561b466b6c3d4f6d2c66aff1c6679a1dd133a7c00fa",
+        "make-data blobs seed 1: stdout":
+            "f1c5959a596abce0679541b01af95227861da87464f49dc1004bcdd05b6ef2af",
         "labels seed 0: checkpoint.bin":
             "8602bba33cef7c8c54971d303fd6af686da4189275b0af6a06fa80aff3e23c61",
         "labels seed 0: report.json":
@@ -113,6 +140,30 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def assert_golden(got: dict, make_data: bool) -> None:
+    """``got`` equals the `make-data` or the `train` part of the table for
+    the running key."""
+    key = f"numpy {np.__version__}, OpenBLAS core {openblas_core()}"
+    if key not in GOLDEN:
+        pytest.skip(f"no golden digests for {key!r}; got {json.dumps(got, indent=4)}")
+    assert got == {k: v for k, v in GOLDEN[key].items() if k.startswith("make-data ") == make_data}
+
+
+def test_make_data_matches_the_golden_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # stdout names the written CSV, so --out is relative
+    got = {}
+    for seed in SEEDS:
+        for preset in PRESETS:
+            capsys.readouterr()
+            assert main(["make-data", "--preset", preset, "--seed", str(seed),
+                         "--out", f"data{seed}"]) == 0
+            run = f"make-data {preset} seed {seed}"
+            for artifact in (f"{preset}.csv", f"{preset}_hierarchy.tsv"):
+                got[f"{run}: {artifact}"] = sha256((tmp_path / f"data{seed}" / artifact).read_bytes())
+            got[f"{run}: stdout"] = sha256(capsys.readouterr().out.encode())
+    assert_golden(got, make_data=True)
+
+
 def test_train_artifacts_match_the_golden_digests(tmp_path, capsys):
     got = {}
     for seed in SEEDS:
@@ -135,7 +186,4 @@ def test_train_artifacts_match_the_golden_digests(tmp_path, capsys):
             got[f"{run}: stdout"] = sha256("".join(
                 line for line in stdout.splitlines(keepends=True)
                 if not line.startswith("checkpoint: ")).encode())
-    key = f"numpy {np.__version__}, OpenBLAS core {openblas_core()}"
-    if key not in GOLDEN:
-        pytest.skip(f"no golden digests for {key!r}; got {json.dumps(got, indent=4)}")
-    assert got == GOLDEN[key]
+    assert_golden(got, make_data=False)

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import pathlib
@@ -316,6 +317,14 @@ class TestInfoPlane:
         assert lines[0] == "config_label,mi_zt,h_z_given_t,h_z,accuracy"
         assert lines[1].startswith("a,0.5")
         assert lines[2].endswith(",")
+
+    def test_csv_export_of_numpy_floats(self, tmp_path):
+        values = [np.float64(v) for v in (0.5, 0.1, 0.6, 0.9)]
+        path = tmp_path / "plane.csv"
+        save_info_plane_csv([InfoPlanePoint(*values, "a")], str(path))
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [float(cell) for cell in rows[1][1:]] == values
 
 
 @st.composite

@@ -212,21 +212,19 @@ class TestBuildClusters:
         assert c.num_clusters == 5
 
 
-def flatten_params(model):
-    return model.params.copy()
-
-
 class TestTrainPredetermined:
+    """`train` on clusters fixed before the run (the default `labels` source)."""
+
     def test_zero_lr_leaves_params_untouched(self):
         d = small_dataset()
         cfg = small_config(peak_lr=0.0)
-        before = flatten_params(init_model(
+        before = init_model(
             [d.feature_dim, *cfg.encoder_widths],
             [cfg.encoder_widths[-1], *cfg.projection_widths],
             seed=cfg.seed,
-        ))
+        ).params
         model, _ = train(d, cfg)
-        np.testing.assert_array_equal(flatten_params(model), before)
+        np.testing.assert_array_equal(model.params, before)
 
     def test_deterministic_repeat(self):
         d = small_dataset()
@@ -234,7 +232,7 @@ class TestTrainPredetermined:
         m1, r1 = train(d, cfg)
         m2, r2 = train(d, cfg)
         assert r1.loss_curve == r2.loss_curve
-        np.testing.assert_array_equal(flatten_params(m1), flatten_params(m2))
+        np.testing.assert_array_equal(m1.params, m2.params)
 
     def test_loss_curve_length_and_finiteness(self):
         d = small_dataset()
@@ -317,6 +315,8 @@ class TestParseOrder:
 
 
 class TestKmeansLoop:
+    """`train` with the `kmeans` source, which reclusters at every epoch boundary."""
+
     def test_trace_covers_every_epoch_boundary(self):
         d = small_dataset()
         cfg = small_config(epochs=3, cluster_source={"source": "kmeans", "K": 4})
